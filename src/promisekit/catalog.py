@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
-from .predicates import InstanceId, Scalar, scalar_eq
+from .predicates import InstanceId, Scalar, scalar_eq, scalar_key
 
 STATUS_AVAILABLE = "available"
 STATUS_PROMISED = "promised"
@@ -60,12 +60,21 @@ class PropertyDecl:
     name: str
     domain: Optional[tuple[Scalar, ...]] = None  # None = open domain
     order: Optional[tuple[Scalar, ...]] = None   # total order; doubles as domain
+    _ranks: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ranks = {scalar_key(v): i for i, v in enumerate(self.order or ())}
+        object.__setattr__(self, "_ranks", ranks)
 
     def allows(self, value: Scalar) -> bool:
         allowed = self.order if self.order is not None else self.domain
         if allowed is None:
             return isinstance(value, (str, int, bool))
         return any(scalar_eq(v, value) for v in allowed)
+
+    def rank(self, value: Scalar) -> int:
+        """Position of `value` in the declared order, -1 if absent or unordered."""
+        return self._ranks.get(scalar_key(value), -1)
 
 
 @dataclass(frozen=True)
@@ -95,10 +104,6 @@ class CatalogSchema:
         if decl is None:
             return None
         return decl.properties.get(prop)
-
-    def order_of(self, resource_type: str, prop: str) -> Optional[tuple[Scalar, ...]]:
-        p = self.property_decl(resource_type, prop)
-        return p.order if p is not None else None
 
 
 @dataclass
@@ -219,6 +224,12 @@ class ResourceCatalog:
     def savepoint(self, token: UnitToken) -> int:
         self._require_active(token)
         return len(token.log)
+
+    def touched_types(self, token: UnitToken, mark: int) -> set[str]:
+        """Resource types changed by the mutations applied after `mark`."""
+        self._require_active(token)
+        return {entry[1] if entry[0] == "pool" else entry[1].resource_type
+                for entry in token.log[mark:]}
 
     def rollback_to(self, token: UnitToken, mark: int) -> None:
         """Undo everything applied after `mark`; clears an aborted flag."""
@@ -459,7 +470,7 @@ def _parse_properties(type_name: str, raw) -> dict[str, PropertyDecl]:
         order = domain = None
         if "order" in entry:
             order = _parse_scalars(pname, entry["order"])
-            if len(set(map(_canon, order))) != len(order):
+            if len(set(map(scalar_key, order))) != len(order):
                 raise CatalogError("schema-violation", f"order of {pname!r} repeats a value")
             if not order:
                 raise CatalogError("schema-violation", f"order of {pname!r} is empty")
@@ -514,10 +525,6 @@ def _parse_scalars(pname: str, raw) -> tuple[Scalar, ...]:
         if not isinstance(v, (str, int, bool)):
             raise CatalogError("schema-violation", f"{pname!r} lists a non-scalar value {v!r}")
     return tuple(raw)
-
-
-def _canon(v: Scalar):
-    return (type(v).__name__, v)
 
 
 def load_catalog_text(text: str) -> ResourceCatalog:

@@ -1,11 +1,31 @@
 """Promise table and promise checking.
 
-Feasibility of a predicate set is decided by integer max-flow over a
-demand/supply graph: every predicate contributes a demand node whose
-weight is its amount, every untaken instance a unit-capacity supply node,
-and every pool-backed type a supply node with capacity quantity-on-hand.
-An edge means that supply can legally serve that demand. The set is
-satisfiable iff the max flow saturates every demand.
+Feasibility of a predicate set is decided one resource type at a time.
+No demand can draw on another type's supply, so the set is satisfiable
+iff each type's share of it is:
+
+  - a pool-backed type iff its Quantity amounts sum to at most the
+    quantity on hand (a pool has no instances for the other forms);
+  - an instance-backed type iff an integer max-flow from its untaken
+    instances to its demands saturates every demand. An edge means that
+    supply can legally serve that demand.
+
+The flow problem merges nodes. Identical predicates become one demand
+node with their amounts summed. Untaken instances that satisfy the same
+Property demands are interchangeable and become one supply node of
+capacity k; `satisfies` runs once per Property demand and distinct value
+of the properties the type's demands constrain, not once per instance.
+An instance a Named demand picks is not interchangeable: it stays a node
+of its own, with edges from every Quantity and Property demand it can
+also serve.
+
+Checks are scoped by one invariant: the committed active set is
+feasible on every type. A grant or exchange then only has to decide the
+types its new predicates name, since releasing only removes demand, and
+a post-action check only the types the action's catalog mutations
+touched. Whole-state checks (`types=None`: the self-check and the
+harness invariants) still decide every type, so they catch anything
+that breaks the invariant instead of relying on it.
 
 Re-solving from scratch on every check is what makes reallocation
 implicit: nothing binds an instance to a particular predicate between
@@ -19,7 +39,7 @@ pipeline); checks on immutable views are pure and may run anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence, Union
+from typing import Collection, Iterable, Optional, Sequence, Union
 
 from .catalog import (
     STATUS_AVAILABLE,
@@ -34,10 +54,13 @@ from .predicates import (
     InstanceId,
     Named,
     Predicate,
+    Property,
     Quantity,
     amount_of,
     predicate_to_wire,
+    resource_type_of,
     satisfies,
+    scalar_key,
 )
 
 PROMISE_ACTIVE = "active"
@@ -77,8 +100,8 @@ class DemandNode:
 
 @dataclass(frozen=True)
 class SupplyNode:
-    key: str       # "pool:<type>" or "inst:<type>/<key>"
-    capacity: int
+    key: str       # "pool:<type>", "inst:<type>/<key>", or "class:<type>/<key>+<k-1>"
+    capacity: int  # for a class: k interchangeable instances, named by the first
 
 
 @dataclass(frozen=True)
@@ -92,35 +115,69 @@ class FeasibilityProblem:
         return sum(d.amount for d in self.demands)
 
 
+def _demand_key(p: Predicate):
+    """Identity of a demand up to its amount; values compare as `scalar_eq` does."""
+    if isinstance(p, Property):
+        return ("property", p.resource_type,
+                frozenset((c.property_name, c.comparator, scalar_key(c.value))
+                          for c in p.constraints))
+    if isinstance(p, Named):
+        return ("named", p.instance)
+    return ("quantity", p.resource_type)
+
+
 def build_feasibility_problem(predicates: Sequence[Predicate],
                               view: AvailabilityView) -> FeasibilityProblem:
-    pool_names = sorted(view.pools)
-    supplies = [SupplyNode(f"pool:{name}", view.pools[name]) for name in pool_names]
-    pool_index = {name: i for i, name in enumerate(pool_names)}
-
-    usable = [r for r in view.instances if r.status != STATUS_TAKEN]  # sorted by id already
-    inst_index = {}
-    for r in usable:
-        inst_index[r.id] = len(supplies)
-        supplies.append(SupplyNode(f"inst:{r.id}", 1))
-
-    demands = []
-    edges = []
+    """Flow problem for `predicates` over the supply of the types they name."""
+    merged: dict = {}
     for p in predicates:
-        demands.append(DemandNode(p, amount_of(p)))
-        if isinstance(p, Quantity):
-            fan = []
-            if p.resource_type in pool_index:
-                fan.append(pool_index[p.resource_type])
-            fan.extend(inst_index[r.id] for r in usable if r.id.resource_type == p.resource_type)
-            edges.append(tuple(fan))
-        elif isinstance(p, Named):
-            idx = inst_index.get(p.instance)
-            edges.append((idx,) if idx is not None else ())
-        else:
-            edges.append(tuple(inst_index[r.id] for r in usable
-                               if satisfies(r, p, view.schema)))
-    return FeasibilityProblem(tuple(demands), tuple(supplies), tuple(edges))
+        slot = merged.setdefault(_demand_key(p), [p, 0])
+        slot[1] += amount_of(p)
+    demands = tuple(DemandNode(p, n) for p, n in merged.values())
+    named = {d.predicate.instance: j for j, d in enumerate(demands)
+             if isinstance(d.predicate, Named)}
+    of_type: dict[str, list[int]] = {}
+    for j, d in enumerate(demands):
+        of_type.setdefault(resource_type_of(d.predicate), []).append(j)
+    usable: dict[str, list] = {rt: [] for rt in of_type}
+    for r in view.instances:  # sorted by id already
+        bucket = usable.get(r.id.resource_type)
+        if bucket is not None and r.status != STATUS_TAKEN:
+            bucket.append(r)
+
+    supplies: list[SupplyNode] = []
+    fans: list[list[int]] = [[] for _ in demands]
+    for rt in sorted(of_type):
+        nodes = []
+        if rt in view.pools:
+            nodes.append(len(supplies))
+            supplies.append(SupplyNode(f"pool:{rt}", view.pools[rt]))
+        props = [(j, demands[j].predicate) for j in of_type[rt]
+                 if isinstance(demands[j].predicate, Property)]
+        watched = sorted({c.property_name for _, p in props for c in p.constraints})
+        signatures: dict = {}  # watched values -> indices of the Property demands met
+        groups: dict = {}      # instance id or signature -> [first instance, count, signature]
+        for r in usable[rt]:
+            values = tuple(scalar_key(r.properties.get(name)) for name in watched)
+            sig = signatures.get(values)
+            if sig is None:
+                sig = signatures[values] = tuple(
+                    j for j, p in props if satisfies(r, p, view.schema))
+            group = groups.setdefault(r.id if r.id in named else sig, [r, 0, sig])
+            group[1] += 1
+        for first, count, sig in groups.values():
+            i = len(supplies)
+            key = f"inst:{first.id}" if count == 1 else f"class:{first.id}+{count - 1}"
+            supplies.append(SupplyNode(key, count))
+            nodes.append(i)
+            for j in sig:
+                fans[j].append(i)
+            if first.id in named:
+                fans[named[first.id]].append(i)
+        for j in of_type[rt]:
+            if isinstance(demands[j].predicate, Quantity):
+                fans[j] = nodes
+    return FeasibilityProblem(demands, tuple(supplies), tuple(tuple(f) for f in fans))
 
 
 class _FlowNet:
@@ -142,7 +199,7 @@ class _FlowNet:
                 return flow
             it = [0] * self.n
             while True:
-                pushed = self._dfs(s, t, float("inf"), level, it)
+                pushed = self._augment(s, t, level, it)
                 if not pushed:
                     break
                 flow += pushed
@@ -158,20 +215,36 @@ class _FlowNet:
                     queue.append(e[0])
         return level if level[t] >= 0 else None
 
-    def _dfs(self, u: int, t: int, limit, level, it) -> int:
-        if u == t:
-            return limit  # finite: min over at least one edge capacity
-        while it[u] < len(self.adj[u]):
-            e = self.adj[u][it[u]]
-            v = e[0]
-            if e[1] > 0 and level[v] == level[u] + 1:
-                pushed = self._dfs(v, t, min(limit, e[1]), level, it)
-                if pushed:
-                    e[1] -= pushed
-                    self.adj[v][e[2]][1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
+    def _augment(self, s: int, t: int, level, it) -> int:
+        """Push flow along one s-t path of the level graph; 0 if none is left.
+
+        Depth-first with an explicit stack, so a long augmenting path
+        cannot exhaust the interpreter's recursion limit. `it[u]` skips
+        the edges of u already found to lead nowhere.
+        """
+        adj = self.adj
+        path: list[list[int]] = []  # edges from s to u
+        u = s
+        while u != t:
+            edges = adj[u]
+            while it[u] < len(edges):
+                e = edges[it[u]]
+                if e[1] > 0 and level[e[0]] == level[u] + 1:
+                    path.append(e)
+                    u = e[0]
+                    break
+                it[u] += 1
+            else:
+                if not path:
+                    return 0
+                e = path.pop()  # dead end: retreat and skip the edge into u
+                u = adj[e[0]][e[2]][0]
+                it[u] += 1
+        pushed = min(e[1] for e in path)
+        for e in path:
+            e[1] -= pushed
+            adj[e[0]][e[2]][1] += pushed
+        return pushed
 
 
 def solve_feasibility(problem: FeasibilityProblem) -> bool:
@@ -194,9 +267,28 @@ def solve_feasibility(problem: FeasibilityProblem) -> bool:
     return net.max_flow(0, sink) == problem.total_demand
 
 
-def check_satisfiable(predicates: Sequence[Predicate], view: AvailabilityView) -> bool:
-    """True iff every predicate can draw its full amount from disjoint supply."""
-    return solve_feasibility(build_feasibility_problem(predicates, view))
+def check_satisfiable(predicates: Sequence[Predicate], view: AvailabilityView,
+                      types: Optional[Collection[str]] = None) -> bool:
+    """True iff every predicate can draw its full amount from disjoint supply.
+
+    With `types`, only the predicates of those resource types are
+    decided; callers that pass it rely on the others being feasible.
+    """
+    by_type: dict[str, list[Predicate]] = {}
+    for p in predicates:
+        rt = resource_type_of(p)
+        if types is None or rt in types:
+            by_type.setdefault(rt, []).append(p)
+    for rt, group in by_type.items():
+        if rt in view.pools:
+            # a pool has no instances for a Named or Property demand to draw on
+            if any(not isinstance(p, Quantity) and amount_of(p) > 0 for p in group):
+                return False
+            if sum(amount_of(p) for p in group) > view.pools[rt]:
+                return False
+        elif not solve_feasibility(build_feasibility_problem(group, view)):
+            return False
+    return True
 
 
 # --- the engine ---
@@ -248,7 +340,8 @@ class PromiseEngine:
         if duration <= 0:
             raise ValueError("duration must be positive")
         view = self._view(unit)
-        if not check_satisfiable(self.active_predicates() + list(predicates), view):
+        if not check_satisfiable(self.active_predicates() + list(predicates), view,
+                                 _types_of(predicates)):
             self.counters["rejections"] += 1
             return Rejection()
         rec = self._insert(tuple(predicates), duration, now, unit)
@@ -288,7 +381,7 @@ class PromiseEngine:
             raise ValueError("duration must be positive")
         view = self._view(unit)
         candidate = self.active_predicates(exclude=release) + list(predicates)
-        if not check_satisfiable(candidate, view):
+        if not check_satisfiable(candidate, view, _types_of(predicates)):
             self.counters["rejections"] += 1
             return Rejection()
         self.release(release, unit)
@@ -307,17 +400,19 @@ class PromiseEngine:
                 expired.append(rec.id)
         return sorted(expired)
 
-    def post_action_check(self, released_ids: Sequence[str], view: AvailabilityView) -> bool:
+    def post_action_check(self, released_ids: Sequence[str], view: AvailabilityView,
+                          types: Optional[Collection[str]] = None) -> bool:
         """True iff the remaining active promises survive the action's effects.
 
         Call with the released ids already provisionally marked; a False
-        result tells the pipeline to roll the action back.
+        result tells the pipeline to roll the action back. `types` names
+        the resource types the action changed; None checks every type.
         """
         for pid in released_ids:
             rec = self.table.get(pid)
             assert rec is None or rec.status != PROMISE_ACTIVE, \
                 "released ids must be marked before the post-action check"
-        return check_satisfiable(self.active_predicates(), view)
+        return check_satisfiable(self.active_predicates(), view, types)
 
     # --- invariant helpers (used by self-checks, fuzzing and tests) ---
 
@@ -390,6 +485,10 @@ class PromiseEngine:
 
     def _view(self, unit: Optional[UnitToken]) -> AvailabilityView:
         return self.catalog.snapshot_availability(unit)
+
+
+def _types_of(predicates: Iterable[Predicate]) -> set[str]:
+    return {resource_type_of(p) for p in predicates}
 
 
 def _id_sort_key(pid: str):

@@ -434,6 +434,8 @@ class _ScriptRun:
             client.outcomes.append("think")
             return
         if kind == "request":
+            if self._skip_unbound(client, step, step.get("release-on-grant", [])):
+                return
             client.rid += 1
             rid = f"{client.name}-r{client.rid}"
             preds = tuple(predicate_from_wire(p) for p in step["predicates"])
@@ -455,6 +457,8 @@ class _ScriptRun:
         if kind == "action":
             env = None
             entries = step.get("environment", [])
+            if self._skip_unbound(client, step, [e["promise"] for e in entries]):
+                return
             if entries:
                 env = EnvironmentMsg(
                     tuple(client.resolve(e["promise"]) for e in entries),
@@ -479,6 +483,21 @@ class _ScriptRun:
             self._expect(client, step, status)
             return
         raise ScenarioError(f"unknown step kind {kind!r}")
+
+    def _skip_unbound(self, client: _WireClient, step: dict, refs) -> bool:
+        """Skip a step that names a promise its client never got.
+
+        The request that would have bound it was rejected, which a seeded
+        schedule can cause; the step then counts as a failed expectation.
+        """
+        unbound = [ref for ref in refs if ref[1:] not in client.vars]
+        if not unbound:
+            return False
+        names = ", ".join(unbound)
+        client.outcomes.append(f"{step['kind']} skipped: {names} unbound")
+        self.expect_failures.append(
+            f"{client.name}: {names} never bound, so the step was skipped: {step}")
+        return True
 
     def _expect(self, client: _WireClient, step: dict, outcome: str) -> None:
         want = step.get("expect")

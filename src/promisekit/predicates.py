@@ -105,12 +105,9 @@ def scalar_eq(a: Scalar, b: Scalar) -> bool:
     return a == b
 
 
-def order_index(order: tuple[Scalar, ...], value: Scalar) -> int:
-    """Position of `value` in a declared order, -1 if absent."""
-    for i, level in enumerate(order):
-        if scalar_eq(level, value):
-            return i
-    return -1
+def scalar_key(value: Scalar) -> tuple:
+    """Hashable key under which two scalars collide iff `scalar_eq` holds."""
+    return (isinstance(value, bool), value)
 
 
 def validate_predicate(p: Predicate, schema: "CatalogSchema") -> None:
@@ -169,11 +166,11 @@ def satisfies(instance, p: Predicate, schema: "CatalogSchema") -> bool:
             if not scalar_eq(actual, c.value):
                 return False
         else:
-            order = schema.order_of(p.resource_type, c.property_name)
-            if order is None:
+            decl = schema.property_decl(p.resource_type, c.property_name)
+            if decl is None or decl.order is None:
                 return False
-            have = order_index(order, actual)
-            want = order_index(order, c.value)
+            have = decl.rank(actual)
+            want = decl.rank(c.value)
             if have < 0 or want < 0 or have < want:
                 return False
     return True

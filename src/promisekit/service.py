@@ -236,8 +236,10 @@ class PromiseManager:
             if release_ids:
                 self.engine.release(release_ids, unit)
             self._stage("post-check")
-            view = self.catalog.snapshot_availability(unit)
-            if self.engine.post_action_check(release_ids, view):
+            # only the types the action changed can have become infeasible
+            touched = self.catalog.touched_types(unit, mark)
+            if not touched or self.engine.post_action_check(
+                    release_ids, self.catalog.snapshot_availability(unit), touched):
                 return ActionMsg(name, payload, ACTION_SUCCEEDED)
             self.catalog.rollback_to(unit, mark)
             self.engine.restore(table_mark)

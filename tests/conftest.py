@@ -53,3 +53,20 @@ def seat_catalog():
 @pytest.fixture
 def widget_catalog():
     return load_catalog(widget_doc())
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Resource types of every flow problem built while the test runs."""
+    from promisekit import engine
+    from promisekit.predicates import resource_type_of
+
+    seen = []
+    real = engine.build_feasibility_problem
+
+    def spy(predicates, view):
+        seen.append({resource_type_of(p) for p in predicates})
+        return real(predicates, view)
+
+    monkeypatch.setattr(engine, "build_feasibility_problem", spy)
+    return seen

@@ -1,14 +1,32 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from promisekit.catalog import DecrementPool, load_catalog
+from promisekit import engine
+from promisekit.catalog import (
+    STATUS_AVAILABLE,
+    STATUS_PROMISED,
+    STATUS_TAKEN,
+    AvailabilityView,
+    CatalogSchema,
+    DecrementPool,
+    InstanceView,
+    PropertyDecl,
+    ResourceTypeDecl,
+    load_catalog,
+)
 from promisekit.engine import (
+    DemandNode,
+    FeasibilityProblem,
     PromiseEngine,
     Rejection,
+    SupplyNode,
     UnknownPromiseId,
     build_feasibility_problem,
     check_satisfiable,
+    solve_feasibility,
 )
 from promisekit.oracle import brute_force_satisfiable, random_case
 from promisekit.predicates import (
@@ -21,7 +39,7 @@ from promisekit.predicates import (
     Quantity,
 )
 
-from conftest import SEAT_DOC, widget_doc
+from conftest import HOTEL_DOC, SEAT_DOC, widget_doc
 
 
 def balance_catalog(amount):
@@ -82,6 +100,148 @@ def test_problem_shape(hotel_catalog):
     assert prob.edges[1] == (0,)        # only 512 is on floor 5
     assert prob.edges[2] == (0, 1)      # quantity over the instance-backed type
     assert prob.total_demand == 3
+
+
+def test_interchangeable_instances_merge_and_named_picks_keep_their_edges(monkeypatch):
+    cat = load_catalog({"resource-types": [{
+        "name": "seat",
+        "properties": [{"name": "class", "order": ["economy", "business", "first"]}],
+        "instances": [{"key": k, "properties": {"class": c}} for k, c in
+                      [("24G", "economy"), ("24H", "economy"), ("24J", "economy"),
+                       ("2A", "first")]],
+    }]})
+    calls = []
+    real = engine.satisfies
+    monkeypatch.setattr(engine, "satisfies", lambda *a: calls.append(a) or real(*a))
+    business = Property("seat", (PropertyConstraint("class", AT_LEAST_IN_ORDER, "business"),), 1)
+    economy = Property("seat", (PropertyConstraint("class", AT_LEAST_IN_ORDER, "economy"),), 1)
+    prob = build_feasibility_problem(
+        [Named(InstanceId("seat", "24G")), business, economy, Quantity("seat", 1),
+         business, Quantity("seat", 1)],
+        view_of(cat))
+    # identical predicates are one demand with the amounts summed
+    assert [d.amount for d in prob.demands] == [1, 2, 1, 2]
+    # 24H and 24J meet the same demands; the named 24G stays apart
+    assert [(s.key, s.capacity) for s in prob.supplies] == [
+        ("inst:seat/24G", 1), ("class:seat/24H+1", 2), ("inst:seat/2A", 1)]
+    assert prob.edges[0] == (0,)
+    assert prob.edges[1] == (2,)
+    assert prob.edges[2] == (0, 1, 2)   # the named pick still serves Property...
+    assert prob.edges[3] == (0, 1, 2)   # ...and Quantity demands
+    # one evaluation per Property demand and distinct class value
+    assert len(calls) == 2 * 2
+
+
+def test_long_augmenting_path_needs_no_recursion():
+    # A staircase: demand j fits slot j or j+1, the last demand only its own
+    # slot. Supplies are listed from the top, so the first phase gives every
+    # demand j < n-1 slot j+1, and the last demand then needs an augmenting
+    # path through all 2n nodes.
+    n = 2000
+    index = [n - 1 - pos for pos in range(n)]
+    supplies = tuple(SupplyNode(f"inst:slot/{n - 1 - i}", 1) for i in range(n))
+    edges = tuple((index[j], index[j + 1]) if j + 1 < n else (index[j],) for j in range(n))
+    demands = tuple(DemandNode(Quantity("slot", 1), 1) for _ in range(n))
+    assert solve_feasibility(FeasibilityProblem(demands, supplies, edges))
+    crowded = FeasibilityProblem(demands + (DemandNode(Quantity("slot", 1), 1),),
+                                 supplies, edges + ((index[0],),))
+    assert not solve_feasibility(crowded)
+
+
+# --- per-type decomposition ---
+
+_GRADES = ("low", "mid", "high")
+_COLORS = ("red", "blue")
+_INSTANCE_TYPES = ("gadget", "widget")
+
+
+def _decomposition_schema():
+    props = {"grade": PropertyDecl("grade", order=_GRADES),
+             "color": PropertyDecl("color", domain=_COLORS)}
+    types = {"bulk": ResourceTypeDecl("bulk", pool_backed=True)}
+    for rt in _INSTANCE_TYPES:
+        types[rt] = ResourceTypeDecl(rt, pool_backed=False, properties=props)
+    return CatalogSchema(types)
+
+
+@st.composite
+def decomposition_cases(draw):
+    """A pool and two instance types, with demands that overlap on purpose:
+    Named demands pick instances Property demands also match, and some
+    predicates repeat."""
+    instances = []
+    for rt in _INSTANCE_TYPES:
+        for i in range(draw(st.integers(0, 4))):
+            instances.append(InstanceView(
+                InstanceId(rt, f"{rt[0]}{i}"),
+                {"grade": draw(st.sampled_from(_GRADES)),
+                 "color": draw(st.sampled_from(_COLORS))},
+                draw(st.sampled_from((STATUS_AVAILABLE, STATUS_PROMISED, STATUS_TAKEN)))))
+    view = AvailabilityView(_decomposition_schema(), {"bulk": draw(st.integers(0, 5))},
+                            instances)
+    keys = [r.id for r in instances] + [InstanceId("gadget", "missing")]
+    predicate = st.one_of(
+        st.builds(Quantity, st.sampled_from(("bulk",) + _INSTANCE_TYPES), st.integers(1, 3)),
+        st.builds(Named, st.sampled_from(keys)),
+        st.builds(
+            Property, st.sampled_from(_INSTANCE_TYPES),
+            st.lists(st.one_of(
+                st.builds(PropertyConstraint, st.just("grade"), st.just(AT_LEAST_IN_ORDER),
+                          st.sampled_from(_GRADES)),
+                st.builds(PropertyConstraint, st.just("color"), st.just(EQUALS),
+                          st.sampled_from(_COLORS))),
+                min_size=1, max_size=2, unique_by=lambda c: c.property_name).map(tuple),
+            st.integers(1, 2)))
+    preds = draw(st.lists(predicate, max_size=5))
+    if preds:
+        preds += draw(st.lists(st.sampled_from(preds), max_size=3))
+    return draw(st.permutations(preds)), view
+
+
+def _twin_gadgets():
+    twins = [InstanceView(InstanceId("gadget", key), {"grade": "low", "color": "red"},
+                          STATUS_AVAILABLE) for key in ("g0", "g1")]
+    return AvailabilityView(_decomposition_schema(), {"bulk": 0}, twins)
+
+
+@settings(max_examples=150, deadline=None)
+@given(decomposition_cases())
+@example(([Named(InstanceId("gadget", "g0"))] * 2, _twin_gadgets()))
+def test_decomposed_check_agrees_with_the_oracle(case):
+    preds, view = case
+    full = check_satisfiable(preds, view)
+    assert full == brute_force_satisfiable(preds, view)
+    everything = ("bulk",) + _INSTANCE_TYPES
+    for rt in everything:
+        others = [t for t in everything if t != rt]
+        if check_satisfiable(preds, view, others):
+            assert check_satisfiable(preds, view, [rt]) == full
+
+
+def _two_type_engine():
+    return PromiseEngine(load_catalog({"resource-types": [
+        {"name": "bulk", "pool": 5}, HOTEL_DOC["resource-types"][0],
+        SEAT_DOC["resource-types"][0]]}))
+
+
+def test_grant_builds_only_the_types_it_names(builds):
+    eng = _two_type_engine()
+    first = Property("seat", (PropertyConstraint("class", AT_LEAST_IN_ORDER, "first"),), 1)
+    assert not isinstance(eng.grant([first], 30, 0), Rejection)
+    floor5 = Property("room", (PropertyConstraint("floor", EQUALS, 5),), 1)
+    assert not isinstance(eng.grant([floor5], 30, 0), Rejection)
+    assert not isinstance(eng.exchange([Named(InstanceId("room", "610"))], 30, [], 0),
+                          Rejection)
+    assert builds == [{"seat"}, {"room"}, {"room"}]
+
+
+def test_pool_grants_build_no_flow_problem(builds):
+    eng = _two_type_engine()
+    eng.grant([Named(InstanceId("seat", "2A"))], 30, 0)
+    builds.clear()
+    assert not isinstance(eng.grant([Quantity("bulk", 3)], 30, 0), Rejection)
+    assert isinstance(eng.grant([Quantity("bulk", 3)], 30, 0), Rejection)
+    assert builds == []
 
 
 # --- grant ---

@@ -4,6 +4,7 @@ import pytest
 
 import promisekit.harness as harness
 from promisekit.harness import (
+    RunReport,
     ScenarioError,
     contention_run,
     fuzz,
@@ -40,6 +41,41 @@ def test_hotel_bookings_never_collide():
     inv = {i["name"]: i for i in report.invariants}
     assert inv["final-state"]["ok"]
     assert inv["named-exclusivity"]["ok"]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_seeded_hotel_reports_instead_of_crashing(seed):
+    # these schedules reject a request whose save-as a later step uses
+    script = load_script("hotel")
+    script["schedule"] = "seeded"
+    script["seed"] = seed
+    report = run_script(script)
+    assert isinstance(report, RunReport)
+    assert "digest" in report.to_document()
+
+
+def test_unbound_reference_fails_expectations_and_the_run_goes_on():
+    request = {"kind": "request", "duration": 5, "save-as": "p",
+               "predicates": [{"form": "quantity", "resource-type": "pink-widget",
+                               "amount": 3}]}
+    purchase = {"kind": "action", "name": "purchase-stock",
+                "payload": {"resource-type": "pink-widget", "amount": 1}}
+    report = run_script({
+        "name": "unbound", "catalog-inline": widget_doc(2), "clock": "logical",
+        "clients": [{"name": "only", "steps": [
+            request,
+            dict(request, **{"release-on-grant": ["$p"], "save-as": "q"}),
+            dict(purchase, environment=[{"promise": "$p"}]),
+            purchase,
+        ]}],
+    })
+    inv = {i["name"]: i for i in report.invariants}
+    assert report.clients["only"] == [
+        "request 1: rejected", "request skipped: $p unbound", "action skipped: $p unbound",
+        "action purchase-stock: succeeded"]
+    assert not inv["expectations"]["ok"]
+    assert inv["expectations"]["detail"].count("$p never bound") == 2
+    assert all(i["ok"] for name, i in inv.items() if name != "expectations")
 
 
 def test_scripted_runs_are_deterministic():

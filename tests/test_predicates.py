@@ -147,6 +147,16 @@ def test_bool_and_int_values_stay_distinct():
     assert not satisfies(room, view_one, schema())
 
 
+def test_order_ranks_keep_bool_and_int_apart():
+    decl = PropertyDecl("level", order=(0, 1, True))
+    assert [decl.rank(v) for v in (0, 1, True, False, "1")] == [0, 1, 2, -1, -1]
+    s = CatalogSchema({"dial": ResourceTypeDecl("dial", pool_backed=False,
+                                                properties={"level": decl})})
+    at_least_true = Property("dial", (PropertyConstraint("level", AT_LEAST_IN_ORDER, True),), 1)
+    assert not satisfies(Inst("dial", "a", level=1), at_least_true, s)
+    assert satisfies(Inst("dial", "b", level=True), at_least_true, s)
+
+
 @given(st.data())
 def test_at_least_is_monotone_in_the_declared_order(data):
     levels = ("economy", "business", "first")

@@ -6,7 +6,12 @@ import pytest
 from promisekit.catalog import load_catalog
 from promisekit.clock import LogicalClock
 from promisekit.harness import register_standard_handlers
-from promisekit.predicates import Quantity
+from promisekit.predicates import (
+    AT_LEAST_IN_ORDER,
+    Property,
+    PropertyConstraint,
+    Quantity,
+)
 from promisekit.protocol import (
     ActionMsg,
     Envelope,
@@ -26,7 +31,7 @@ from promisekit.service import (
     ServiceConfig,
 )
 
-from conftest import widget_doc
+from conftest import HOTEL_DOC, SEAT_DOC, widget_doc
 
 
 def widget_manager(count=10, **kwargs):
@@ -229,6 +234,64 @@ def test_promise_table_dump_action():
     assert dump["promises"][0]["predicates"] == [
         {"form": "quantity", "resource-type": "pink-widget", "amount": 5}]
     assert "catalog-digest" in dump
+
+
+# --- post-action checks cover only the types the action changed ---
+
+def seats_and_rooms_manager():
+    mgr = PromiseManager(load_catalog({"resource-types": [
+        widget_doc()["resource-types"][0], HOTEL_DOC["resource-types"][0],
+        SEAT_DOC["resource-types"][0]]}), clock=LogicalClock())
+    register_standard_handlers(mgr)
+    return mgr
+
+
+def hold(mgr, predicate, rid):
+    req = make_request(rid, [predicate], 30)
+    resp = first_response(mgr.handle(Envelope(promise_part=PromisePart(requests=(req,)))))
+    assert resp.result == "accepted"
+    return resp.promise_id
+
+
+FIRST_CLASS = Property("seat", (PropertyConstraint("class", AT_LEAST_IN_ORDER, "first"),), 1)
+
+
+def test_no_op_with_release_checks_nothing(builds):
+    mgr = seats_and_rooms_manager()
+    pid = hold(mgr, FIRST_CLASS, "r-1")
+    builds.clear()
+    reply = mgr.handle(Envelope(action=ActionMsg("no-op"),
+                                environment=EnvironmentMsg((pid,), ("release-after-success",))))
+    assert reply.action.status == "succeeded"
+    assert mgr.engine.record(pid).status == "released"
+    assert builds == []
+
+
+def test_action_is_checked_on_the_type_it_changes_only(builds):
+    mgr = seats_and_rooms_manager()
+    hold(mgr, FIRST_CLASS, "r-1")
+    hold(mgr, Quantity("room", 1), "r-2")
+    builds.clear()
+    reply = mgr.handle(Envelope(action=ActionMsg(
+        "take-named", {"resource-type": "room", "key": "512"})))
+    assert reply.action.status == "succeeded"
+    assert builds == [{"room"}]
+    builds.clear()
+    assert mgr.handle(purchase_envelope(3)).action.status == "succeeded"
+    assert builds == []
+
+
+def test_property_change_that_breaks_a_held_promise_is_rolled_back(builds):
+    mgr = seats_and_rooms_manager()
+    hold(mgr, FIRST_CLASS, "r-1")
+    before = mgr.state_digest()
+    builds.clear()
+    reply = mgr.handle(Envelope(action=ActionMsg("set-property", {
+        "resource-type": "seat", "key": "2A", "property": "class", "value": "economy"})))
+    assert reply.action.status == "rejected-by-promise-violation"
+    assert builds == [{"seat"}]
+    assert mgr.state_digest() == before
+    assert mgr.counters["violations-rolled-back"] == 1
 
 
 # --- injected faults roll the whole envelope back ---
