@@ -100,7 +100,7 @@ class DemandNode:
 
 @dataclass(frozen=True)
 class SupplyNode:
-    key: str       # "pool:<type>", "inst:<type>/<key>", or "class:<type>/<key>+<k-1>"
+    key: str       # "inst:<type>/<key>" or "class:<type>/<key>+<k-1>"
     capacity: int  # for a class: k interchangeable instances, named by the first
 
 
@@ -128,7 +128,11 @@ def _demand_key(p: Predicate):
 
 def build_feasibility_problem(predicates: Sequence[Predicate],
                               view: AvailabilityView) -> FeasibilityProblem:
-    """Flow problem for `predicates` over the supply of the types they name."""
+    """Flow problem for `predicates` over the untaken instances of the types they name.
+
+    Instance-backed types only: `check_satisfiable` decides a pool-backed
+    type by a sum, so a pool contributes no supply here.
+    """
     merged: dict = {}
     for p in predicates:
         slot = merged.setdefault(_demand_key(p), [p, 0])
@@ -149,9 +153,6 @@ def build_feasibility_problem(predicates: Sequence[Predicate],
     fans: list[list[int]] = [[] for _ in demands]
     for rt in sorted(of_type):
         nodes = []
-        if rt in view.pools:
-            nodes.append(len(supplies))
-            supplies.append(SupplyNode(f"pool:{rt}", view.pools[rt]))
         props = [(j, demands[j].predicate) for j in of_type[rt]
                  if isinstance(demands[j].predicate, Property)]
         watched = sorted({c.property_name for _, p in props for c in p.constraints})

@@ -280,6 +280,10 @@ def _script_catalog(script: dict, override=None) -> ResourceCatalog:
     return load_catalog_file(os.path.join(base, name))
 
 
+class _Unbound(Exception):
+    """A step names a promise its client never got."""
+
+
 class _WireClient:
     def __init__(self, name: str, steps: list, address):
         self.name = name
@@ -303,10 +307,9 @@ class _WireClient:
 
     def resolve(self, ref: str) -> str:
         if isinstance(ref, str) and ref.startswith("$"):
-            name = ref[1:]
-            if name not in self.vars:
-                raise ScenarioError(f"{self.name}: {ref} is not bound yet")
-            return self.vars[name]
+            if ref[1:] not in self.vars:
+                raise _Unbound(ref)
+            return self.vars[ref[1:]]
         return ref
 
 
@@ -423,6 +426,19 @@ class _ScriptRun:
             t.join()
 
     def _execute(self, client: _WireClient, step: dict) -> None:
+        """Run one step; skip it if it names a promise its client never got.
+
+        The request that would have bound it was rejected, which a seeded
+        schedule can cause; the skipped step counts as a failed expectation.
+        """
+        try:
+            self._execute_step(client, step)
+        except _Unbound as exc:
+            client.outcomes.append(f"{step['kind']} skipped: {exc} unbound")
+            self.expect_failures.append(
+                f"{client.name}: {exc} never bound, so the step was skipped: {step}")
+
+    def _execute_step(self, client: _WireClient, step: dict) -> None:
         kind = step["kind"]
         if kind == "advance-clock":
             self.manager.clock.advance(step.get("by", 1))
@@ -434,12 +450,10 @@ class _ScriptRun:
             client.outcomes.append("think")
             return
         if kind == "request":
-            if self._skip_unbound(client, step, step.get("release-on-grant", [])):
-                return
+            release = tuple(client.resolve(r) for r in step.get("release-on-grant", []))
             client.rid += 1
             rid = f"{client.name}-r{client.rid}"
             preds = tuple(predicate_from_wire(p) for p in step["predicates"])
-            release = tuple(client.resolve(r) for r in step.get("release-on-grant", []))
             msg = make_request(rid, preds, step["duration"], release)
             reply = client.roundtrip(Envelope(promise_part=PromisePart(requests=(msg,))))
             response = reply.promise_part.responses[0] if reply.promise_part else None
@@ -457,8 +471,6 @@ class _ScriptRun:
         if kind == "action":
             env = None
             entries = step.get("environment", [])
-            if self._skip_unbound(client, step, [e["promise"] for e in entries]):
-                return
             if entries:
                 env = EnvironmentMsg(
                     tuple(client.resolve(e["promise"]) for e in entries),
@@ -483,21 +495,6 @@ class _ScriptRun:
             self._expect(client, step, status)
             return
         raise ScenarioError(f"unknown step kind {kind!r}")
-
-    def _skip_unbound(self, client: _WireClient, step: dict, refs) -> bool:
-        """Skip a step that names a promise its client never got.
-
-        The request that would have bound it was rejected, which a seeded
-        schedule can cause; the step then counts as a failed expectation.
-        """
-        unbound = [ref for ref in refs if ref[1:] not in client.vars]
-        if not unbound:
-            return False
-        names = ", ".join(unbound)
-        client.outcomes.append(f"{step['kind']} skipped: {names} unbound")
-        self.expect_failures.append(
-            f"{client.name}: {names} never bound, so the step was skipped: {step}")
-        return True
 
     def _expect(self, client: _WireClient, step: dict, outcome: str) -> None:
         want = step.get("expect")
