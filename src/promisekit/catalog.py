@@ -15,6 +15,13 @@ Design rules:
   - Status moves only along available->promised, promised->taken,
     promised->available, available->taken. Undo bypasses this check because
     it restores recorded prior state.
+  - The set of instances is fixed at load: mutations change statuses,
+    properties and pool counts, never which instances exist. So each
+    type's instances are sorted by id once, and views read them by type.
+  - Reads go through an `AvailabilityView`. The in-unit view is live: it
+    reads the catalog's own pools and records, copying nothing. The
+    committed view, which backs the unit's pending mutations out, is a
+    copy and stays fixed.
 
 Catalog documents are JSON; the exact field names are fixed in
 docs/file-formats.md and `dump_state` emits the same shape `load_catalog`
@@ -114,7 +121,11 @@ class InstanceRecord:
 
 
 class InstanceView:
-    """Read-only copy of one instance, safe to hold across mutations."""
+    """Read-only copy of one instance, safe to hold across mutations.
+
+    Views of the committed state hold these; the live in-unit view holds
+    the catalog's `InstanceRecord`s themselves.
+    """
 
     __slots__ = ("id", "properties", "status")
 
@@ -128,25 +139,39 @@ class InstanceView:
 
 
 class AvailabilityView:
-    """Point-in-time availability: pool counts plus instance records."""
+    """Availability: pool counts plus instance records, indexed by type.
 
-    def __init__(self, schema: CatalogSchema, pools: Mapping[str, int], instances: Iterable[InstanceView]):
+    The view holds the pool dict and the instance objects it is given and
+    copies neither. Built from copies it is a fixed snapshot; built over a
+    catalog's own pools and records it is live, and every read sees the
+    mutations applied so far. Callers only read through it.
+    """
+
+    def __init__(self, schema: CatalogSchema, pools: dict[str, int], instances: Iterable[InstanceView]):
         self.schema = schema
-        self.pools = dict(pools)
-        self.instances = tuple(sorted(instances, key=lambda r: r.id))
-        self._by_id = {r.id: r for r in self.instances}
+        self.pools = pools
+        by_type: dict[str, list] = {}
+        for r in sorted(instances, key=lambda r: r.id):
+            by_type.setdefault(r.id.resource_type, []).append(r)
+        self._by_type = {rt: tuple(rs) for rt, rs in by_type.items()}
+        self._by_id = {r.id: r for rs in self._by_type.values() for r in rs}
+
+    @property
+    def instances(self) -> tuple[InstanceView, ...]:
+        """Every instance, sorted by id."""
+        return tuple(r for rt in sorted(self._by_type) for r in self._by_type[rt])
 
     def instance(self, iid: InstanceId) -> Optional[InstanceView]:
         return self._by_id.get(iid)
 
-    def instances_of(self, resource_type: str) -> list[InstanceView]:
-        return [r for r in self.instances if r.id.resource_type == resource_type]
+    def instances_of(self, resource_type: str) -> tuple[InstanceView, ...]:
+        """The instances of one type, sorted by id."""
+        return self._by_type.get(resource_type, ())
 
     def quantity_on_hand(self, resource_type: str) -> int:
         if resource_type in self.pools:
             return self.pools[resource_type]
-        return sum(1 for r in self.instances
-                   if r.id.resource_type == resource_type and r.status == STATUS_AVAILABLE)
+        return sum(1 for r in self.instances_of(resource_type) if r.status == STATUS_AVAILABLE)
 
 
 # --- mutations ---
@@ -188,7 +213,8 @@ class ResourceCatalog:
     """In-process resource manager with exact-inverse rollback.
 
     Single-writer: units are meant to be serialized by the caller; one unit
-    may be active at a time. Snapshots are immutable copies and may be read
+    may be active at a time. The in-unit view is live and is read under the
+    same serialization; only the committed view is a copy that may be read
     concurrently.
     """
 
@@ -200,6 +226,7 @@ class ResourceCatalog:
         self._instances: dict[InstanceId, InstanceRecord] = {}
         for rec in instances:
             self._instances[rec.id] = rec
+        self._live = AvailabilityView(schema, self._pools, self._instances.values())
         self._unit: Optional[UnitToken] = None
 
     # --- units ---
@@ -321,15 +348,23 @@ class ResourceCatalog:
     # --- views ---
 
     def snapshot_availability(self, token: Optional[UnitToken] = None) -> AvailabilityView:
-        """Immutable availability view.
+        """Availability view.
 
-        With no token this is the last committed state: pending mutations of
-        an active unit are backed out of the copy by replaying their inverse
-        entries. Passing the active unit's token yields the in-unit state.
+        Passing the active unit's token yields the live in-unit view. It
+        copies and sorts nothing, and it is not a snapshot: each read sees
+        the mutations applied by then, so a caller that needs the state as
+        it was must read before mutating.
+
+        With no token this is a copy of the last committed state: pending
+        mutations of an active unit are backed out of it by replaying their
+        inverse entries, and later mutations do not change it.
         """
+        if token is not None:
+            self._require_active(token)
+            return self._live
         pools = dict(self._pools)
         insts = {iid: [dict(rec.properties), rec.status] for iid, rec in self._instances.items()}
-        if token is None and self._unit is not None:
+        if self._unit is not None:
             for entry in reversed(self._unit.log):
                 kind = entry[0]
                 if kind == "pool":
@@ -338,16 +373,11 @@ class ResourceCatalog:
                     insts[entry[1]][1] = entry[2]
                 else:
                     insts[entry[1]][0][entry[2]] = entry[3]
-        elif token is not None:
-            self._require_active(token)
         views = [InstanceView(iid, props, status) for iid, (props, status) in insts.items()]
         return AvailabilityView(self.schema, pools, views)
 
     def quantity_on_hand(self, resource_type: str) -> int:
-        if resource_type in self._pools:
-            return self._pools[resource_type]
-        return sum(1 for rec in self._instances.values()
-                   if rec.id.resource_type == resource_type and rec.status == STATUS_AVAILABLE)
+        return self._live.quantity_on_hand(resource_type)
 
     def instance(self, iid: InstanceId) -> Optional[InstanceRecord]:
         return self._instances.get(iid)
@@ -377,10 +407,9 @@ class ResourceCatalog:
                     entry["domain"] = list(pdecl.domain)
                 props.append(entry)
             instances = []
-            for iid in sorted(i for i in self._instances if i.resource_type == name):
-                rec = self._instances[iid]
+            for rec in self._live.instances_of(name):
                 instances.append({
-                    "key": iid.key,
+                    "key": rec.id.key,
                     "properties": {k: rec.properties[k] for k in sorted(rec.properties)},
                     "status": rec.status,
                 })

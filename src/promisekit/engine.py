@@ -32,12 +32,29 @@ implicit: nothing binds an instance to a particular predicate between
 checks, so a newly arrived request can displace a tentative pairing as
 long as some complete assignment still exists.
 
+The promise table keeps per-envelope work independent of history:
+
+  - `table` holds every record ever issued, released and expired ones
+    included, because `dump`, `record()` and the digests report them;
+  - `active` indexes the active records by id, and every check, conflict
+    count and overcommit test reads it alone;
+  - a heap of (expires_at, issue order, id) lets the sweep pop only the
+    due records. A record that leaves early keeps its entry until the
+    sweep pops it or the heap, grown past twice the active set, is
+    rebuilt from `active`;
+  - every table write made under a catalog unit is journaled as (id,
+    previous record). `snapshot` is the journal's length and `restore`
+    undoes the writes after it, so rolling back costs what the envelope
+    changed, not the table's size. The pipeline clears the journal
+    (`commit`) once the unit commits.
+
 The engine assumes external serialization (it runs inside the manager
-pipeline); checks on immutable views are pure and may run anywhere.
+pipeline); checks on a view are pure, and a copied view may be read anywhere.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 from typing import Collection, Iterable, Optional, Sequence, Union
 
@@ -143,11 +160,8 @@ def build_feasibility_problem(predicates: Sequence[Predicate],
     of_type: dict[str, list[int]] = {}
     for j, d in enumerate(demands):
         of_type.setdefault(resource_type_of(d.predicate), []).append(j)
-    usable: dict[str, list] = {rt: [] for rt in of_type}
-    for r in view.instances:  # sorted by id already
-        bucket = usable.get(r.id.resource_type)
-        if bucket is not None and r.status != STATUS_TAKEN:
-            bucket.append(r)
+    usable = {rt: [r for r in view.instances_of(rt) if r.status != STATUS_TAKEN]
+              for rt in of_type}
 
     supplies: list[SupplyNode] = []
     fans: list[list[int]] = [[] for _ in demands]
@@ -300,11 +314,16 @@ class PromiseEngine:
     Mutating operations take the active catalog unit token so that the
     instance-status tags they maintain roll back with the rest of the
     request; passing None runs the tag writes in a self-contained unit.
+    Only table writes made under a unit are journaled, so `snapshot` and
+    `restore` roll back those alone.
     """
 
     def __init__(self, catalog: ResourceCatalog):
         self.catalog = catalog
         self.table: dict[str, PromiseRecord] = {}
+        self.active: dict[str, PromiseRecord] = {}
+        self._expiry: list[tuple] = []  # heap of _expiry_entry; may hold ids no longer active
+        self._journal: list[tuple[str, Optional[PromiseRecord]]] = []  # (id, previous record)
         self._issued = 0
         self.counters = {"grants": 0, "rejections": 0, "releases": 0, "expiries": 0}
 
@@ -315,8 +334,7 @@ class PromiseEngine:
 
     def active_records(self, exclude: Iterable[str] = ()) -> list[PromiseRecord]:
         skip = set(exclude)
-        return [r for r in self.table.values()
-                if r.status == PROMISE_ACTIVE and r.id not in skip]
+        return [r for r in self.active.values() if r.id not in skip]
 
     def active_predicates(self, exclude: Iterable[str] = ()) -> list[Predicate]:
         preds: list[Predicate] = []
@@ -324,11 +342,32 @@ class PromiseEngine:
             preds.extend(rec.predicates)
         return preds
 
-    def snapshot(self) -> dict[str, PromiseRecord]:
-        return dict(self.table)
+    def snapshot(self) -> int:
+        """A mark for `restore`: the length of the journal."""
+        return len(self._journal)
 
-    def restore(self, snapshot: dict[str, PromiseRecord]) -> None:
-        self.table = dict(snapshot)
+    def restore(self, mark: int) -> None:
+        """Undo the journaled table writes made since `snapshot` returned `mark`."""
+        while len(self._journal) > mark:
+            pid, previous = self._journal.pop()
+            if previous is None:
+                del self.table[pid]
+                self.active.pop(pid, None)
+            else:
+                self._index(previous)
+
+    def commit(self) -> None:
+        """Forget the journal: the writes it holds are final."""
+        self._journal.clear()
+
+    def index_problems(self) -> list[str]:
+        """Where `active` or the expiry heap disagree with the table."""
+        problems = []
+        if self.active != {pid: r for pid, r in self.table.items() if r.status == PROMISE_ACTIVE}:
+            problems.append("active index disagrees with the table")
+        if not self.active.keys() <= {pid for _, _, pid in self._expiry}:
+            problems.append("an active promise has no expiry entry")
+        return problems
 
     # --- operations ---
 
@@ -359,7 +398,7 @@ class PromiseEngine:
         for rec in records:
             if rec.status != PROMISE_ACTIVE:
                 continue
-            self.table[rec.id] = replace(rec, status=PROMISE_RELEASED)
+            self._put(replace(rec, status=PROMISE_RELEASED), unit)
             self._clear_tags(rec, unit)
             self.counters["releases"] += 1
 
@@ -375,8 +414,7 @@ class PromiseEngine:
         """
         release = list(dict.fromkeys(release_ids))
         for pid in release:
-            rec = self.table.get(pid)
-            if rec is None or rec.status != PROMISE_ACTIVE:
+            if pid not in self.active:
                 raise UnknownPromiseId(pid)
         if predicates and duration <= 0:
             raise ValueError("duration must be positive")
@@ -391,15 +429,17 @@ class PromiseEngine:
         return self._insert(tuple(predicates), duration, now, unit)
 
     def expire_sweep(self, now: int, unit: Optional[UnitToken] = None) -> list[str]:
-        """Expire every active record with expires_at <= now."""
+        """Expire every active record with expires_at <= now; returns their ids in issue order."""
         expired = []
-        for rec in list(self.table.values()):
-            if rec.status == PROMISE_ACTIVE and rec.expires_at <= now:
-                self.table[rec.id] = replace(rec, status=PROMISE_EXPIRED)
-                self._clear_tags(rec, unit)
-                self.counters["expiries"] += 1
-                expired.append(rec.id)
-        return sorted(expired)
+        while self._expiry and self._expiry[0][0] <= now:
+            rec = self.active.get(heapq.heappop(self._expiry)[2])
+            if rec is None:
+                continue  # released or expired already
+            self._put(replace(rec, status=PROMISE_EXPIRED), unit)
+            self._clear_tags(rec, unit)
+            self.counters["expiries"] += 1
+            expired.append(rec.id)
+        return sorted(expired, key=_id_sort_key)
 
     def post_action_check(self, released_ids: Sequence[str], view: AvailabilityView,
                           types: Optional[Collection[str]] = None) -> bool:
@@ -410,8 +450,7 @@ class PromiseEngine:
         the resource types the action changed; None checks every type.
         """
         for pid in released_ids:
-            rec = self.table.get(pid)
-            assert rec is None or rec.status != PROMISE_ACTIVE, \
+            assert pid not in self.active, \
                 "released ids must be marked before the post-action check"
         return check_satisfiable(self.active_predicates(), view, types)
 
@@ -455,7 +494,7 @@ class PromiseEngine:
                 unit: Optional[UnitToken]) -> PromiseRecord:
         self._issued += 1
         rec = PromiseRecord(f"p-{self._issued}", predicates, now, now + duration)
-        self.table[rec.id] = rec
+        self._put(rec, unit)
         # allocated tag: named instances get marked while the promise lives
         for p in predicates:
             if isinstance(p, Named):
@@ -464,6 +503,24 @@ class PromiseEngine:
                     self._set_status(p.instance, STATUS_PROMISED, unit)
         self.counters["grants"] += 1
         return rec
+
+    def _put(self, rec: PromiseRecord, unit: Optional[UnitToken]) -> None:
+        """The one way records enter or change in the table."""
+        if unit is not None:
+            self._journal.append((rec.id, self.table.get(rec.id)))
+        self._index(rec)
+
+    def _index(self, rec: PromiseRecord) -> None:
+        self.table[rec.id] = rec
+        if rec.status == PROMISE_ACTIVE:
+            self.active[rec.id] = rec
+            heapq.heappush(self._expiry, _expiry_entry(rec))
+            return
+        self.active.pop(rec.id, None)
+        # entries of records that left before expiring would otherwise pile up
+        if len(self._expiry) > 2 * len(self.active) + 1:
+            self._expiry[:] = [_expiry_entry(r) for r in self.active.values()]
+            heapq.heapify(self._expiry)
 
     def _clear_tags(self, rec: PromiseRecord, unit: Optional[UnitToken]) -> None:
         for p in rec.predicates:
@@ -490,6 +547,10 @@ class PromiseEngine:
 
 def _types_of(predicates: Iterable[Predicate]) -> set[str]:
     return {resource_type_of(p) for p in predicates}
+
+
+def _expiry_entry(rec: PromiseRecord) -> tuple:
+    return (rec.expires_at, _id_sort_key(rec.id), rec.id)
 
 
 def _id_sort_key(pid: str):

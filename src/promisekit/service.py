@@ -171,6 +171,7 @@ class PromiseManager:
 
             self._stage("commit")
             self.catalog.commit_unit(unit)
+            self.engine.commit()
         except Exception:
             log.exception("pipeline failure; rolling back the whole request")
             self.catalog.rollback_unit(unit)
@@ -275,7 +276,7 @@ class PromiseManager:
         return digest_document({"catalog": self.catalog.dump_state(), "promises": table})
 
     def _run_self_check(self, now: int) -> None:
-        problems = []
+        problems = self.engine.index_problems()
         view = self.catalog.snapshot_availability()
         preds = self.engine.active_predicates()
         if not check_satisfiable(preds, view):

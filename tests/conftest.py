@@ -70,3 +70,19 @@ def builds(monkeypatch):
 
     monkeypatch.setattr(engine, "build_feasibility_problem", spy)
     return seen
+
+
+@pytest.fixture
+def view_copies(monkeypatch):
+    """Ids of every InstanceView copy the catalog makes while the test runs."""
+    from promisekit import catalog
+
+    made = []
+    real = catalog.InstanceView
+
+    def spy(iid, properties, status):
+        made.append(iid)
+        return real(iid, properties, status)
+
+    monkeypatch.setattr(catalog, "InstanceView", spy)
+    return made

@@ -246,6 +246,15 @@ def test_snapshot_is_unaffected_by_later_mutations(widget_catalog):
     assert view.quantity_on_hand("pink-widget") == 10
 
 
+def test_in_unit_view_is_live(hotel_catalog):
+    unit = hotel_catalog.begin_unit()
+    view = hotel_catalog.snapshot_availability(unit)
+    hotel_catalog.apply_mutation(unit, SetInstanceStatus(ROOM_512, "taken"))
+    assert view.instance(ROOM_512).status == "taken"
+    assert view.quantity_on_hand("room") == 1
+    hotel_catalog.rollback_unit(unit)
+
+
 def test_snapshot_projects_instance_statuses(hotel_catalog):
     unit = hotel_catalog.begin_unit()
     hotel_catalog.apply_mutation(unit, SetInstanceStatus(ROOM_512, "promised"))

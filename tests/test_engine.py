@@ -391,6 +391,68 @@ def test_releasing_an_expired_promise_is_a_no_op():
     assert eng.record(rec.id).status == "expired"
 
 
+def test_sweep_returns_ids_in_issue_order():
+    eng = PromiseEngine(load_catalog(widget_doc(20)))
+    for i in range(12):
+        eng.grant([Quantity("pink-widget", 1)], 12 - i, 0)  # later ids expire sooner
+    assert eng.expire_sweep(12) == [f"p-{n}" for n in range(1, 13)]
+
+
+def test_promises_that_leave_early_leave_no_pile_of_expiry_entries():
+    eng = PromiseEngine(load_catalog(widget_doc(5)))
+    for _ in range(1000):
+        eng.release([eng.grant([Quantity("pink-widget", 1)], 10**6, 0).id])
+    assert len(eng._expiry) <= 2
+
+
+def _active_in_table(eng):
+    return {pid: r for pid, r in eng.table.items() if r.status == "active"}
+
+
+def test_active_index_sweep_and_journal_agree_with_the_table():
+    rng = random.Random(11)
+    cat = load_catalog({"resource-types": [{"name": "bulk", "pool": 5},
+                                           SEAT_DOC["resource-types"][0]]})
+    eng = PromiseEngine(cat)
+    now = 0
+
+    def step(unit):
+        nonlocal now
+        op = rng.random()
+        held = list(eng.active)
+        if op < 0.45:
+            eng.grant([rng.choice([
+                Quantity("bulk", rng.randint(1, 3)),
+                Named(InstanceId("seat", rng.choice(["24G", "24H", "2A"]))),
+                Property("seat", (PropertyConstraint("class", AT_LEAST_IN_ORDER, "business"),), 1),
+            ])], rng.randint(1, 12), now, unit)
+        elif op < 0.65 and held:
+            eng.release([rng.choice(held)], unit)
+        elif op < 0.8 and held:
+            eng.exchange([Quantity("bulk", 1)], rng.randint(1, 12), [rng.choice(held)], now, unit)
+        else:
+            now += rng.randint(0, 3)
+            due = [pid for pid, r in _active_in_table(eng).items() if r.expires_at <= now]
+            assert eng.expire_sweep(now, unit) == sorted(due, key=lambda pid: int(pid[2:]))
+        assert eng.active == _active_in_table(eng)
+        assert eng.index_problems() == []
+
+    for _ in range(200):
+        unit = cat.begin_unit()
+        step(unit)
+        if rng.random() < 0.3:
+            mark, cat_mark = eng.snapshot(), cat.savepoint(unit)
+            table, active = dict(eng.table), dict(eng.active)
+            for _ in range(rng.randint(1, 6)):
+                step(unit)
+            eng.restore(mark)
+            cat.rollback_to(unit, cat_mark)
+            assert eng.table == table and eng.active == active
+            assert eng.index_problems() == []
+        cat.commit_unit(unit)
+        eng.commit()
+
+
 # --- allocated tags for named promises ---
 
 def test_named_grant_tags_and_release_untags(seat_catalog):

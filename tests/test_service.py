@@ -294,6 +294,67 @@ def test_property_change_that_breaks_a_held_promise_is_rolled_back(builds):
     assert mgr.counters["violations-rolled-back"] == 1
 
 
+def test_grants_and_post_checks_copy_no_instances(builds, view_copies):
+    mgr = seats_and_rooms_manager()
+    hold(mgr, FIRST_CLASS, "r-1")
+    hold(mgr, Quantity("room", 1), "r-2")
+    reply = mgr.handle(Envelope(action=ActionMsg(
+        "take-named", {"resource-type": "room", "key": "512"})))
+    assert reply.action.status == "succeeded"
+    assert builds == [{"seat"}, {"room"}, {"room"}]  # two grants and the post-check
+    assert view_copies == []
+
+
+# --- per-envelope work does not depend on dead history ---
+
+class _UnscannableTable(dict):
+    """A promise table that allows lookups and writes but no pass over its records."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("the promise table was scanned or copied")
+
+    __iter__ = keys = values = items = copy = _refuse
+
+
+def test_envelopes_never_scan_dead_history():
+    mgr = seats_and_rooms_manager()
+    eng = mgr.engine
+    for _ in range(2500):
+        eng.release([eng.grant([Quantity("pink-widget", 1)], 30, 0).id])
+        eng.grant([Quantity("pink-widget", 1)], 1, 0)
+        eng.expire_sweep(1)
+    assert len(eng.table) == 5000 and not eng.active
+    eng.table = _UnscannableTable(eng.table)
+    mgr.clock.advance(1)
+
+    held = hold(mgr, Quantity("pink-widget", 2), "r-grant")
+    swap = make_request("r-swap", [Quantity("pink-widget", 1)], 30, (held,))
+    swapped = first_response(mgr.handle(Envelope(promise_part=PromisePart(requests=(swap,)))))
+    assert swapped.result == "accepted" and eng.record(held).status == "released"
+    reply = mgr.handle(purchase_envelope(1, (swapped.promise_id,), ("release-after-success",)))
+    assert reply.action.status == "succeeded"
+    assert eng.record(swapped.promise_id).status == "released"
+
+    hold(mgr, FIRST_CLASS, "r-seat")
+    reply = mgr.handle(Envelope(action=ActionMsg("set-property", {
+        "resource-type": "seat", "key": "2A", "property": "class", "value": "economy"})))
+    assert reply.action.status == "rejected-by-promise-violation"
+
+    short = first_response(mgr.handle(grant_envelope(1, rid="r-short", duration=1)))
+    mgr.clock.advance(1)
+    assert mgr.handle(Envelope(action=ActionMsg("no-op"))).action.status == "succeeded"
+    assert eng.record(short.promise_id).status == "expired"
+
+
+def test_self_check_reports_a_stale_active_index():
+    mgr = widget_manager(10, self_check=True)
+    pid = first_response(mgr.handle(grant_envelope(2))).promise_id
+    assert mgr.self_check_failures == []
+    del mgr.engine.active[pid]
+    mgr.handle(Envelope(action=ActionMsg("no-op")))
+    assert mgr.self_check_failures[-1]["problems"] == ["active index disagrees with the table"]
+
+
 # --- injected faults roll the whole envelope back ---
 
 class _Boom(RuntimeError):
