@@ -228,6 +228,7 @@ class ResourceCatalog:
             self._instances[rec.id] = rec
         self._live = AvailabilityView(schema, self._pools, self._instances.values())
         self._unit: Optional[UnitToken] = None
+        self._property_changes: dict[str, int] = {}  # per type, bumped by every SetProperty and its undo
 
     # --- units ---
 
@@ -334,6 +335,7 @@ class ResourceCatalog:
         rec = self._instances[m.instance]
         old = rec.properties[m.property_name]
         rec.properties[m.property_name] = m.value
+        self._bump_properties(m.instance.resource_type)
         return ("prop", m.instance, m.property_name, old)
 
     def _undo(self, entry: tuple) -> None:
@@ -344,6 +346,16 @@ class ResourceCatalog:
             self._instances[entry[1]].status = entry[2]
         else:
             self._instances[entry[1]].properties[entry[2]] = entry[3]
+            self._bump_properties(entry[1].resource_type)
+
+    def _bump_properties(self, resource_type: str) -> None:
+        self._property_changes[resource_type] = self._property_changes.get(resource_type, 0) + 1
+
+    def property_version(self, resource_type: str) -> int:
+        """A counter that changes whenever a property of the type's instances
+        is set or rolled back, so that what was derived from them can tell
+        it is stale."""
+        return self._property_changes.get(resource_type, 0)
 
     # --- views ---
 

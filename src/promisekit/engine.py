@@ -6,38 +6,62 @@ iff each type's share of it is:
 
   - a pool-backed type iff its Quantity amounts sum to at most the
     quantity on hand (a pool has no instances for the other forms);
-  - an instance-backed type iff an integer max-flow from its untaken
-    instances to its demands saturates every demand. An edge means that
-    supply can legally serve that demand.
+  - an instance-backed type iff its demand units can be assigned to
+    distinct untaken instances that each meet the demand they serve.
 
-The flow problem merges nodes. Identical predicates become one demand
-node with their amounts summed. Untaken instances that satisfy the same
-Property demands are interchangeable and become one supply node of
-capacity k; `satisfies` runs once per Property demand and distinct value
-of the properties the type's demands constrain, not once per instance.
-An instance a Named demand picks is not interchangeable: it stays a node
-of its own, with edges from every Quantity and Property demand it can
-also serve.
+Identical predicates merge into one demand (`_demand_key`) with their
+amounts summed. The engine indexes the merged demands of the active
+promises by type, so a check reads one type's demands, not the whole
+active set.
 
 Checks are scoped by one invariant: the committed active set is
 feasible on every type. A grant or exchange then only has to decide the
 types its new predicates name, since releasing only removes demand, and
 a post-action check only the types the action's catalog mutations
-touched. Whole-state checks (`types=None`: the self-check and the
-harness invariants) still decide every type, so they catch anything
-that breaks the invariant instead of relying on it.
+touched.
 
-Re-solving from scratch on every check is what makes reallocation
-implicit: nothing binds an instance to a particular predicate between
-checks, so a newly arrived request can displace a tentative pairing as
-long as some complete assignment still exists.
+Instance-backed types are decided by allocation. The engine keeps, per
+type, the assignment of demand units to instances that its last check
+found, and a check repairs it rather than solving from scratch:
+
+  - it drops every pair that is no longer valid: its demand is gone or
+    over-assigned, its instance is taken, or its instance no longer
+    meets the demand;
+  - it fills each demand's deficit one unit at a time by a breadth-first
+    augmenting path over the residual graph (the augmenting step of
+    Hopcroft and Karp). A path may move units held by other demands onto
+    other instances, so reallocation happens along these paths: a new
+    request can displace an earlier pairing as long as a complete
+    assignment still exists. If some unit has no augmenting path, none
+    exists (Berge), and the answer is infeasible.
+
+The kept assignment is only a hint. Nothing trusts it until the repair
+has checked it again, so rolling an envelope back needs no journal of
+it: a stale pair is dropped the next time the type is checked. Which
+instances meet a Property demand is cached until the catalog reports
+that a property of that type changed.
+
+A type's first check has no assignment to repair. It builds a flow
+problem (`build_feasibility_problem`) and solves it by Dinic max-flow
+(`solve_feasibility`), and the flow becomes the kept assignment. The
+flow problem merges nodes: untaken instances that satisfy the same
+Property demands are interchangeable and become one supply node of
+capacity k, and `satisfies` runs once per Property demand and distinct
+value of the properties the type's demands constrain. An instance a
+Named demand picks stays a node of its own, with edges from every
+Quantity and Property demand it can also serve. Whole-state checks
+(`check_satisfiable` with `types=None`: the self-check and the harness
+invariants) always take this path, so they decide every type
+independently of the kept assignments and catch anything that breaks
+the invariant instead of relying on it. `index_problems` also reports a
+kept assignment marked current that is not a complete assignment.
 
 The promise table keeps per-envelope work independent of history:
 
   - `table` holds every record ever issued, released and expired ones
     included, because `dump`, `record()` and the digests report them;
   - `active` indexes the active records by id, and every check, conflict
-    count and overcommit test reads it alone;
+    count and overcommit test reads it or the demand index alone;
   - a heap of (expires_at, issue order, id) lets the sweep pop only the
     due records. A record that leaves early keeps its entry until the
     sweep pops it or the heap, grown past twice the active set, is
@@ -49,12 +73,14 @@ The promise table keeps per-envelope work independent of history:
     (`commit`) once the unit commits.
 
 The engine assumes external serialization (it runs inside the manager
-pipeline); checks on a view are pure, and a copied view may be read anywhere.
+pipeline). `check_satisfiable` is pure, and a copied view may be read
+anywhere.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import chain, islice
 from dataclasses import dataclass, replace
 from typing import Collection, Iterable, Optional, Sequence, Union
 
@@ -119,6 +145,7 @@ class DemandNode:
 class SupplyNode:
     key: str       # "inst:<type>/<key>" or "class:<type>/<key>+<k-1>"
     capacity: int  # for a class: k interchangeable instances, named by the first
+    instances: tuple[InstanceId, ...] = ()  # the k instances, when built from a view
 
 
 @dataclass(frozen=True)
@@ -171,24 +198,24 @@ def build_feasibility_problem(predicates: Sequence[Predicate],
                  if isinstance(demands[j].predicate, Property)]
         watched = sorted({c.property_name for _, p in props for c in p.constraints})
         signatures: dict = {}  # watched values -> indices of the Property demands met
-        groups: dict = {}      # instance id or signature -> [first instance, count, signature]
+        groups: dict = {}      # instance id or signature -> [instance ids, signature]
         for r in usable[rt]:
             values = tuple(scalar_key(r.properties.get(name)) for name in watched)
             sig = signatures.get(values)
             if sig is None:
                 sig = signatures[values] = tuple(
                     j for j, p in props if satisfies(r, p, view.schema))
-            group = groups.setdefault(r.id if r.id in named else sig, [r, 0, sig])
-            group[1] += 1
-        for first, count, sig in groups.values():
+            groups.setdefault(r.id if r.id in named else sig, [[], sig])[0].append(r.id)
+        for members, sig in groups.values():
             i = len(supplies)
-            key = f"inst:{first.id}" if count == 1 else f"class:{first.id}+{count - 1}"
-            supplies.append(SupplyNode(key, count))
+            first, count = members[0], len(members)
+            key = f"inst:{first}" if count == 1 else f"class:{first}+{count - 1}"
+            supplies.append(SupplyNode(key, count, tuple(members)))
             nodes.append(i)
             for j in sig:
                 fans[j].append(i)
-            if first.id in named:
-                fans[named[first.id]].append(i)
+            if first in named:
+                fans[named[first]].append(i)
         for j in of_type[rt]:
             if isinstance(demands[j].predicate, Quantity):
                 fans[j] = nodes
@@ -202,9 +229,12 @@ class _FlowNet:
         self.n = n
         self.adj: list[list[list[int]]] = [[] for _ in range(n)]  # [to, cap, rev-index]
 
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.adj[u].append([v, cap, len(self.adj[v])])
+    def add_edge(self, u: int, v: int, cap: int) -> list[int]:
+        """Add u->v with capacity `cap`; returns the edge, whose capacity left shows its flow."""
+        edge = [v, cap, len(self.adj[v])]
+        self.adj[u].append(edge)
         self.adj[v].append([u, 0, len(self.adj[u]) - 1])
+        return edge
 
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
@@ -262,7 +292,15 @@ class _FlowNet:
         return pushed
 
 
-def solve_feasibility(problem: FeasibilityProblem) -> bool:
+def solve_feasibility(problem: FeasibilityProblem,
+                      assignment: Optional[dict] = None) -> bool:
+    """True iff a flow from the supplies saturates every demand.
+
+    With `assignment`, the flow found is also read back into it, as
+    instance id -> demand index, one entry per unit of flow. It is a valid
+    partial assignment even when the answer is False. Supplies built
+    without their `instances` contribute nothing to it.
+    """
     if not problem.demands:
         return True
     if any(not fan and d.amount > 0 for d, fan in zip(problem.demands, problem.edges)):
@@ -275,11 +313,18 @@ def solve_feasibility(problem: FeasibilityProblem) -> bool:
     for i, sup in enumerate(problem.supplies):
         if sup.capacity > 0:
             net.add_edge(0, 1 + i, sup.capacity)
+    served = []  # (supply, demand, edge)
     for j, dem in enumerate(problem.demands):
         net.add_edge(n_sup + 1 + j, sink, dem.amount)
         for i in problem.edges[j]:
-            net.add_edge(1 + i, n_sup + 1 + j, dem.amount)
-    return net.max_flow(0, sink) == problem.total_demand
+            served.append((i, j, net.add_edge(1 + i, n_sup + 1 + j, dem.amount)))
+    feasible = net.max_flow(0, sink) == problem.total_demand
+    if assignment is not None:
+        unused = [iter(sup.instances) for sup in problem.supplies]
+        for i, j, edge in served:
+            for iid in islice(unused[i], problem.demands[j].amount - edge[1]):
+                assignment[iid] = j
+    return feasible
 
 
 def check_satisfiable(predicates: Sequence[Predicate], view: AvailabilityView,
@@ -308,6 +353,31 @@ def check_satisfiable(predicates: Sequence[Predicate], view: AvailabilityView,
 
 # --- the engine ---
 
+class _TypeState:
+    """What the engine keeps about one resource type's active promises.
+
+    An instance-backed type's instances are named by their position in
+    the view's `instances_of`, which is fixed at load.
+    """
+
+    __slots__ = ("demands", "version", "position", "pairs", "certified", "eligible",
+                 "groups", "eligible_at")
+
+    def __init__(self):
+        self.demands: dict = {}  # _demand_key -> [first predicate, merged amount]
+        self.version = 0         # bumped whenever `demands` changes
+        self.position: dict[InstanceId, int] = {}  # the type's instances, by id
+        # the kept assignment, instance position -> demand key, for an
+        # instance-backed type once it has been decided; a hint, re-validated
+        # before every use
+        self.pairs: Optional[dict] = None
+        self.certified: Optional[tuple] = None  # (version, property version) it was complete at
+        self.eligible: dict = {}  # demand key -> (positions in order, the same as a set)
+        # property names -> {their values: positions of the instances that have them}
+        self.groups: dict = {}
+        self.eligible_at = -1     # the catalog property version the two above hold for
+
+
 class PromiseEngine:
     """Promise table plus grant/release/exchange/expiry over a catalog.
 
@@ -316,6 +386,9 @@ class PromiseEngine:
     request; passing None runs the tag writes in a self-contained unit.
     Only table writes made under a unit are journaled, so `snapshot` and
     `restore` roll back those alone.
+
+    Views passed in must show the catalog's current state: the kept
+    assignments and eligibility sets are checked against it.
     """
 
     def __init__(self, catalog: ResourceCatalog):
@@ -324,6 +397,7 @@ class PromiseEngine:
         self.active: dict[str, PromiseRecord] = {}
         self._expiry: list[tuple] = []  # heap of _expiry_entry; may hold ids no longer active
         self._journal: list[tuple[str, Optional[PromiseRecord]]] = []  # (id, previous record)
+        self._types: dict[str, _TypeState] = {}
         self._issued = 0
         self.counters = {"grants": 0, "rejections": 0, "releases": 0, "expiries": 0}
 
@@ -352,7 +426,9 @@ class PromiseEngine:
             pid, previous = self._journal.pop()
             if previous is None:
                 del self.table[pid]
-                self.active.pop(pid, None)
+                gone = self.active.pop(pid, None)
+                if gone is not None:
+                    self._count(gone, -1)
             else:
                 self._index(previous)
 
@@ -361,12 +437,28 @@ class PromiseEngine:
         self._journal.clear()
 
     def index_problems(self) -> list[str]:
-        """Where `active` or the expiry heap disagree with the table."""
+        """Where `active`, the expiry heap, the demand index or a kept
+        assignment marked current disagree with the table and the catalog."""
         problems = []
-        if self.active != {pid: r for pid, r in self.table.items() if r.status == PROMISE_ACTIVE}:
+        in_table = {pid: r for pid, r in self.table.items() if r.status == PROMISE_ACTIVE}
+        if self.active != in_table:
             problems.append("active index disagrees with the table")
         if not self.active.keys() <= {pid for _, _, pid in self._expiry}:
             problems.append("an active promise has no expiry entry")
+        merged: dict = {}
+        for rec in in_table.values():
+            for p in rec.predicates:
+                key = (resource_type_of(p), _demand_key(p))
+                merged[key] = merged.get(key, 0) + amount_of(p)
+        if merged != {(rt, key): slot[1] for rt, st in self._types.items()
+                      for key, slot in st.demands.items()}:
+            problems.append("demand index disagrees with the table")
+        for rt in sorted(self._types):
+            st = self._types[rt]
+            if st.pairs is not None and st.certified == self._stamp(rt, st) \
+                    and not self._is_certificate(st):
+                problems.append(f"kept assignment of {rt!r} is marked current but is "
+                                "not a complete assignment")
         return problems
 
     # --- operations ---
@@ -379,18 +471,18 @@ class PromiseEngine:
             raise ValueError("a promise needs at least one predicate")
         if duration <= 0:
             raise ValueError("duration must be positive")
-        view = self._view(unit)
-        if not check_satisfiable(self.active_predicates() + list(predicates), view,
-                                 _types_of(predicates)):
+        wanted = self._wanted(predicates)
+        if not self._feasible(wanted, self._view(unit)):
             self.counters["rejections"] += 1
             return Rejection()
         rec = self._insert(tuple(predicates), duration, now, unit)
+        self._certify(wanted)
         return rec
 
     def release(self, ids: Sequence[str], unit: Optional[UnitToken] = None) -> None:
         """Mark records released; released/expired ids are a no-op."""
         records = []
-        for pid in ids:
+        for pid in dict.fromkeys(ids):
             rec = self.table.get(pid)
             if rec is None:
                 raise UnknownPromiseId(pid)
@@ -418,15 +510,16 @@ class PromiseEngine:
                 raise UnknownPromiseId(pid)
         if predicates and duration <= 0:
             raise ValueError("duration must be positive")
-        view = self._view(unit)
-        candidate = self.active_predicates(exclude=release) + list(predicates)
-        if not check_satisfiable(candidate, view, _types_of(predicates)):
+        wanted = self._wanted(predicates, [self.active[pid] for pid in release])
+        if not self._feasible(wanted, self._view(unit)):
             self.counters["rejections"] += 1
             return Rejection()
         self.release(release, unit)
         if not predicates:
             return None
-        return self._insert(tuple(predicates), duration, now, unit)
+        rec = self._insert(tuple(predicates), duration, now, unit)
+        self._certify(wanted)
+        return rec
 
     def expire_sweep(self, now: int, unit: Optional[UnitToken] = None) -> list[str]:
         """Expire every active record with expires_at <= now; returns their ids in issue order."""
@@ -452,7 +545,12 @@ class PromiseEngine:
         for pid in released_ids:
             assert pid not in self.active, \
                 "released ids must be marked before the post-action check"
-        return check_satisfiable(self.active_predicates(), view, types)
+        wanted = {rt: st.demands for rt, st in self._types.items()
+                  if st.demands and (types is None or rt in types)}
+        if not self._feasible(wanted, view):
+            return False
+        self._certify(wanted)
+        return True
 
     # --- invariant helpers (used by self-checks, fuzzing and tests) ---
 
@@ -488,6 +586,163 @@ class PromiseEngine:
             })
         return {"promises": rows, "counters": dict(self.counters)}
 
+    # --- feasibility by type ---
+
+    def _state(self, rt: str) -> _TypeState:
+        st = self._types.get(rt)
+        if st is None:
+            st = self._types[rt] = _TypeState()
+        return st
+
+    def _wanted(self, predicates: Iterable[Predicate],
+                leaving: Iterable[PromiseRecord] = ()) -> dict[str, dict]:
+        """The demands of each type `predicates` name, once they are added
+        to the active set and the `leaving` records are taken out of it."""
+        wanted: dict[str, dict] = {}
+        for p in predicates:
+            rt = resource_type_of(p)
+            demands = wanted.get(rt)
+            if demands is None:
+                demands = wanted[rt] = {k: list(slot) for k, slot in self._state(rt).demands.items()}
+            demands.setdefault(_demand_key(p), [p, 0])[1] += amount_of(p)
+        for rec in leaving:
+            for p in rec.predicates:
+                demands = wanted.get(resource_type_of(p))
+                if demands is not None:
+                    key = _demand_key(p)
+                    demands[key][1] -= amount_of(p)
+                    if not demands[key][1]:
+                        del demands[key]
+        return wanted
+
+    def _feasible(self, wanted: dict[str, dict], view: AvailabilityView) -> bool:
+        """True iff each type's demands in `wanted` can be met."""
+        for rt, demands in wanted.items():
+            if rt in view.pools:
+                # a pool has no instances for a Named or Property demand to draw on
+                if any(key[0] != "quantity" for key in demands):
+                    return False
+                if sum(n for _, n in demands.values()) > view.pools[rt]:
+                    return False
+            elif not self._decide(rt, demands, view):
+                return False
+        return True
+
+    def _decide(self, rt: str, demands: dict, view: AvailabilityView) -> bool:
+        """Decide one instance-backed type and leave its kept assignment as
+        complete as the demands allow.
+
+        The first decision of a type builds and solves its flow problem and
+        keeps the flow as the assignment. Every later one repairs that
+        assignment: it drops the pairs that are no longer valid, then fills
+        each demand's deficit one unit at a time by an augmenting path. If
+        some unit has none, no complete assignment exists (Berge).
+        """
+        st = self._state(rt)
+        st.certified = None
+        records = view.instances_of(rt)
+        if st.pairs is None:
+            flow: dict = {}
+            problem = build_feasibility_problem(_expand(demands.values()), view)
+            feasible = solve_feasibility(problem, flow)
+            keys = [_demand_key(d.predicate) for d in problem.demands]
+            st.position = {r.id: pos for pos, r in enumerate(records)}
+            st.pairs = {st.position[iid]: keys[j] for iid, j in flow.items()}
+            return feasible
+        eligible = self._eligible(rt, st, demands, records)
+        # per demand: [units still to place, eligible positions as a set]
+        need = {key: [slot[1], eligible[key][1]] for key, slot in demands.items()}
+        pairs = st.pairs
+        for pos, key in list(pairs.items()):
+            left = need.get(key)
+            if left is None or not left[0] or pos not in left[1] \
+                    or records[pos].status == STATUS_TAKEN:
+                del pairs[pos]
+            else:
+                left[0] -= 1
+        for key, (left, _) in need.items():
+            for _ in range(left):
+                if not _augment(key, pairs, eligible, records):
+                    return False
+        return True
+
+    def _eligible(self, rt: str, st: _TypeState, demands: dict, records) -> dict:
+        """For each demand key in `demands`, the positions of the instances,
+        taken or not, that can serve it, in order and as a set.
+
+        Cached per demand key until a property of the type's instances
+        changes. Instances are grouped by the values of the properties a
+        Property demand constrains, and `satisfies` runs once per group.
+        """
+        version = self.catalog.property_version(rt)
+        cache = st.eligible
+        # the keys of promises long gone would otherwise pile up
+        if st.eligible_at != version or len(cache) > 2 * len(demands) + 64:
+            cache.clear()
+            st.groups.clear()
+            st.eligible_at = version
+        out = {}
+        for key, (p, _) in demands.items():
+            found = cache.get(key)
+            if found is None:
+                if isinstance(p, Named):
+                    pos = st.position.get(p.instance)
+                    found = () if pos is None else (pos,)
+                elif isinstance(p, Quantity):
+                    found = tuple(range(len(records)))
+                else:
+                    found = tuple(sorted(chain.from_iterable(
+                        group for group in self._groups(st, p, records).values()
+                        if satisfies(records[group[0]], p, self.catalog.schema))))
+                found = cache[key] = (found, frozenset(found))
+            out[key] = found
+        return out
+
+    @staticmethod
+    def _groups(st: _TypeState, p: Property, records) -> dict:
+        names = tuple(sorted({c.property_name for c in p.constraints}))
+        groups = st.groups.get(names)
+        if groups is None:
+            groups = st.groups[names] = {}
+            for pos, r in enumerate(records):
+                values = tuple(scalar_key(r.properties.get(name)) for name in names)
+                groups.setdefault(values, []).append(pos)
+        return groups
+
+    def _certify(self, wanted: dict[str, dict]) -> None:
+        """Mark the kept assignments of the types just decided as current.
+
+        Call once the table holds exactly the demands they were decided
+        for; any later change of demand or property unmarks them.
+        """
+        for rt in wanted:
+            st = self._types[rt]
+            if st.pairs is not None:
+                st.certified = self._stamp(rt, st)
+
+    def _stamp(self, rt: str, st: _TypeState) -> tuple:
+        return (st.version, self.catalog.property_version(rt))
+
+    def _is_certificate(self, st: _TypeState) -> bool:
+        """Whether the kept assignment puts every active demand unit on a
+        distinct untaken instance that meets the demand, read from the
+        catalog itself rather than the engine's caches."""
+        ids = list(st.position)
+        held: dict = {}
+        for pos, key in st.pairs.items():
+            slot = st.demands.get(key)
+            inst = self.catalog.instance(ids[pos])
+            if slot is None or inst is None or inst.status == STATUS_TAKEN:
+                return False
+            p = slot[0]
+            if isinstance(p, Quantity):
+                if inst.id.resource_type != p.resource_type:
+                    return False
+            elif not satisfies(inst, p, self.catalog.schema):
+                return False
+            held[key] = held.get(key, 0) + 1
+        return held == {key: slot[1] for key, slot in st.demands.items()}
+
     # --- internals ---
 
     def _insert(self, predicates: tuple[Predicate, ...], duration: int, now: int,
@@ -512,15 +767,31 @@ class PromiseEngine:
 
     def _index(self, rec: PromiseRecord) -> None:
         self.table[rec.id] = rec
+        was = self.active.get(rec.id)
         if rec.status == PROMISE_ACTIVE:
+            if was is None:
+                self._count(rec, 1)
             self.active[rec.id] = rec
             heapq.heappush(self._expiry, _expiry_entry(rec))
             return
-        self.active.pop(rec.id, None)
+        if was is not None:
+            del self.active[rec.id]
+            self._count(was, -1)
         # entries of records that left before expiring would otherwise pile up
         if len(self._expiry) > 2 * len(self.active) + 1:
             self._expiry[:] = [_expiry_entry(r) for r in self.active.values()]
             heapq.heapify(self._expiry)
+
+    def _count(self, rec: PromiseRecord, sign: int) -> None:
+        """Add (sign 1) or take out (-1) an active record's demands in the index."""
+        for p in rec.predicates:
+            st = self._state(resource_type_of(p))
+            key = _demand_key(p)
+            slot = st.demands.setdefault(key, [p, 0])
+            slot[1] += sign * amount_of(p)
+            if not slot[1]:
+                del st.demands[key]
+            st.version += 1
 
     def _clear_tags(self, rec: PromiseRecord, unit: Optional[UnitToken]) -> None:
         for p in rec.predicates:
@@ -545,8 +816,43 @@ class PromiseEngine:
         return self.catalog.snapshot_availability(unit)
 
 
-def _types_of(predicates: Iterable[Predicate]) -> set[str]:
-    return {resource_type_of(p) for p in predicates}
+def _augment(start, pairs: dict, eligible: dict, records) -> bool:
+    """Give demand `start` one more instance along a shortest augmenting path.
+
+    Breadth-first over demand keys: a demand may take an untaken eligible
+    instance that is free, or one that another demand holds if that demand
+    can in turn be given another. On success the instances along the path
+    move one step and `start` holds one more; on failure `pairs` is unchanged.
+    """
+    parent: dict = {start: None}  # demand -> (demand that wants its instance, that instance)
+    queue = [start]
+    for key in queue:
+        for pos in eligible[key][0]:
+            owner = pairs.get(pos)
+            if owner is None:
+                if records[pos].status == STATUS_TAKEN:
+                    continue
+                step = (key, pos)
+                while step is not None:
+                    key, pos = step
+                    pairs[pos] = key
+                    step = parent[key]
+                return True
+            if owner not in parent:
+                parent[owner] = (key, pos)
+                queue.append(owner)
+    return False
+
+
+def _expand(slots: Iterable[list]) -> list[Predicate]:
+    """Predicates with the merged amounts of `slots` ([predicate, amount] pairs)."""
+    preds: list[Predicate] = []
+    for p, n in slots:
+        if isinstance(p, Named):
+            preds.extend([p] * n)
+        else:
+            preds.append(replace(p, amount=n))
+    return preds
 
 
 def _expiry_entry(rec: PromiseRecord) -> tuple:

@@ -73,6 +73,24 @@ def builds(monkeypatch):
 
 
 @pytest.fixture
+def decisions(monkeypatch):
+    """The instance-backed type of every feasibility decision made while the
+    test runs, as a one-element set, whether it builds a flow problem or
+    repairs the type's kept assignment."""
+    from promisekit.engine import PromiseEngine
+
+    seen = []
+    real = PromiseEngine._decide
+
+    def spy(self, rt, demands, view):
+        seen.append({rt})
+        return real(self, rt, demands, view)
+
+    monkeypatch.setattr(PromiseEngine, "_decide", spy)
+    return seen
+
+
+@pytest.fixture
 def view_copies(monkeypatch):
     """Ids of every InstanceView copy the catalog makes while the test runs."""
     from promisekit import catalog

@@ -224,7 +224,7 @@ def _two_type_engine():
         SEAT_DOC["resource-types"][0]]}))
 
 
-def test_grant_builds_only_the_types_it_names(builds):
+def test_grant_builds_only_the_types_it_names(decisions, builds):
     eng = _two_type_engine()
     first = Property("seat", (PropertyConstraint("class", AT_LEAST_IN_ORDER, "first"),), 1)
     assert not isinstance(eng.grant([first], 30, 0), Rejection)
@@ -232,7 +232,20 @@ def test_grant_builds_only_the_types_it_names(builds):
     assert not isinstance(eng.grant([floor5], 30, 0), Rejection)
     assert not isinstance(eng.exchange([Named(InstanceId("room", "610"))], 30, [], 0),
                           Rejection)
-    assert builds == [{"seat"}, {"room"}, {"room"}]
+    assert decisions == [{"seat"}, {"room"}, {"room"}]
+    assert builds == [{"seat"}, {"room"}]  # the exchange repairs the room assignment
+
+
+def test_grant_on_a_type_with_a_kept_assignment_builds_nothing(builds):
+    eng = _two_type_engine()
+    floor5 = Property("room", (PropertyConstraint("floor", EQUALS, 5),), 1)
+    assert not isinstance(eng.grant([floor5], 30, 0), Rejection)
+    assert builds == [{"room"}]
+    builds.clear()
+    assert not isinstance(eng.grant([Quantity("room", 1)], 30, 0), Rejection)
+    assert eng.index_problems() == []  # the repaired assignment is complete
+    assert isinstance(eng.grant([Named(InstanceId("room", "512"))], 30, 0), Rejection)
+    assert builds == []
 
 
 def test_pool_grants_build_no_flow_problem(builds):
@@ -319,6 +332,20 @@ def test_release_checks_all_ids_before_mutating():
     with pytest.raises(UnknownPromiseId):
         eng.release([rec.id, "p-404"])
     assert eng.record(rec.id).status == "active"
+
+
+def test_an_id_listed_twice_is_released_and_journaled_once():
+    cat = load_catalog(widget_doc(5))
+    eng = PromiseEngine(cat)
+    rec = eng.grant([Quantity("pink-widget", 2)], 30, 0)
+    unit = cat.begin_unit()
+    mark = eng.snapshot()
+    eng.release([rec.id, rec.id], unit)
+    assert eng.snapshot() == mark + 1
+    assert eng.counters["releases"] == 1
+    assert eng.index_problems() == []
+    cat.commit_unit(unit)
+    eng.commit()
 
 
 # --- exchange ---
@@ -451,6 +478,20 @@ def test_active_index_sweep_and_journal_agree_with_the_table():
             assert eng.index_problems() == []
         cat.commit_unit(unit)
         eng.commit()
+
+
+def test_index_problems_reports_a_wrong_demand_index_or_kept_assignment():
+    eng = _two_type_engine()
+    floor5 = Property("room", (PropertyConstraint("floor", EQUALS, 5),), 1)
+    eng.grant([floor5], 30, 0)
+    eng.grant([Quantity("room", 1)], 30, 0)
+    assert eng.index_problems() == []
+    rooms = eng._types["room"]
+    del rooms.pairs[next(iter(rooms.pairs))]
+    assert eng.index_problems() == [
+        "kept assignment of 'room' is marked current but is not a complete assignment"]
+    rooms.demands[("quantity", "room")][1] += 1
+    assert eng.index_problems()[0] == "demand index disagrees with the table"
 
 
 # --- allocated tags for named promises ---

@@ -267,41 +267,41 @@ def test_no_op_with_release_checks_nothing(builds):
     assert builds == []
 
 
-def test_action_is_checked_on_the_type_it_changes_only(builds):
+def test_action_is_checked_on_the_type_it_changes_only(decisions):
     mgr = seats_and_rooms_manager()
     hold(mgr, FIRST_CLASS, "r-1")
     hold(mgr, Quantity("room", 1), "r-2")
-    builds.clear()
+    decisions.clear()
     reply = mgr.handle(Envelope(action=ActionMsg(
         "take-named", {"resource-type": "room", "key": "512"})))
     assert reply.action.status == "succeeded"
-    assert builds == [{"room"}]
-    builds.clear()
+    assert decisions == [{"room"}]
+    decisions.clear()
     assert mgr.handle(purchase_envelope(3)).action.status == "succeeded"
-    assert builds == []
+    assert decisions == []
 
 
-def test_property_change_that_breaks_a_held_promise_is_rolled_back(builds):
+def test_property_change_that_breaks_a_held_promise_is_rolled_back(decisions):
     mgr = seats_and_rooms_manager()
     hold(mgr, FIRST_CLASS, "r-1")
     before = mgr.state_digest()
-    builds.clear()
+    decisions.clear()
     reply = mgr.handle(Envelope(action=ActionMsg("set-property", {
         "resource-type": "seat", "key": "2A", "property": "class", "value": "economy"})))
     assert reply.action.status == "rejected-by-promise-violation"
-    assert builds == [{"seat"}]
+    assert decisions == [{"seat"}]
     assert mgr.state_digest() == before
     assert mgr.counters["violations-rolled-back"] == 1
 
 
-def test_grants_and_post_checks_copy_no_instances(builds, view_copies):
+def test_grants_and_post_checks_copy_no_instances(decisions, view_copies):
     mgr = seats_and_rooms_manager()
     hold(mgr, FIRST_CLASS, "r-1")
     hold(mgr, Quantity("room", 1), "r-2")
     reply = mgr.handle(Envelope(action=ActionMsg(
         "take-named", {"resource-type": "room", "key": "512"})))
     assert reply.action.status == "succeeded"
-    assert builds == [{"seat"}, {"room"}, {"room"}]  # two grants and the post-check
+    assert decisions == [{"seat"}, {"room"}, {"room"}]  # two grants and the post-check
     assert view_copies == []
 
 
