@@ -43,8 +43,8 @@ that a property of that type changed.
 
 A type's first check has no assignment to repair. It builds a flow
 problem (`build_feasibility_problem`) and solves it by Dinic max-flow
-(`solve_feasibility`), and the flow becomes the kept assignment. The
-flow problem merges nodes: untaken instances that satisfy the same
+(`solve_feasibility`); the kept assignment starts empty, and the next
+check fills it by augmenting paths. The flow problem merges nodes: untaken instances that satisfy the same
 Property demands are interchangeable and become one supply node of
 capacity k, and `satisfies` runs once per Property demand and distinct
 value of the properties the type's demands constrain. An instance a
@@ -80,7 +80,7 @@ anywhere.
 from __future__ import annotations
 
 import heapq
-from itertools import chain, islice
+from itertools import chain
 from dataclasses import dataclass, replace
 from typing import Collection, Iterable, Optional, Sequence, Union
 
@@ -89,6 +89,7 @@ from .catalog import (
     STATUS_PROMISED,
     STATUS_TAKEN,
     AvailabilityView,
+    InstanceView,
     ResourceCatalog,
     SetInstanceStatus,
     UnitToken,
@@ -145,7 +146,6 @@ class DemandNode:
 class SupplyNode:
     key: str       # "inst:<type>/<key>" or "class:<type>/<key>+<k-1>"
     capacity: int  # for a class: k interchangeable instances, named by the first
-    instances: tuple[InstanceId, ...] = ()  # the k instances, when built from a view
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,20 @@ def _demand_key(p: Predicate):
     if isinstance(p, Named):
         return ("named", p.instance)
     return ("quantity", p.resource_type)
+
+
+def _group_by_values(instances: Sequence[InstanceView],
+                    names: tuple[str, ...]) -> dict[tuple, list[int]]:
+    """Positions in `instances` grouped by their values (as `scalar_key`)
+    of the properties `names`, groups in order of first appearance.
+
+    Instances in one group meet exactly the same Property demands that
+    constrain only those properties, so `satisfies` need run once per group.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for pos, r in enumerate(instances):
+        groups.setdefault(tuple(scalar_key(r.properties.get(n)) for n in names), []).append(pos)
+    return groups
 
 
 def build_feasibility_problem(predicates: Sequence[Predicate],
@@ -196,26 +210,26 @@ def build_feasibility_problem(predicates: Sequence[Predicate],
         nodes = []
         props = [(j, demands[j].predicate) for j in of_type[rt]
                  if isinstance(demands[j].predicate, Property)]
-        watched = sorted({c.property_name for _, p in props for c in p.constraints})
-        signatures: dict = {}  # watched values -> indices of the Property demands met
-        groups: dict = {}      # instance id or signature -> [instance ids, signature]
-        for r in usable[rt]:
-            values = tuple(scalar_key(r.properties.get(name)) for name in watched)
-            sig = signatures.get(values)
-            if sig is None:
-                sig = signatures[values] = tuple(
-                    j for j, p in props if satisfies(r, p, view.schema))
-            groups.setdefault(r.id if r.id in named else sig, [[], sig])[0].append(r.id)
-        for members, sig in groups.values():
+        watched = tuple(sorted({c.property_name for _, p in props for c in p.constraints}))
+        rs = usable[rt]
+        met = [()] * len(rs)  # per instance, indices of the Property demands it meets
+        for members in _group_by_values(rs, watched).values():
+            sig = tuple(j for j, p in props if satisfies(rs[members[0]], p, view.schema))
+            for pos in members:
+                met[pos] = sig
+        groups: dict = {}  # instance id or signature -> [first instance, count, signature]
+        for r, sig in zip(rs, met):
+            group = groups.setdefault(r.id if r.id in named else sig, [r, 0, sig])
+            group[1] += 1
+        for first, count, sig in groups.values():
             i = len(supplies)
-            first, count = members[0], len(members)
-            key = f"inst:{first}" if count == 1 else f"class:{first}+{count - 1}"
-            supplies.append(SupplyNode(key, count, tuple(members)))
+            key = f"inst:{first.id}" if count == 1 else f"class:{first.id}+{count - 1}"
+            supplies.append(SupplyNode(key, count))
             nodes.append(i)
             for j in sig:
                 fans[j].append(i)
-            if first in named:
-                fans[named[first]].append(i)
+            if first.id in named:
+                fans[named[first.id]].append(i)
         for j in of_type[rt]:
             if isinstance(demands[j].predicate, Quantity):
                 fans[j] = nodes
@@ -229,12 +243,9 @@ class _FlowNet:
         self.n = n
         self.adj: list[list[list[int]]] = [[] for _ in range(n)]  # [to, cap, rev-index]
 
-    def add_edge(self, u: int, v: int, cap: int) -> list[int]:
-        """Add u->v with capacity `cap`; returns the edge, whose capacity left shows its flow."""
-        edge = [v, cap, len(self.adj[v])]
-        self.adj[u].append(edge)
+    def add_edge(self, u: int, v: int, cap: int) -> None:
+        self.adj[u].append([v, cap, len(self.adj[v])])
         self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-        return edge
 
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
@@ -292,15 +303,7 @@ class _FlowNet:
         return pushed
 
 
-def solve_feasibility(problem: FeasibilityProblem,
-                      assignment: Optional[dict] = None) -> bool:
-    """True iff a flow from the supplies saturates every demand.
-
-    With `assignment`, the flow found is also read back into it, as
-    instance id -> demand index, one entry per unit of flow. It is a valid
-    partial assignment even when the answer is False. Supplies built
-    without their `instances` contribute nothing to it.
-    """
+def solve_feasibility(problem: FeasibilityProblem) -> bool:
     if not problem.demands:
         return True
     if any(not fan and d.amount > 0 for d, fan in zip(problem.demands, problem.edges)):
@@ -313,18 +316,11 @@ def solve_feasibility(problem: FeasibilityProblem,
     for i, sup in enumerate(problem.supplies):
         if sup.capacity > 0:
             net.add_edge(0, 1 + i, sup.capacity)
-    served = []  # (supply, demand, edge)
     for j, dem in enumerate(problem.demands):
         net.add_edge(n_sup + 1 + j, sink, dem.amount)
         for i in problem.edges[j]:
-            served.append((i, j, net.add_edge(1 + i, n_sup + 1 + j, dem.amount)))
-    feasible = net.max_flow(0, sink) == problem.total_demand
-    if assignment is not None:
-        unused = [iter(sup.instances) for sup in problem.supplies]
-        for i, j, edge in served:
-            for iid in islice(unused[i], problem.demands[j].amount - edge[1]):
-                assignment[iid] = j
-    return feasible
+            net.add_edge(1 + i, n_sup + 1 + j, dem.amount)
+    return net.max_flow(0, sink) == problem.total_demand
 
 
 def check_satisfiable(predicates: Sequence[Predicate], view: AvailabilityView,
@@ -633,22 +629,18 @@ class PromiseEngine:
         complete as the demands allow.
 
         The first decision of a type builds and solves its flow problem and
-        keeps the flow as the assignment. Every later one repairs that
-        assignment: it drops the pairs that are no longer valid, then fills
-        each demand's deficit one unit at a time by an augmenting path. If
-        some unit has none, no complete assignment exists (Berge).
+        starts the assignment empty. Every later one repairs the assignment:
+        it drops the pairs that are no longer valid, then fills each
+        demand's deficit one unit at a time by an augmenting path. If some
+        unit has none, no complete assignment exists (Berge).
         """
         st = self._state(rt)
         st.certified = None
         records = view.instances_of(rt)
         if st.pairs is None:
-            flow: dict = {}
-            problem = build_feasibility_problem(_expand(demands.values()), view)
-            feasible = solve_feasibility(problem, flow)
-            keys = [_demand_key(d.predicate) for d in problem.demands]
             st.position = {r.id: pos for pos, r in enumerate(records)}
-            st.pairs = {st.position[iid]: keys[j] for iid, j in flow.items()}
-            return feasible
+            st.pairs = {}
+            return solve_feasibility(build_feasibility_problem(_expand(demands.values()), view))
         eligible = self._eligible(rt, st, demands, records)
         # per demand: [units still to place, eligible positions as a set]
         need = {key: [slot[1], eligible[key][1]] for key, slot in demands.items()}
@@ -691,23 +683,16 @@ class PromiseEngine:
                 elif isinstance(p, Quantity):
                     found = tuple(range(len(records)))
                 else:
+                    names = tuple(sorted({c.property_name for c in p.constraints}))
+                    groups = st.groups.get(names)
+                    if groups is None:
+                        groups = st.groups[names] = _group_by_values(records, names)
                     found = tuple(sorted(chain.from_iterable(
-                        group for group in self._groups(st, p, records).values()
+                        group for group in groups.values()
                         if satisfies(records[group[0]], p, self.catalog.schema))))
                 found = cache[key] = (found, frozenset(found))
             out[key] = found
         return out
-
-    @staticmethod
-    def _groups(st: _TypeState, p: Property, records) -> dict:
-        names = tuple(sorted({c.property_name for c in p.constraints}))
-        groups = st.groups.get(names)
-        if groups is None:
-            groups = st.groups[names] = {}
-            for pos, r in enumerate(records):
-                values = tuple(scalar_key(r.properties.get(name)) for name in names)
-                groups.setdefault(values, []).append(pos)
-        return groups
 
     def _certify(self, wanted: dict[str, dict]) -> None:
         """Mark the kept assignments of the types just decided as current.
@@ -717,7 +702,8 @@ class PromiseEngine:
         """
         for rt in wanted:
             st = self._types[rt]
-            if st.pairs is not None:
+            # a type's first decision leaves its assignment empty for the next to fill
+            if st.pairs is not None and len(st.pairs) == sum(n for _, n in st.demands.values()):
                 st.certified = self._stamp(rt, st)
 
     def _stamp(self, rt: str, st: _TypeState) -> tuple:

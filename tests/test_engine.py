@@ -248,12 +248,14 @@ def test_grant_on_a_type_with_a_kept_assignment_builds_nothing(builds):
     assert builds == []
 
 
-def test_pool_grants_build_no_flow_problem(builds):
+def test_pool_grants_build_no_flow_problem(builds, decisions):
     eng = _two_type_engine()
     eng.grant([Named(InstanceId("seat", "2A"))], 30, 0)
     builds.clear()
+    decisions.clear()
     assert not isinstance(eng.grant([Quantity("bulk", 3)], 30, 0), Rejection)
     assert isinstance(eng.grant([Quantity("bulk", 3)], 30, 0), Rejection)
+    assert decisions == []
     assert builds == []
 
 

@@ -256,14 +256,17 @@ def hold(mgr, predicate, rid):
 FIRST_CLASS = Property("seat", (PropertyConstraint("class", AT_LEAST_IN_ORDER, "first"),), 1)
 
 
-def test_no_op_with_release_checks_nothing(builds):
+def test_no_op_with_release_checks_nothing(builds, decisions):
     mgr = seats_and_rooms_manager()
     pid = hold(mgr, FIRST_CLASS, "r-1")
+    hold(mgr, Quantity("room", 1), "r-2")  # stays held: a check of every type would decide it
     builds.clear()
+    decisions.clear()
     reply = mgr.handle(Envelope(action=ActionMsg("no-op"),
                                 environment=EnvironmentMsg((pid,), ("release-after-success",))))
     assert reply.action.status == "succeeded"
     assert mgr.engine.record(pid).status == "released"
+    assert decisions == []
     assert builds == []
 
 
