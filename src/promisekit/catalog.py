@@ -18,6 +18,10 @@ Design rules:
   - The set of instances is fixed at load: mutations change statuses,
     properties and pool counts, never which instances exist. So each
     type's instances are sorted by id once, and views read them by type.
+  - For the engine's kept assignments, the catalog tells per type what
+    changed: a property version bumped by every property change and its
+    undo, and the set of instances whose status moved to or from taken,
+    which the engine drains.
   - Reads go through an `AvailabilityView`. The in-unit view is live: it
     reads the catalog's own pools and records, copying nothing. The
     committed view, which backs the unit's pending mutations out, is a
@@ -33,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import AbstractSet, Iterable, Mapping, Optional, Union
 
 from .predicates import InstanceId, Scalar, scalar_eq, scalar_key
 
@@ -41,6 +45,8 @@ STATUS_AVAILABLE = "available"
 STATUS_PROMISED = "promised"
 STATUS_TAKEN = "taken"
 INSTANCE_STATUSES = (STATUS_AVAILABLE, STATUS_PROMISED, STATUS_TAKEN)
+
+_NO_MOVES: AbstractSet = frozenset()
 
 LEGAL_TRANSITIONS = {
     (STATUS_AVAILABLE, STATUS_PROMISED),
@@ -229,6 +235,7 @@ class ResourceCatalog:
         self._live = AvailabilityView(schema, self._pools, self._instances.values())
         self._unit: Optional[UnitToken] = None
         self._property_changes: dict[str, int] = {}  # per type, bumped by every SetProperty and its undo
+        self._taken_moves: dict[str, set[InstanceId]] = {}  # per type, see `taken_moves`
 
     # --- units ---
 
@@ -331,6 +338,8 @@ class ResourceCatalog:
             rec = self._instances[m.instance]
             old = rec.status
             rec.status = m.status
+            if STATUS_TAKEN in (old, m.status):
+                self._note_taken_move(m.instance)
             return ("status", m.instance, old)
         rec = self._instances[m.instance]
         old = rec.properties[m.property_name]
@@ -343,10 +352,29 @@ class ResourceCatalog:
         if kind == "pool":
             self._pools[entry[1]] = entry[2]
         elif kind == "status":
-            self._instances[entry[1]].status = entry[2]
+            rec = self._instances[entry[1]]
+            if STATUS_TAKEN in (rec.status, entry[2]):
+                self._note_taken_move(entry[1])
+            rec.status = entry[2]
         else:
             self._instances[entry[1]].properties[entry[2]] = entry[3]
             self._bump_properties(entry[1].resource_type)
+
+    def _note_taken_move(self, iid: InstanceId) -> None:
+        moved = self._taken_moves.get(iid.resource_type)
+        if moved is None:
+            moved = self._taken_moves[iid.resource_type] = set()
+        moved.add(iid)
+
+    def taken_moves(self, resource_type: str) -> AbstractSet[InstanceId]:
+        """The type's instances whose status moved to or from taken, by a
+        mutation or its undo, since `drain_taken_moves` last returned them.
+        At most one entry per instance, however often it moved."""
+        return self._taken_moves.get(resource_type, _NO_MOVES)
+
+    def drain_taken_moves(self, resource_type: str) -> AbstractSet[InstanceId]:
+        """`taken_moves`, which then starts empty again."""
+        return self._taken_moves.pop(resource_type, _NO_MOVES)
 
     def _bump_properties(self, resource_type: str) -> None:
         self._property_changes[resource_type] = self._property_changes.get(resource_type, 0) + 1

@@ -11,8 +11,11 @@ iff each type's share of it is:
 
 Identical predicates merge into one demand (`_demand_key`) with their
 amounts summed. The engine indexes the merged demands of the active
-promises by type, so a check reads one type's demands, not the whole
-active set.
+promises by type, with a running total of their units, so a check reads
+one type's demands, not the whole active set. A grant or exchange passes
+only the demands whose amount it changes (`_wanted`), laid over that
+index; a pool-backed type is decided from the running total and those
+changes.
 
 Checks are scoped by one invariant: the committed active set is
 feasible on every type. A grant or exchange then only has to decide the
@@ -21,40 +24,56 @@ a post-action check only the types the action's catalog mutations
 touched.
 
 Instance-backed types are decided by allocation. The engine keeps, per
-type, the assignment of demand units to instances that its last check
-found, and a check repairs it rather than solving from scratch:
+type, the assignment of demand units to instances that its checks
+built, with the positions each demand holds, the untaken instances no
+demand holds, and the demands whose held count may differ from their
+amount ("dirty"). A check repairs the assignment where it may have gone
+wrong since the type was last decided, so it costs what changed, not
+the units held on the type or the demands on it:
 
-  - it drops every pair that is no longer valid: its demand is gone or
-    over-assigned, its instance is taken, or its instance no longer
-    meets the demand;
-  - it fills each demand's deficit one unit at a time by a breadth-first
+  - it drops the pairs on instances that became taken. The catalog
+    records, per type, the instances whose status moved to or from
+    taken, and the check drains that record;
+  - it trims each demand the request changes, and each dirty demand,
+    down to its amount;
+  - it fills each deficit one unit at a time by a breadth-first
     augmenting path over the residual graph (the augmenting step of
     Hopcroft and Karp). A path may move units held by other demands onto
     other instances, so reallocation happens along these paths: a new
     request can displace an earlier pairing as long as a complete
-    assignment still exists. If some unit has no augmenting path, none
-    exists (Berge), and the answer is infeasible.
+    assignment still exists. A search starts from a free eligible
+    instance if there is one, and only then walks the demands holding
+    the eligible ones. If some unit has no augmenting path, none exists
+    (Berge), and the answer is infeasible.
 
-The kept assignment is only a hint. Nothing trusts it until the repair
-has checked it again, so rolling an envelope back needs no journal of
-it: a stale pair is dropped the next time the type is checked. Which
-instances meet a Property demand is cached until the catalog reports
-that a property of that type changed.
+Which instances meet a demand is looked up when a search first needs
+it and cached until a property of that type changes. A Property demand
+reads per-property value buckets: for `equals`, the bucket of the
+value; for `at-least-in-order`, the buckets of the wanted rank and
+above. A property change (the catalog's per-type `property_version`
+moves) re-checks every kept pair, as each pair's eligibility may have
+changed.
+
+The kept assignment is a hint that needs no journal: rolling an
+envelope back leaves at worst dirty demands, pairs that hold more than
+the restored amounts, and taken moves the next check drains.
 
 A type's first check has no assignment to repair. It builds a flow
 problem (`build_feasibility_problem`) and solves it by Dinic max-flow
 (`solve_feasibility`); the kept assignment starts empty, and the next
-check fills it by augmenting paths. The flow problem merges nodes: untaken instances that satisfy the same
-Property demands are interchangeable and become one supply node of
-capacity k, and `satisfies` runs once per Property demand and distinct
-value of the properties the type's demands constrain. An instance a
-Named demand picks stays a node of its own, with edges from every
-Quantity and Property demand it can also serve. Whole-state checks
+check fills it by augmenting paths. The flow problem merges nodes:
+untaken instances that satisfy the same Property demands are
+interchangeable and become one supply node of capacity k, and
+`satisfies` runs once per Property demand and distinct value of the
+properties the type's demands constrain. An instance a Named demand
+picks stays a node of its own, with edges from every Quantity and
+Property demand it can also serve. Whole-state checks
 (`check_satisfiable` with `types=None`: the self-check and the harness
 invariants) always take this path, so they decide every type
 independently of the kept assignments and catch anything that breaks
-the invariant instead of relying on it. `index_problems` also reports a
-kept assignment marked current that is not a complete assignment.
+the invariant instead of relying on it. `index_problems` checks the
+bookkeeping against the kept pairs and the catalog, and reports a kept
+assignment that counts as current but is not a complete assignment.
 
 The promise table keeps per-envelope work independent of history:
 
@@ -80,7 +99,6 @@ anywhere.
 from __future__ import annotations
 
 import heapq
-from itertools import chain
 from dataclasses import dataclass, replace
 from typing import Collection, Iterable, Optional, Sequence, Union
 
@@ -95,6 +113,7 @@ from .catalog import (
     UnitToken,
 )
 from .predicates import (
+    EQUALS,
     InstanceId,
     Named,
     Predicate,
@@ -217,7 +236,10 @@ def build_feasibility_problem(predicates: Sequence[Predicate],
             sig = tuple(j for j, p in props if satisfies(rs[members[0]], p, view.schema))
             for pos in members:
                 met[pos] = sig
-        groups: dict = {}  # instance id or signature -> [first instance, count, signature]
+        # instance id or signature -> [first instance, count, signature]. The
+        # two kinds of key cannot collide: an InstanceId is a tuple of two
+        # strings and a signature a tuple of demand indices, which are ints.
+        groups: dict = {}
         for r, sig in zip(rs, met):
             group = groups.setdefault(r.id if r.id in named else sig, [r, 0, sig])
             group[1] += 1
@@ -353,26 +375,29 @@ class _TypeState:
     """What the engine keeps about one resource type's active promises.
 
     An instance-backed type's instances are named by their position in
-    the view's `instances_of`, which is fixed at load.
+    the view's `instances_of`, which is fixed at load. Once the type has
+    been decided, `pairs`, `held`, `free` and `dirty` describe the kept
+    assignment; every change to one of them keeps the others in step.
     """
 
-    __slots__ = ("demands", "version", "position", "pairs", "certified", "eligible",
-                 "groups", "eligible_at")
+    __slots__ = ("demands", "total", "position", "pairs", "held", "free", "dirty",
+                 "eligible", "buckets", "eligible_at")
 
     def __init__(self):
         self.demands: dict = {}  # _demand_key -> [first predicate, merged amount]
-        self.version = 0         # bumped whenever `demands` changes
+        self.total = 0           # the sum of the merged amounts
         self.position: dict[InstanceId, int] = {}  # the type's instances, by id
-        # the kept assignment, instance position -> demand key, for an
-        # instance-backed type once it has been decided; a hint, re-validated
-        # before every use
+        # the kept assignment, instance position -> demand key; None until
+        # the type is first decided
         self.pairs: Optional[dict] = None
-        self.certified: Optional[tuple] = None  # (version, property version) it was complete at
-        self.eligible: dict = {}  # demand key -> (positions in order, the same as a set)
-        # property names -> {their values: positions of the instances that have them}
-        self.groups: dict = {}
-        self.eligible_at = -1     # the catalog property version the two above hold for
-
+        self.held: dict = {}      # demand key -> the positions `pairs` gives it
+        self.free: set = set()    # untaken positions that `pairs` leaves unused
+        self.dirty: set = set()   # demand keys whose held count may differ from their amount
+        # demand key -> (eligible positions in order, a container to test
+        # membership in), computed when first needed
+        self.eligible: dict = {}
+        self.buckets: dict = {}   # property name -> {scalar_key(value): positions in order}
+        self.eligible_at = -1     # the catalog property version the pairs were checked at
 
 class PromiseEngine:
     """Promise table plus grant/release/exchange/expiry over a catalog.
@@ -433,8 +458,11 @@ class PromiseEngine:
         self._journal.clear()
 
     def index_problems(self) -> list[str]:
-        """Where `active`, the expiry heap, the demand index or a kept
-        assignment marked current disagree with the table and the catalog."""
+        """Where `active`, the expiry heap, the demand index or a type's
+        kept assignment and its bookkeeping disagree with the table and the
+        catalog. A kept assignment counts as current, and must then be
+        complete, once no demand is dirty, no taken move is unread and no
+        property changed since its pairs were checked."""
         problems = []
         in_table = {pid: r for pid, r in self.table.items() if r.status == PROMISE_ACTIVE}
         if self.active != in_table:
@@ -450,11 +478,35 @@ class PromiseEngine:
                       for key, slot in st.demands.items()}:
             problems.append("demand index disagrees with the table")
         for rt in sorted(self._types):
-            st = self._types[rt]
-            if st.pairs is not None and st.certified == self._stamp(rt, st) \
-                    and not self._is_certificate(st):
-                problems.append(f"kept assignment of {rt!r} is marked current but is "
-                                "not a complete assignment")
+            problems.extend(self._type_problems(rt, self._types[rt]))
+        return problems
+
+    def _type_problems(self, rt: str, st: _TypeState) -> list[str]:
+        problems = []
+        if st.total != sum(slot[1] for slot in st.demands.values()):
+            problems.append(f"running total of {rt!r} disagrees with its demands")
+        if st.pairs is None:
+            return problems
+        by_key: dict = {}
+        for pos, key in st.pairs.items():
+            by_key.setdefault(key, set()).add(pos)
+        if by_key != {key: have for key, have in st.held.items() if have}:
+            problems.append(f"held positions of {rt!r} disagree with its kept assignment")
+        amounts = {key: slot[1] for key, slot in st.demands.items()}
+        if any(len(st.held.get(key, ())) != amounts.get(key, 0) and key not in st.dirty
+               for key in amounts.keys() | st.held.keys()):
+            problems.append(f"a demand of {rt!r} that holds other than its amount is not dirty")
+        # an instance whose move the next decision has yet to read may disagree
+        moved = {st.position[iid] for iid in self.catalog.taken_moves(rt)}
+        unused = {pos for pos, iid in enumerate(st.position)
+                  if self.catalog.instance(iid).status != STATUS_TAKEN and pos not in st.pairs}
+        if (st.free ^ unused) - moved:
+            problems.append(f"free instances of {rt!r} disagree with the catalog")
+        current = not st.dirty and not moved \
+            and st.eligible_at == self.catalog.property_version(rt)
+        if current and not self._is_certificate(st):
+            problems.append(f"kept assignment of {rt!r} is marked current but is "
+                            "not a complete assignment")
         return problems
 
     # --- operations ---
@@ -471,9 +523,7 @@ class PromiseEngine:
         if not self._feasible(wanted, self._view(unit)):
             self.counters["rejections"] += 1
             return Rejection()
-        rec = self._insert(tuple(predicates), duration, now, unit)
-        self._certify(wanted)
-        return rec
+        return self._insert(tuple(predicates), duration, now, unit)
 
     def release(self, ids: Sequence[str], unit: Optional[UnitToken] = None) -> None:
         """Mark records released; released/expired ids are a no-op."""
@@ -513,9 +563,7 @@ class PromiseEngine:
         self.release(release, unit)
         if not predicates:
             return None
-        rec = self._insert(tuple(predicates), duration, now, unit)
-        self._certify(wanted)
-        return rec
+        return self._insert(tuple(predicates), duration, now, unit)
 
     def expire_sweep(self, now: int, unit: Optional[UnitToken] = None) -> list[str]:
         """Expire every active record with expires_at <= now; returns their ids in issue order."""
@@ -541,12 +589,8 @@ class PromiseEngine:
         for pid in released_ids:
             assert pid not in self.active, \
                 "released ids must be marked before the post-action check"
-        wanted = {rt: st.demands for rt, st in self._types.items()
-                  if st.demands and (types is None or rt in types)}
-        if not self._feasible(wanted, view):
-            return False
-        self._certify(wanted)
-        return True
+        return self._feasible({rt: {} for rt, st in self._types.items()
+                               if st.demands and (types is None or rt in types)}, view)
 
     # --- invariant helpers (used by self-checks, fuzzing and tests) ---
 
@@ -592,122 +636,195 @@ class PromiseEngine:
 
     def _wanted(self, predicates: Iterable[Predicate],
                 leaving: Iterable[PromiseRecord] = ()) -> dict[str, dict]:
-        """The demands of each type `predicates` name, once they are added
-        to the active set and the `leaving` records are taken out of it."""
+        """For each type `predicates` name, the demands whose amount changes
+        once they are added to the active set and the `leaving` records are
+        taken out of it, as demand key -> [predicate, new amount]; the new
+        amount may be 0. The type's other demands keep the amounts of its
+        demand index."""
         wanted: dict[str, dict] = {}
         for p in predicates:
             rt = resource_type_of(p)
-            demands = wanted.get(rt)
-            if demands is None:
-                demands = wanted[rt] = {k: list(slot) for k, slot in self._state(rt).demands.items()}
-            demands.setdefault(_demand_key(p), [p, 0])[1] += amount_of(p)
+            changes = wanted.get(rt)
+            if changes is None:
+                changes = wanted[rt] = {}
+            key = _demand_key(p)
+            slot = changes.get(key)
+            if slot is None:
+                now = self._state(rt).demands.get(key)
+                slot = changes[key] = [p, now[1] if now else 0]
+            slot[1] += amount_of(p)
         for rec in leaving:
             for p in rec.predicates:
-                demands = wanted.get(resource_type_of(p))
-                if demands is not None:
+                rt = resource_type_of(p)
+                changes = wanted.get(rt)
+                if changes is not None:
                     key = _demand_key(p)
-                    demands[key][1] -= amount_of(p)
-                    if not demands[key][1]:
-                        del demands[key]
+                    slot = changes.get(key)
+                    if slot is None:
+                        slot = changes[key] = list(self._types[rt].demands[key])
+                    slot[1] -= amount_of(p)
         return wanted
 
     def _feasible(self, wanted: dict[str, dict], view: AvailabilityView) -> bool:
-        """True iff each type's demands in `wanted` can be met."""
-        for rt, demands in wanted.items():
+        """True iff each type in `wanted` can meet its demands with the
+        changes `wanted` gives it."""
+        for rt, changes in wanted.items():
             if rt in view.pools:
-                # a pool has no instances for a Named or Property demand to draw on
-                if any(key[0] != "quantity" for key in demands):
+                st = self._types[rt]
+                total = st.total
+                for key, (_, n) in changes.items():
+                    # a pool has no instances for a Named or Property demand to draw on
+                    if n and key[0] != "quantity":
+                        return False
+                    now = st.demands.get(key)
+                    total += n - (now[1] if now else 0)
+                if total > view.pools[rt]:
                     return False
-                if sum(n for _, n in demands.values()) > view.pools[rt]:
-                    return False
-            elif not self._decide(rt, demands, view):
+            elif not self._decide(rt, changes, view):
                 return False
         return True
 
-    def _decide(self, rt: str, demands: dict, view: AvailabilityView) -> bool:
-        """Decide one instance-backed type and leave its kept assignment as
+    def _decide(self, rt: str, changes: dict, view: AvailabilityView) -> bool:
+        """Decide one instance-backed type, with `changes` (as `_wanted`
+        gives them) over its demand index, and leave its kept assignment as
         complete as the demands allow.
 
         The first decision of a type builds and solves its flow problem and
-        starts the assignment empty. Every later one repairs the assignment:
-        it drops the pairs that are no longer valid, then fills each
-        demand's deficit one unit at a time by an augmenting path. If some
-        unit has none, no complete assignment exists (Berge).
+        starts the assignment empty. Every later one repairs the assignment
+        where it may have gone wrong since the last decision:
+          - it drops the pairs on instances that became taken, which the
+            catalog reports (a moved property version re-checks every pair);
+          - it trims each changed or dirty demand down to its amount;
+          - it fills each deficit one unit at a time by an augmenting path.
+        If some unit has none, no complete assignment exists (Berge).
         """
         st = self._state(rt)
-        st.certified = None
+        moved = self.catalog.drain_taken_moves(rt)
         records = view.instances_of(rt)
-        if st.pairs is None:
-            st.position = {r.id: pos for pos, r in enumerate(records)}
-            st.pairs = {}
-            return solve_feasibility(build_feasibility_problem(_expand(demands.values()), view))
-        eligible = self._eligible(rt, st, demands, records)
-        # per demand: [units still to place, eligible positions as a set]
-        need = {key: [slot[1], eligible[key][1]] for key, slot in demands.items()}
         pairs = st.pairs
-        for pos, key in list(pairs.items()):
-            left = need.get(key)
-            if left is None or not left[0] or pos not in left[1] \
-                    or records[pos].status == STATUS_TAKEN:
-                del pairs[pos]
-            else:
-                left[0] -= 1
-        for key, (left, _) in need.items():
-            for _ in range(left):
-                if not _augment(key, pairs, eligible, records):
+        if pairs is None:
+            return self._seed(rt, st, changes, records, view)
+        version = self.catalog.property_version(rt)
+        if st.eligible_at != version:
+            self._revalidate(st, changes, records, version)
+        elif moved:
+            _read_moves(st, moved, records)
+        if len(st.eligible) > 2 * len(st.demands) + 64:
+            st.eligible.clear()  # the keys of promises long gone would otherwise pile up
+        deficits: list = []
+        for key, slot in changes.items():
+            _trim(st, key, slot[1], deficits)
+        demands = st.demands
+        for key in st.dirty:
+            if key not in changes:
+                slot = demands.get(key)
+                _trim(st, key, slot[1] if slot else 0, deficits)
+        for key, n in deficits:
+            for _ in range(n):
+                if not self._augment(st, key, changes, records):
+                    st.dirty.update(changes)
                     return False
+        # every demand looked at now holds what `changes` gives it
+        st.dirty.clear()
+        for key, (_, n) in changes.items():
+            now = demands.get(key)
+            if n != (now[1] if now else 0):
+                st.dirty.add(key)
         return True
 
-    def _eligible(self, rt: str, st: _TypeState, demands: dict, records) -> dict:
-        """For each demand key in `demands`, the positions of the instances,
-        taken or not, that can serve it, in order and as a set.
+    def _seed(self, rt: str, st: _TypeState, changes: dict, records, view) -> bool:
+        """A type's first decision: solve its flow problem, and start the
+        kept assignment empty for the next decision to fill."""
+        st.position = {r.id: pos for pos, r in enumerate(records)}
+        st.pairs, st.held = {}, {}
+        st.free = {pos for pos, r in enumerate(records) if r.status != STATUS_TAKEN}
+        st.dirty = set(st.demands)
+        st.eligible_at = self.catalog.property_version(rt)
+        merged = dict(st.demands)
+        merged.update(changes)
+        return solve_feasibility(build_feasibility_problem(
+            _expand(slot for slot in merged.values() if slot[1]), view))
+
+    def _revalidate(self, st: _TypeState, changes: dict, records, version: int) -> None:
+        """After a property of the type changed: forget what was derived
+        from the properties and drop every pair that is no longer valid."""
+        st.eligible.clear()
+        st.buckets.clear()
+        st.eligible_at = version
+        pairs = st.pairs
+        held: dict = {}
+        for pos, key in list(pairs.items()):
+            if (key in changes or key in st.demands) and records[pos].status != STATUS_TAKEN \
+                    and pos in self._eligible(st, key, changes, records)[1]:
+                held.setdefault(key, set()).add(pos)
+            else:
+                del pairs[pos]
+                st.dirty.add(key)
+        st.held = held
+        st.free = {pos for pos, r in enumerate(records)
+                   if r.status != STATUS_TAKEN and pos not in pairs}
+
+    def _augment(self, st: _TypeState, start, changes: dict, records) -> bool:
+        """Give demand `start` one more instance along a shortest augmenting path.
+
+        Breadth-first over demand keys: a demand may take an eligible free
+        instance, or one that another demand holds if that demand can in
+        turn be given another. On success the instances along the path move
+        one step and `start` holds one more; on failure nothing changes.
+        """
+        free = st.free
+        if not free:
+            return False
+        pairs, held = st.pairs, st.held
+        parent: dict = {start: None}  # demand -> (demand that wants its instance, that instance)
+        queue = [start]
+        for key in queue:
+            order, members = self._eligible(st, key, changes, records)
+            pos = _first_free(order, members, free)
+            if pos is not None:
+                free.discard(pos)
+                while True:
+                    owner = pairs.get(pos)
+                    if owner is not None:
+                        held[owner].discard(pos)
+                    pairs[pos] = key
+                    mine = held.get(key)
+                    if mine is None:
+                        mine = held[key] = set()
+                    mine.add(pos)
+                    step = parent[key]
+                    if step is None:
+                        return True
+                    key, pos = step
+            for pos in order:
+                owner = pairs.get(pos)
+                if owner is not None and owner not in parent:
+                    parent[owner] = (key, pos)
+                    queue.append(owner)
+        return False
+
+    def _eligible(self, st: _TypeState, key, changes: dict, records) -> tuple:
+        """The positions of the instances, taken or not, that can serve
+        demand `key`: in order, and as a container to test membership in.
 
         Cached per demand key until a property of the type's instances
-        changes. Instances are grouped by the values of the properties a
-        Property demand constrains, and `satisfies` runs once per group.
+        changes. A Property demand reads the per-property value buckets:
+        for `at-least-in-order`, the buckets of the wanted rank and above.
         """
-        version = self.catalog.property_version(rt)
-        cache = st.eligible
-        # the keys of promises long gone would otherwise pile up
-        if st.eligible_at != version or len(cache) > 2 * len(demands) + 64:
-            cache.clear()
-            st.groups.clear()
-            st.eligible_at = version
-        out = {}
-        for key, (p, _) in demands.items():
-            found = cache.get(key)
-            if found is None:
-                if isinstance(p, Named):
-                    pos = st.position.get(p.instance)
-                    found = () if pos is None else (pos,)
-                elif isinstance(p, Quantity):
-                    found = tuple(range(len(records)))
-                else:
-                    names = tuple(sorted({c.property_name for c in p.constraints}))
-                    groups = st.groups.get(names)
-                    if groups is None:
-                        groups = st.groups[names] = _group_by_values(records, names)
-                    found = tuple(sorted(chain.from_iterable(
-                        group for group in groups.values()
-                        if satisfies(records[group[0]], p, self.catalog.schema))))
-                found = cache[key] = (found, frozenset(found))
-            out[key] = found
-        return out
-
-    def _certify(self, wanted: dict[str, dict]) -> None:
-        """Mark the kept assignments of the types just decided as current.
-
-        Call once the table holds exactly the demands they were decided
-        for; any later change of demand or property unmarks them.
-        """
-        for rt in wanted:
-            st = self._types[rt]
-            # a type's first decision leaves its assignment empty for the next to fill
-            if st.pairs is not None and len(st.pairs) == sum(n for _, n in st.demands.values()):
-                st.certified = self._stamp(rt, st)
-
-    def _stamp(self, rt: str, st: _TypeState) -> tuple:
-        return (st.version, self.catalog.property_version(rt))
+        found = st.eligible.get(key)
+        if found is not None:
+            return found
+        p = (changes.get(key) or st.demands[key])[0]
+        if isinstance(p, Quantity):
+            every = range(len(records))
+            found = (every, every)
+        elif isinstance(p, Named):
+            pos = st.position.get(p.instance)
+            found = ((), ()) if pos is None else ((pos,), (pos,))
+        else:
+            found = _matching(st, p, records, self.catalog.schema)
+        st.eligible[key] = found
+        return found
 
     def _is_certificate(self, st: _TypeState) -> bool:
         """Whether the kept assignment puts every active demand unit on a
@@ -769,15 +886,26 @@ class PromiseEngine:
             heapq.heapify(self._expiry)
 
     def _count(self, rec: PromiseRecord, sign: int) -> None:
-        """Add (sign 1) or take out (-1) an active record's demands in the index."""
+        """Add (sign 1) or take out (-1) an active record's demands in the
+        index, and mark each demand dirty or clean by whether the kept
+        assignment holds its new amount."""
         for p in rec.predicates:
             st = self._state(resource_type_of(p))
             key = _demand_key(p)
-            slot = st.demands.setdefault(key, [p, 0])
-            slot[1] += sign * amount_of(p)
+            n = sign * amount_of(p)
+            st.total += n
+            slot = st.demands.get(key)
+            if slot is None:
+                slot = st.demands[key] = [p, 0]
+            slot[1] += n
             if not slot[1]:
                 del st.demands[key]
-            st.version += 1
+            if st.pairs is not None:
+                have = st.held.get(key)
+                if (len(have) if have else 0) == slot[1]:
+                    st.dirty.discard(key)
+                else:
+                    st.dirty.add(key)
 
     def _clear_tags(self, rec: PromiseRecord, unit: Optional[UnitToken]) -> None:
         for p in rec.predicates:
@@ -802,32 +930,80 @@ class PromiseEngine:
         return self.catalog.snapshot_availability(unit)
 
 
-def _augment(start, pairs: dict, eligible: dict, records) -> bool:
-    """Give demand `start` one more instance along a shortest augmenting path.
+def _read_moves(st: _TypeState, moved, records) -> None:
+    """Bring `free` and the pairs up to date with instances whose status
+    moved to or from taken: a pair on a taken instance is dropped and its
+    demand marked dirty; an untaken instance no demand holds is free."""
+    pairs, free, held = st.pairs, st.free, st.held
+    for iid in moved:
+        pos = st.position[iid]
+        if records[pos].status != STATUS_TAKEN:
+            if pos not in pairs:
+                free.add(pos)
+            continue
+        free.discard(pos)
+        key = pairs.pop(pos, None)
+        if key is not None:
+            have = held[key]
+            have.discard(pos)
+            if not have:
+                del held[key]
+            st.dirty.add(key)
 
-    Breadth-first over demand keys: a demand may take an untaken eligible
-    instance that is free, or one that another demand holds if that demand
-    can in turn be given another. On success the instances along the path
-    move one step and `start` holds one more; on failure `pairs` is unchanged.
-    """
-    parent: dict = {start: None}  # demand -> (demand that wants its instance, that instance)
-    queue = [start]
-    for key in queue:
-        for pos in eligible[key][0]:
-            owner = pairs.get(pos)
-            if owner is None:
-                if records[pos].status == STATUS_TAKEN:
-                    continue
-                step = (key, pos)
-                while step is not None:
-                    key, pos = step
-                    pairs[pos] = key
-                    step = parent[key]
-                return True
-            if owner not in parent:
-                parent[owner] = (key, pos)
-                queue.append(owner)
-    return False
+
+def _trim(st: _TypeState, key, want: int, deficits: list) -> None:
+    """Drop the units demand `key` holds beyond `want`; note a shortfall."""
+    have = st.held.get(key)
+    n = len(have) if have else 0
+    if n > want:
+        pairs, free = st.pairs, st.free
+        for _ in range(n - want):
+            pos = have.pop()
+            del pairs[pos]
+            free.add(pos)
+        if not have:
+            del st.held[key]
+    elif n < want:
+        deficits.append((key, want - n))
+
+
+def _first_free(order, members, free: set):
+    """A position that is both eligible and free, or None; walks the smaller side."""
+    if len(free) < len(order):
+        for pos in free:
+            if pos in members:
+                return pos
+    else:
+        for pos in order:
+            if pos in free:
+                return pos
+    return None
+
+
+def _matching(st: _TypeState, p: Property, records, schema) -> tuple:
+    """Eligibility of a Property demand, from the value buckets of the
+    properties it constrains; the same instances `satisfies` accepts."""
+    hits = []
+    for c in p.constraints:
+        buckets = st.buckets.get(c.property_name)
+        if buckets is None:
+            buckets = st.buckets[c.property_name] = {}
+            for pos, r in enumerate(records):
+                if c.property_name in r.properties:
+                    buckets.setdefault(scalar_key(r.properties[c.property_name]), []).append(pos)
+        if c.comparator == EQUALS:
+            hits.append(buckets.get(scalar_key(c.value), ()))
+            continue
+        decl = schema.property_decl(p.resource_type, c.property_name)
+        want = decl.rank(c.value) if decl is not None and decl.order is not None else -1
+        hits.append(() if want < 0 else
+                    [pos for v in decl.order[want:] for pos in buckets.get(scalar_key(v), ())])
+    hits.sort(key=len)
+    found = tuple(hits[0])
+    if len(hits) > 1:
+        others = [frozenset(h) for h in hits[1:]]
+        found = tuple(pos for pos in found if all(pos in o for o in others))
+    return (found, frozenset(found))
 
 
 def _expand(slots: Iterable[list]) -> list[Predicate]:

@@ -489,11 +489,51 @@ def test_index_problems_reports_a_wrong_demand_index_or_kept_assignment():
     eng.grant([Quantity("room", 1)], 30, 0)
     assert eng.index_problems() == []
     rooms = eng._types["room"]
-    del rooms.pairs[next(iter(rooms.pairs))]
+    # swap the two pairs, bookkeeping and all: 610 cannot serve the floor-5 demand
+    (a, key_a), (b, key_b) = sorted(rooms.pairs.items())
+    rooms.pairs.update({a: key_b, b: key_a})
+    rooms.held = {key_a: {b}, key_b: {a}}
     assert eng.index_problems() == [
         "kept assignment of 'room' is marked current but is not a complete assignment"]
     rooms.demands[("quantity", "room")][1] += 1
     assert eng.index_problems()[0] == "demand index disagrees with the table"
+
+
+def _held_rooms():
+    eng = _two_type_engine()
+    eng.grant([Property("room", (PropertyConstraint("floor", EQUALS, 5),), 1)], 30, 0)
+    eng.grant([Quantity("room", 1)], 30, 0)
+    assert eng.index_problems() == []
+    rooms = eng._types["room"]
+    assert rooms.pairs and not rooms.dirty and not rooms.free
+    return eng, rooms
+
+
+def test_index_problems_reports_wrong_assignment_bookkeeping():
+    eng, rooms = _held_rooms()
+    pos = next(iter(rooms.pairs))
+    del rooms.pairs[pos]
+    rooms.free.add(pos)
+    assert "held positions of 'room' disagree with its kept assignment" in eng.index_problems()
+
+    eng, rooms = _held_rooms()
+    rooms.total += 1
+    assert eng.index_problems() == ["running total of 'room' disagrees with its demands"]
+
+    eng, rooms = _held_rooms()
+    pos, key = next(iter(rooms.pairs.items()))
+    del rooms.pairs[pos]
+    del rooms.held[key]
+    rooms.free.add(pos)
+    assert eng.index_problems() == [
+        "a demand of 'room' that holds other than its amount is not dirty",
+        "kept assignment of 'room' is marked current but is not a complete assignment"]
+    rooms.dirty.add(key)  # marked, the shortfall is what the next decision repairs
+    assert eng.index_problems() == []
+
+    eng, rooms = _held_rooms()
+    rooms.free.add(next(iter(rooms.pairs)))
+    assert eng.index_problems() == ["free instances of 'room' disagree with the catalog"]
 
 
 # --- allocated tags for named promises ---

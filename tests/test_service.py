@@ -349,6 +349,51 @@ def test_envelopes_never_scan_dead_history():
     assert eng.record(short.promise_id).status == "expired"
 
 
+class _UnscannableAssignment(dict):
+    """A kept assignment that allows lookups and writes but no pass over its pairs."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("the kept assignment was scanned or copied")
+
+    __iter__ = keys = values = items = copy = __copy__ = __deepcopy__ = _refuse
+
+    def plain(self) -> dict:
+        """The pairs as a plain dict, read past the refusal."""
+        return {pos: dict.__getitem__(self, pos) for pos in dict.__iter__(self)}
+
+
+def test_warm_checks_never_scan_the_units_held_on_their_type(decisions):
+    grades = ["low", "high"]
+    mgr = PromiseManager(load_catalog({"resource-types": [{
+        "name": "room", "properties": [{"name": "grade", "order": grades}],
+        "instances": [{"key": f"r{i:04d}", "properties": {"grade": grades[i % 2]}}
+                      for i in range(2000)]}]}), clock=LogicalClock())
+    register_standard_handlers(mgr)
+    high = (PropertyConstraint("grade", AT_LEAST_IN_ORDER, "high"),)
+    for i in range(5):
+        hold(mgr, Property("room", high, 100), f"r-high-{i}")
+        hold(mgr, Quantity("room", 100), f"r-any-{i}")
+    hold(mgr, Quantity("room", 1), "r-fill")  # the first warm check fills the first grant's share
+    rooms = mgr.engine._types["room"]
+    assert len(rooms.pairs) == 1001
+    rooms.pairs = _UnscannableAssignment(rooms.pairs)
+    decisions.clear()
+
+    one = hold(mgr, Quantity("room", 1), "r-one")
+    swap = make_request("r-swap", [Property("room", high, 1)], 30, (one,))
+    swapped = first_response(mgr.handle(Envelope(promise_part=PromisePart(requests=(swap,)))))
+    assert swapped.result == "accepted"
+    used = next(iter(rooms.held[next(key for key in rooms.held if key[0] == "property")]))
+    instance = mgr.catalog.snapshot_availability().instances_of("room")[used]
+    reply = mgr.handle(Envelope(action=ActionMsg(
+        "take-named", {"resource-type": "room", "key": instance.id.key})))
+    assert reply.action.status == "succeeded"
+    assert decisions == [{"room"}] * 3
+    rooms.pairs = rooms.pairs.plain()
+    assert used not in rooms.pairs and len(rooms.pairs) == 1002
+    assert mgr.engine.index_problems() == []
+
+
 def test_self_check_reports_a_stale_active_index():
     mgr = widget_manager(10, self_check=True)
     pid = first_response(mgr.handle(grant_envelope(2))).promise_id

@@ -1,5 +1,6 @@
 """A random walk over one manager: every feasibility answer the engine
-gives from its kept assignments must equal a cold check of the same state.
+gives from its kept assignments and its pool totals must equal a cold
+check of the same state.
 
 The cold reference is `check_satisfiable` over the whole active set, and
 below nine predicates also the exhaustive oracle.
@@ -31,6 +32,7 @@ from promisekit.predicates import (
     Property,
     PropertyConstraint,
     Quantity,
+    resource_type_of,
     satisfies,
 )
 from promisekit.protocol import ActionMsg, Envelope, EnvironmentMsg, PromisePart, make_request
@@ -40,7 +42,9 @@ FLOORS = (1, 2, 3)
 CLASSES = ("economy", "business", "first")
 ROOMS = {"r1": (1, True), "r2": (2, False), "r3": (3, True), "r4": (3, False)}
 SEATS = {"s1": "economy", "s2": "business", "s3": "first"}
+BULK = 5
 CATALOG = {"resource-types": [
+    {"name": "bulk", "pool": BULK},
     {"name": "room",
      "properties": [{"name": "floor", "order": list(FLOORS)},
                     {"name": "view", "domain": [True, False]}],
@@ -61,6 +65,7 @@ CHANGES = st.one_of(
 
 PREDICATES = st.one_of(
     st.builds(Quantity, st.sampled_from(("room", "seat")), st.integers(1, 2)),
+    st.builds(Quantity, st.just("bulk"), st.integers(1, 3)),
     st.builds(Named, st.sampled_from(INSTANCES)),
     st.builds(Property, st.just("room"), st.lists(st.one_of(
         st.builds(PropertyConstraint, st.just("floor"), st.just(AT_LEAST_IN_ORDER),
@@ -91,6 +96,12 @@ def changed(view, iid, status=None, prop=None):
             props[prop[0]] = prop[1]
         copies.append(InstanceView(r.id, props, status if r.id == iid and status else r.status))
     return AvailabilityView(view.schema, dict(view.pools), copies)
+
+
+def restocked(view, amount):
+    """A copy of `view` with `amount` more bulk on hand (less if negative)."""
+    return AvailabilityView(view.schema, {**view.pools, "bulk": view.pools["bulk"] + amount},
+                            [InstanceView(r.id, r.properties, r.status) for r in view.instances])
 
 
 def take_then_fail(payload, unit, catalog):
@@ -172,6 +183,47 @@ class WarmEqualsCold(RuleBasedStateMachine):
             expected = reference(self.active(), changed(view, iid, status=STATUS_TAKEN))
             assert status == ("succeeded" if expected else "rejected-by-promise-violation")
 
+    @precondition(lambda self: self.mgr.engine.active)
+    @rule(data=st.data())
+    def take_named_a_promise_depends_on(self, data):
+        """Take an instance an active promise names or its kept assignment
+        uses, so that the take is often rolled back as a violation."""
+        eng = self.mgr.engine
+        view = self.view()
+        used = [p.instance for p in self.active() if isinstance(p, Named)]
+        for rt in ("room", "seat"):
+            state = eng._types.get(rt)
+            if state is not None and state.pairs:
+                ids = list(state.position)
+                used += [ids[pos] for pos in sorted(state.pairs)]
+        untaken = [iid for iid in dict.fromkeys(used) if view.instance(iid).status != STATUS_TAKEN]
+        if untaken:
+            self.take_named(data.draw(st.sampled_from(untaken)))
+
+    @rule(data=st.data())
+    def purchase(self, data):
+        """Buy bulk, by itself or releasing a promise that covers it; one of
+        the amounts is one more than the promises leave spare."""
+        covering = sorted(pid for pid, rec in self.mgr.engine.active.items()
+                          if any(resource_type_of(p) == "bulk" for p in rec.predicates))
+        pid = data.draw(st.sampled_from([None] + covering))
+        view = self.view()
+        spare = view.pools["bulk"] - sum(p.amount for p in self.active()
+                                         if resource_type_of(p) == "bulk")
+        amount = data.draw(st.sampled_from(sorted({1, 2, 3, max(1, spare + 1)})))
+        env = None if pid is None else EnvironmentMsg((pid,), ("release-after-success",))
+        status = self.act("purchase-stock", {"resource-type": "bulk", "amount": amount}, env).status
+        if amount > view.pools["bulk"]:
+            assert status == "failed"
+            return
+        expected = reference(self.active(exclude=[pid] if pid else []), restocked(view, -amount))
+        assert status == ("succeeded" if expected else "rejected-by-promise-violation")
+
+    @rule(amount=st.integers(1, 3))
+    def restock(self, amount):
+        assert self.act("restock", {"resource-type": "bulk", "amount": amount}).status \
+            == "succeeded"
+
     @rule(change=CHANGES)
     def set_property(self, change):
         self.check_set_property(*change)
@@ -202,24 +254,25 @@ class WarmEqualsCold(RuleBasedStateMachine):
                                            "property": name, "value": value}).status
         assert status == ("succeeded" if expected else "rejected-by-promise-violation")
 
-    @rule(change=CHANGES, at_commit=st.booleans())
-    def rolled_back_action(self, change, at_commit):
+    @rule(change=CHANGES, how=st.sampled_from(("fail", "set-property", "take-named")))
+    def rolled_back_action(self, change, how):
         """An action that mutates and is then undone: by its own failure, or
         by a fault after its post-check has passed."""
         iid, name, value = change
         before = self.mgr.state_digest()
-        if not at_commit:
+        if how == "fail":
             assert self.act("take-then-fail", (iid, (name, value))).status == "failed"
         else:
             def fault(stage):
                 if stage == "commit":
                     raise _CommitFault(stage)
 
+            payload = {"resource-type": iid.resource_type, "key": iid.key}
+            if how == "set-property":
+                payload.update({"property": name, "value": value})
             self.mgr.fault_hook = fault
             try:
-                self.mgr.handle(Envelope(action=ActionMsg("set-property", {
-                    "resource-type": iid.resource_type, "key": iid.key,
-                    "property": name, "value": value})))
+                self.mgr.handle(Envelope(action=ActionMsg(how, payload)))
             finally:
                 self.mgr.fault_hook = None
         assert self.mgr.state_digest() == before
@@ -231,13 +284,15 @@ class WarmEqualsCold(RuleBasedStateMachine):
         eng = self.mgr.engine
         assert eng.index_problems() == []
         assert self.mgr.self_check_failures == []
-        # decided on a copy of the per-type state the check writes, so that
-        # the hints the rules left, stale ones included, reach the next
-        # rule's own checks unrepaired
+        # decided on copies of the per-type state the check writes and of
+        # the catalog whose record of taken moves it reads, so that the
+        # hints the rules left, stale ones included, reach the next rule's
+        # own checks unrepaired
         probe = copy.copy(eng)
         probe._types = copy.deepcopy(eng._types)
-        view = self.view()
-        assert probe.post_action_check([], view) == reference(self.active(), view)
+        probe.catalog = copy.deepcopy(eng.catalog)
+        assert probe.post_action_check([], probe.catalog.snapshot_availability()) \
+            == reference(self.active(), self.view())
 
 
 WarmEqualsCold.TestCase.settings = settings(max_examples=40, stateful_step_count=50,
