@@ -22,10 +22,10 @@ Design rules:
     changed: a property version bumped by every property change and its
     undo, and the set of instances whose status moved to or from taken,
     which the engine drains.
-  - Reads go through an `AvailabilityView`. The in-unit view is live: it
-    reads the catalog's own pools and records, copying nothing. The
-    committed view, which backs the unit's pending mutations out, is a
-    copy and stays fixed.
+  - Reads go through one live `AvailabilityView` over the catalog's own
+    pools and records, which copies nothing. While a unit is open only its
+    token may ask for the view, so no caller mistakes pending mutations
+    for committed state.
 
 Catalog documents are JSON; the exact field names are fixed in
 docs/file-formats.md and `dump_state` emits the same shape `load_catalog`
@@ -126,24 +126,6 @@ class InstanceRecord:
     status: str = STATUS_AVAILABLE
 
 
-class InstanceView:
-    """Read-only copy of one instance, safe to hold across mutations.
-
-    Views of the committed state hold these; the live in-unit view holds
-    the catalog's `InstanceRecord`s themselves.
-    """
-
-    __slots__ = ("id", "properties", "status")
-
-    def __init__(self, id: InstanceId, properties: dict[str, Scalar], status: str):
-        self.id = id
-        self.properties = dict(properties)
-        self.status = status
-
-    def __repr__(self) -> str:
-        return f"InstanceView({self.id}, {self.status})"
-
-
 class AvailabilityView:
     """Availability: pool counts plus instance records, indexed by type.
 
@@ -153,7 +135,7 @@ class AvailabilityView:
     mutations applied so far. Callers only read through it.
     """
 
-    def __init__(self, schema: CatalogSchema, pools: dict[str, int], instances: Iterable[InstanceView]):
+    def __init__(self, schema: CatalogSchema, pools: dict[str, int], instances: Iterable[InstanceRecord]):
         self.schema = schema
         self.pools = pools
         by_type: dict[str, list] = {}
@@ -163,14 +145,14 @@ class AvailabilityView:
         self._by_id = {r.id: r for rs in self._by_type.values() for r in rs}
 
     @property
-    def instances(self) -> tuple[InstanceView, ...]:
+    def instances(self) -> tuple[InstanceRecord, ...]:
         """Every instance, sorted by id."""
         return tuple(r for rt in sorted(self._by_type) for r in self._by_type[rt])
 
-    def instance(self, iid: InstanceId) -> Optional[InstanceView]:
+    def instance(self, iid: InstanceId) -> Optional[InstanceRecord]:
         return self._by_id.get(iid)
 
-    def instances_of(self, resource_type: str) -> tuple[InstanceView, ...]:
+    def instances_of(self, resource_type: str) -> tuple[InstanceRecord, ...]:
         """The instances of one type, sorted by id."""
         return self._by_type.get(resource_type, ())
 
@@ -219,9 +201,8 @@ class ResourceCatalog:
     """In-process resource manager with exact-inverse rollback.
 
     Single-writer: units are meant to be serialized by the caller; one unit
-    may be active at a time. The in-unit view is live and is read under the
-    same serialization; only the committed view is a copy that may be read
-    concurrently.
+    may be active at a time. The view is live and is read under the same
+    serialization.
     """
 
     def __init__(self, schema: CatalogSchema,
@@ -388,33 +369,21 @@ class ResourceCatalog:
     # --- views ---
 
     def snapshot_availability(self, token: Optional[UnitToken] = None) -> AvailabilityView:
-        """Availability view.
+        """The live availability view.
 
-        Passing the active unit's token yields the live in-unit view. It
-        copies and sorts nothing, and it is not a snapshot: each read sees
-        the mutations applied by then, so a caller that needs the state as
-        it was must read before mutating.
+        It copies and sorts nothing, and it is not a snapshot: each read
+        sees the mutations applied by then, so a caller that needs the state
+        as it was must read before mutating.
 
-        With no token this is a copy of the last committed state: pending
-        mutations of an active unit are backed out of it by replaying their
-        inverse entries, and later mutations do not change it.
+        While a unit is open, only its token may ask for the view. With no
+        token, the view would show the unit's pending mutations as if they
+        were committed, so the request raises `unit-error`.
         """
         if token is not None:
             self._require_active(token)
-            return self._live
-        pools = dict(self._pools)
-        insts = {iid: [dict(rec.properties), rec.status] for iid, rec in self._instances.items()}
-        if self._unit is not None:
-            for entry in reversed(self._unit.log):
-                kind = entry[0]
-                if kind == "pool":
-                    pools[entry[1]] = entry[2]
-                elif kind == "status":
-                    insts[entry[1]][1] = entry[2]
-                else:
-                    insts[entry[1]][0][entry[2]] = entry[3]
-        views = [InstanceView(iid, props, status) for iid, (props, status) in insts.items()]
-        return AvailabilityView(self.schema, pools, views)
+        elif self._unit is not None:
+            raise CatalogError("unit-error", "a unit is open; pass its token to read its state")
+        return self._live
 
     def quantity_on_hand(self, resource_type: str) -> int:
         return self._live.quantity_on_hand(resource_type)

@@ -8,6 +8,7 @@ import logging
 import sys
 import threading
 
+from .catalog import CatalogError
 from .harness import ScenarioError, fuzz, run_script
 from .service import ServiceConfig, ServiceError, serve
 
@@ -45,7 +46,7 @@ def main(argv=None) -> int:
                           verbose=args.verbose)
         else:
             return _serve_forever(args.config)
-    except (ScenarioError, ServiceError, OSError) as exc:
+    except (CatalogError, ScenarioError, ServiceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -67,13 +67,10 @@ interchangeable and become one supply node of capacity k, and
 `satisfies` runs once per Property demand and distinct value of the
 properties the type's demands constrain. An instance a Named demand
 picks stays a node of its own, with edges from every Quantity and
-Property demand it can also serve. Whole-state checks
-(`check_satisfiable` with `types=None`: the self-check and the harness
-invariants) always take this path, so they decide every type
-independently of the kept assignments and catch anything that breaks
-the invariant instead of relying on it. `index_problems` checks the
-bookkeeping against the kept pairs and the catalog, and reports a kept
-assignment that counts as current but is not a complete assignment.
+Property demand it can also serve. The one invariant checker,
+`problems`, always takes this path for its whole-state check, so it
+decides every type independently of the kept assignments and catches
+anything that breaks the invariant instead of relying on it.
 
 The promise table keeps per-envelope work independent of history:
 
@@ -92,22 +89,22 @@ The promise table keeps per-envelope work independent of history:
     (`commit`) once the unit commits.
 
 The engine assumes external serialization (it runs inside the manager
-pipeline). `check_satisfiable` is pure, and a copied view may be read
-anywhere.
+pipeline). `check_satisfiable` is pure; the catalog's view it reads is
+live, so it is read under the same serialization.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from typing import Collection, Iterable, Optional, Sequence, Union
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .catalog import (
     STATUS_AVAILABLE,
     STATUS_PROMISED,
     STATUS_TAKEN,
     AvailabilityView,
-    InstanceView,
+    InstanceRecord,
     ResourceCatalog,
     SetInstanceStatus,
     UnitToken,
@@ -153,6 +150,14 @@ class PromiseRecord:
     status: str = PROMISE_ACTIVE
 
 
+class Problem(NamedTuple):
+    """One way the committed state breaks an invariant: `name` says which
+    one (see `PromiseEngine.problems`), `message` what is wrong."""
+
+    name: str
+    message: str
+
+
 # --- feasibility problem ---
 
 @dataclass(frozen=True)
@@ -189,7 +194,7 @@ def _demand_key(p: Predicate):
     return ("quantity", p.resource_type)
 
 
-def _group_by_values(instances: Sequence[InstanceView],
+def _group_by_values(instances: Sequence[InstanceRecord],
                     names: tuple[str, ...]) -> dict[tuple, list[int]]:
     """Positions in `instances` grouped by their values (as `scalar_key`)
     of the properties `names`, groups in order of first appearance.
@@ -457,18 +462,30 @@ class PromiseEngine:
         """Forget the journal: the writes it holds are final."""
         self._journal.clear()
 
-    def index_problems(self) -> list[str]:
-        """Where `active`, the expiry heap, the demand index or a type's
-        kept assignment and its bookkeeping disagree with the table and the
-        catalog. A kept assignment counts as current, and must then be
-        complete, once no demand is dirty, no taken move is unread and no
-        property changed since its pairs were checked."""
-        problems = []
+    def problems(self) -> list[Problem]:
+        """Every way the committed state breaks an invariant, by name:
+
+          - "index": `active`, the expiry heap, the demand index or a type's
+            kept assignment and its bookkeeping disagree with the table and
+            the catalog. A kept assignment counts as current, and must then
+            be complete, once no demand is dirty, no taken move is unread
+            and no property changed since its pairs were checked;
+          - "feasibility": the table's active predicates, decided cold over
+            every type, are not satisfiable;
+          - "pool-additivity": a pool's count is negative or below what is
+            promised on it;
+          - "named-exclusivity": active promises name an instance twice.
+
+        Pool totals and Named amounts are read from the demand index, which
+        "index" compares with the table. No unit may be open.
+        """
+        view = self.catalog.snapshot_availability()
+        index = []
         in_table = {pid: r for pid, r in self.table.items() if r.status == PROMISE_ACTIVE}
         if self.active != in_table:
-            problems.append("active index disagrees with the table")
+            index.append("active index disagrees with the table")
         if not self.active.keys() <= {pid for _, _, pid in self._expiry}:
-            problems.append("an active promise has no expiry entry")
+            index.append("an active promise has no expiry entry")
         merged: dict = {}
         for rec in in_table.values():
             for p in rec.predicates:
@@ -476,10 +493,24 @@ class PromiseEngine:
                 merged[key] = merged.get(key, 0) + amount_of(p)
         if merged != {(rt, key): slot[1] for rt, st in self._types.items()
                       for key, slot in st.demands.items()}:
-            problems.append("demand index disagrees with the table")
+            index.append("demand index disagrees with the table")
         for rt in sorted(self._types):
-            problems.extend(self._type_problems(rt, self._types[rt]))
-        return problems
+            index.extend(self._type_problems(rt, self._types[rt]))
+        found = [Problem("index", message) for message in index]
+        if not check_satisfiable([p for r in in_table.values() for p in r.predicates], view):
+            found.append(Problem("feasibility", "active set is not satisfiable"))
+        for rt, on_hand in sorted(view.pools.items()):
+            promised = self._types[rt].total if rt in self._types else 0
+            if on_hand < 0:
+                found.append(Problem("pool-additivity", f"pool {rt!r} holds {on_hand}"))
+            elif promised > on_hand:
+                found.append(Problem("pool-additivity",
+                                     f"pool {rt!r}: {promised} promised, {on_hand} on hand"))
+        named = sorted((p.instance, n) for st in self._types.values()
+                       for key, (p, n) in st.demands.items() if key[0] == "named" and n > 1)
+        found.extend(Problem("named-exclusivity", f"instance {iid} is named {n} times "
+                             "by active promises") for iid, n in named)
+        return found
 
     def _type_problems(self, rt: str, st: _TypeState) -> list[str]:
         problems = []
@@ -591,26 +622,6 @@ class PromiseEngine:
                 "released ids must be marked before the post-action check"
         return self._feasible({rt: {} for rt, st in self._types.items()
                                if st.demands and (types is None or rt in types)}, view)
-
-    # --- invariant helpers (used by self-checks, fuzzing and tests) ---
-
-    def named_conflicts(self) -> list[InstanceId]:
-        """Instance ids referenced by more than one active promise."""
-        seen: dict[InstanceId, int] = {}
-        for rec in self.active_records():
-            for p in rec.predicates:
-                if isinstance(p, Named):
-                    seen[p.instance] = seen.get(p.instance, 0) + 1
-        return sorted(iid for iid, n in seen.items() if n > 1)
-
-    def pool_overcommit(self, view: AvailabilityView) -> dict[str, tuple[int, int]]:
-        """Pure pools where promised quantity exceeds quantity on hand."""
-        promised: dict[str, int] = {}
-        for p in self.active_predicates():
-            if isinstance(p, Quantity) and p.resource_type in view.pools:
-                promised[p.resource_type] = promised.get(p.resource_type, 0) + p.amount
-        return {rt: (total, view.pools[rt])
-                for rt, total in promised.items() if total > view.pools[rt]}
 
     def dump(self) -> dict:
         """Diagnostic promise-table dump, deterministic field order."""

@@ -39,7 +39,6 @@ from .catalog import (
     load_catalog_file,
 )
 from .clock import LogicalClock, WallClock
-from .engine import check_satisfiable
 from .oracle import brute_force_satisfiable
 from .predicates import (
     AT_LEAST_IN_ORDER,
@@ -216,16 +215,17 @@ def _collect_counters(manager: PromiseManager, observed: dict[str, int]) -> dict
     return counters
 
 
+# the report's invariant for each problem name of `PromiseEngine.problems`
+_INVARIANT_OF = {"index": "final-feasibility", "feasibility": "final-feasibility",
+                 "pool-additivity": "pool-additivity", "named-exclusivity": "named-exclusivity"}
+
+
 def _standard_invariants(report: RunReport, manager: PromiseManager,
                          observed_violations: int) -> None:
-    view = manager.catalog.snapshot_availability()
-    preds = manager.engine.active_predicates()
-    report.add_invariant("final-feasibility", check_satisfiable(preds, view))
-    overcommit = manager.engine.pool_overcommit(view)
-    report.add_invariant("pool-additivity", not overcommit, detail=str(overcommit or ""))
-    conflicts = manager.engine.named_conflicts()
-    report.add_invariant("named-exclusivity", not conflicts,
-                         detail=",".join(str(c) for c in conflicts))
+    problems = manager.engine.problems()
+    for name in ("final-feasibility", "pool-additivity", "named-exclusivity"):
+        messages = [p.message for p in problems if _INVARIANT_OF[p.name] == name]
+        report.add_invariant(name, not messages, detail="; ".join(messages))
     report.add_invariant("per-step-self-check", not manager.self_check_failures,
                          detail=f"{len(manager.self_check_failures)} failures")
     report.add_invariant(
@@ -782,22 +782,19 @@ def _gen_action(rng: random.Random, n_inst: int) -> dict:
 
 
 def _verify_stack(manager: PromiseManager) -> list[str]:
-    problems = []
-    view = manager.catalog.snapshot_availability()
+    """The table's problems, the flow answer's disagreement with the
+    exhaustive oracle (up to 8 predicates), and the self-check's failures.
+
+    The checker runs here too: a rolled-back envelope skips the self-check.
+    """
+    found = manager.engine.problems()
+    problems = [p.message for p in found]
     preds = manager.engine.active_predicates()
-    flow = check_satisfiable(preds, view)
     if len(preds) <= 8:
-        oracle = brute_force_satisfiable(preds, view)
+        flow = all(p.name != "feasibility" for p in found)
+        oracle = brute_force_satisfiable(preds, manager.catalog.snapshot_availability())
         if flow != oracle:
             problems.append(f"flow={flow} oracle={oracle} disagree")
-    if not flow:
-        problems.append("committed active set is infeasible")
-    overcommit = manager.engine.pool_overcommit(view)
-    if overcommit:
-        problems.append(f"pool overcommit {overcommit}")
-    conflicts = manager.engine.named_conflicts()
-    if conflicts:
-        problems.append(f"double-promised {[str(c) for c in conflicts]}")
     if manager.self_check_failures:
         problems.append(f"self-check failures {manager.self_check_failures}")
     return problems

@@ -18,7 +18,7 @@ from .catalog import (
     STATUS_TAKEN,
     AvailabilityView,
     CatalogSchema,
-    InstanceView,
+    InstanceRecord,
     PropertyDecl,
     ResourceTypeDecl,
 )
@@ -111,7 +111,7 @@ def random_case(rng: random.Random, max_instances: int = 8,
     n_inst = rng.randint(0, max_instances)
     instances = []
     for i in range(n_inst):
-        instances.append(InstanceView(
+        instances.append(InstanceRecord(
             InstanceId("thing", f"t{i:02d}"),
             {"color": rng.choice(_COLORS), "grade": rng.choice(_ORDER)},
             rng.choice((STATUS_AVAILABLE, STATUS_AVAILABLE, STATUS_PROMISED, STATUS_TAKEN)),

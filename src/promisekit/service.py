@@ -33,7 +33,6 @@ from .engine import (
     PromiseEngine,
     Rejection,
     UnknownPromiseId,
-    check_satisfiable,
 )
 from .predicates import PredicateInvalid, validate_predicate
 from .protocol import (
@@ -94,7 +93,18 @@ class ServiceConfig:
     @staticmethod
     def from_file(path) -> "ServiceConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise ServiceError("config-error", f"{path} is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ServiceError("config-error", f"{path} must hold a JSON object")
+        for name, kind in (("host", str), ("port", int), ("catalog", str), ("self-check", bool)):
+            if name in doc and type(doc[name]) is not kind:  # a bool is not a port
+                raise ServiceError("config-error", f"{name!r} must be of type {kind.__name__}, "
+                                                   f"got {doc[name]!r}")
+        if not 0 <= doc.get("port", 0) <= 65535:
+            raise ServiceError("config-error", f"port {doc['port']} is out of range")
         return ServiceConfig(
             host=doc.get("host", "127.0.0.1"),
             port=doc.get("port", 0),
@@ -118,6 +128,9 @@ class PromiseManager:
 
     def __init__(self, catalog: ResourceCatalog, clock=None,
                  duration_cap: Optional[int] = None, self_check: bool = False):
+        if duration_cap is not None and (type(duration_cap) is not int or duration_cap < 1):
+            raise ServiceError("config-error",
+                               f"duration-cap must be a positive integer, got {duration_cap!r}")
         self.catalog = catalog
         self.engine = PromiseEngine(catalog)
         self.clock = clock if clock is not None else WallClock()
@@ -276,20 +289,7 @@ class PromiseManager:
         return digest_document({"catalog": self.catalog.dump_state(), "promises": table})
 
     def _run_self_check(self, now: int) -> None:
-        problems = self.engine.index_problems()
-        view = self.catalog.snapshot_availability()
-        preds = self.engine.active_predicates()
-        if not check_satisfiable(preds, view):
-            problems.append("active set is not satisfiable")
-        overcommit = self.engine.pool_overcommit(view)
-        if overcommit:
-            problems.append(f"pool overcommit: {overcommit}")
-        conflicts = self.engine.named_conflicts()
-        if conflicts:
-            problems.append(f"double-promised instances: {[str(c) for c in conflicts]}")
-        negative = {rt: n for rt, n in view.pools.items() if n < 0}
-        if negative:
-            problems.append(f"negative pools: {negative}")
+        problems = [p.message for p in self.engine.problems()]
         if problems:
             self.self_check_failures.append({"at": now, "problems": problems})
             log.error("self-check failed: %s", problems)

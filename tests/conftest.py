@@ -92,15 +92,18 @@ def decisions(monkeypatch):
 
 @pytest.fixture
 def view_copies(monkeypatch):
-    """Ids of every InstanceView copy the catalog makes while the test runs."""
-    from promisekit import catalog
+    """Every view the catalog hands out while the test runs that is not
+    its own live view, that is, every copy."""
+    from promisekit.catalog import ResourceCatalog
 
     made = []
-    real = catalog.InstanceView
+    real = ResourceCatalog.snapshot_availability
 
-    def spy(iid, properties, status):
-        made.append(iid)
-        return real(iid, properties, status)
+    def spy(self, token=None):
+        view = real(self, token)
+        if view is not self._live:
+            made.append(view)
+        return view
 
-    monkeypatch.setattr(catalog, "InstanceView", spy)
+    monkeypatch.setattr(ResourceCatalog, "snapshot_availability", spy)
     return made

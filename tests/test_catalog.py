@@ -228,22 +228,31 @@ def test_snapshot_reflects_loaded_state(widget_catalog):
     assert view.quantity_on_hand("pink-widget") == 10
 
 
-def test_snapshot_excludes_uncommitted_mutations(hotel_catalog):
+def test_snapshot_without_the_token_is_refused_while_a_unit_is_open(hotel_catalog):
+    # while a unit is open only its token reads the state it is changing
     unit = hotel_catalog.begin_unit()
     hotel_catalog.apply_mutation(unit, SetInstanceStatus(ROOM_512, "taken"))
-    committed = hotel_catalog.snapshot_availability()
-    in_unit = hotel_catalog.snapshot_availability(unit)
-    assert committed.instance(ROOM_512).status == "available"
-    assert in_unit.instance(ROOM_512).status == "taken"
+    with pytest.raises(CatalogError) as info:
+        hotel_catalog.snapshot_availability()
+    assert info.value.code == "unit-error"
+    assert hotel_catalog.snapshot_availability(unit).instance(ROOM_512).status == "taken"
     hotel_catalog.rollback_unit(unit)
+    assert hotel_catalog.snapshot_availability().instance(ROOM_512).status == "available"
 
 
-def test_snapshot_is_unaffected_by_later_mutations(widget_catalog):
+def test_snapshot_outside_a_unit_is_the_live_view(widget_catalog):
+    # with no unit open the view is the live committed state, not a copy
     view = widget_catalog.snapshot_availability()
+    unit = widget_catalog.begin_unit()
+    assert widget_catalog.snapshot_availability(unit) is view
+    widget_catalog.apply_mutation(unit, DecrementPool("pink-widget", 9))
+    widget_catalog.rollback_unit(unit)
+    assert view.quantity_on_hand("pink-widget") == 10
     unit = widget_catalog.begin_unit()
     widget_catalog.apply_mutation(unit, DecrementPool("pink-widget", 9))
     widget_catalog.commit_unit(unit)
-    assert view.quantity_on_hand("pink-widget") == 10
+    assert view.quantity_on_hand("pink-widget") == 1
+    assert widget_catalog.snapshot_availability() is view
 
 
 def test_in_unit_view_is_live(hotel_catalog):

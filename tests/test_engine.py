@@ -12,7 +12,7 @@ from promisekit.catalog import (
     AvailabilityView,
     CatalogSchema,
     DecrementPool,
-    InstanceView,
+    InstanceRecord,
     PropertyDecl,
     ResourceTypeDecl,
     load_catalog,
@@ -20,6 +20,7 @@ from promisekit.catalog import (
 from promisekit.engine import (
     DemandNode,
     FeasibilityProblem,
+    Problem,
     PromiseEngine,
     Rejection,
     SupplyNode,
@@ -172,7 +173,7 @@ def decomposition_cases(draw):
     instances = []
     for rt in _INSTANCE_TYPES:
         for i in range(draw(st.integers(0, 4))):
-            instances.append(InstanceView(
+            instances.append(InstanceRecord(
                 InstanceId(rt, f"{rt[0]}{i}"),
                 {"grade": draw(st.sampled_from(_GRADES)),
                  "color": draw(st.sampled_from(_COLORS))},
@@ -199,8 +200,8 @@ def decomposition_cases(draw):
 
 
 def _twin_gadgets():
-    twins = [InstanceView(InstanceId("gadget", key), {"grade": "low", "color": "red"},
-                          STATUS_AVAILABLE) for key in ("g0", "g1")]
+    twins = [InstanceRecord(InstanceId("gadget", key), {"grade": "low", "color": "red"},
+                            STATUS_AVAILABLE) for key in ("g0", "g1")]
     return AvailabilityView(_decomposition_schema(), {"bulk": 0}, twins)
 
 
@@ -243,7 +244,9 @@ def test_grant_on_a_type_with_a_kept_assignment_builds_nothing(builds):
     assert builds == [{"room"}]
     builds.clear()
     assert not isinstance(eng.grant([Quantity("room", 1)], 30, 0), Rejection)
-    assert eng.index_problems() == []  # the repaired assignment is complete
+    assert builds == []
+    assert eng.problems() == []  # the repaired assignment is complete
+    builds.clear()  # the checker's cold reference builds its own problem
     assert isinstance(eng.grant([Named(InstanceId("room", "512"))], 30, 0), Rejection)
     assert builds == []
 
@@ -345,9 +348,9 @@ def test_an_id_listed_twice_is_released_and_journaled_once():
     eng.release([rec.id, rec.id], unit)
     assert eng.snapshot() == mark + 1
     assert eng.counters["releases"] == 1
-    assert eng.index_problems() == []
     cat.commit_unit(unit)
     eng.commit()
+    assert eng.problems() == []
 
 
 # --- exchange ---
@@ -464,7 +467,6 @@ def test_active_index_sweep_and_journal_agree_with_the_table():
             due = [pid for pid, r in _active_in_table(eng).items() if r.expires_at <= now]
             assert eng.expire_sweep(now, unit) == sorted(due, key=lambda pid: int(pid[2:]))
         assert eng.active == _active_in_table(eng)
-        assert eng.index_problems() == []
 
     for _ in range(200):
         unit = cat.begin_unit()
@@ -477,9 +479,9 @@ def test_active_index_sweep_and_journal_agree_with_the_table():
             eng.restore(mark)
             cat.rollback_to(unit, cat_mark)
             assert eng.table == table and eng.active == active
-            assert eng.index_problems() == []
         cat.commit_unit(unit)
         eng.commit()
+        assert eng.problems() == []
 
 
 def test_index_problems_reports_a_wrong_demand_index_or_kept_assignment():
@@ -487,23 +489,23 @@ def test_index_problems_reports_a_wrong_demand_index_or_kept_assignment():
     floor5 = Property("room", (PropertyConstraint("floor", EQUALS, 5),), 1)
     eng.grant([floor5], 30, 0)
     eng.grant([Quantity("room", 1)], 30, 0)
-    assert eng.index_problems() == []
+    assert eng.problems() == []
     rooms = eng._types["room"]
     # swap the two pairs, bookkeeping and all: 610 cannot serve the floor-5 demand
     (a, key_a), (b, key_b) = sorted(rooms.pairs.items())
     rooms.pairs.update({a: key_b, b: key_a})
     rooms.held = {key_a: {b}, key_b: {a}}
-    assert eng.index_problems() == [
-        "kept assignment of 'room' is marked current but is not a complete assignment"]
+    assert eng.problems() == [Problem(
+        "index", "kept assignment of 'room' is marked current but is not a complete assignment")]
     rooms.demands[("quantity", "room")][1] += 1
-    assert eng.index_problems()[0] == "demand index disagrees with the table"
+    assert eng.problems()[0] == Problem("index", "demand index disagrees with the table")
 
 
 def _held_rooms():
     eng = _two_type_engine()
     eng.grant([Property("room", (PropertyConstraint("floor", EQUALS, 5),), 1)], 30, 0)
     eng.grant([Quantity("room", 1)], 30, 0)
-    assert eng.index_problems() == []
+    assert eng.problems() == []
     rooms = eng._types["room"]
     assert rooms.pairs and not rooms.dirty and not rooms.free
     return eng, rooms
@@ -514,26 +516,30 @@ def test_index_problems_reports_wrong_assignment_bookkeeping():
     pos = next(iter(rooms.pairs))
     del rooms.pairs[pos]
     rooms.free.add(pos)
-    assert "held positions of 'room' disagree with its kept assignment" in eng.index_problems()
+    assert Problem("index", "held positions of 'room' disagree with its kept assignment") \
+        in eng.problems()
 
     eng, rooms = _held_rooms()
     rooms.total += 1
-    assert eng.index_problems() == ["running total of 'room' disagrees with its demands"]
+    assert eng.problems() == [
+        Problem("index", "running total of 'room' disagrees with its demands")]
 
     eng, rooms = _held_rooms()
     pos, key = next(iter(rooms.pairs.items()))
     del rooms.pairs[pos]
     del rooms.held[key]
     rooms.free.add(pos)
-    assert eng.index_problems() == [
-        "a demand of 'room' that holds other than its amount is not dirty",
-        "kept assignment of 'room' is marked current but is not a complete assignment"]
+    assert eng.problems() == [
+        Problem("index", "a demand of 'room' that holds other than its amount is not dirty"),
+        Problem("index", "kept assignment of 'room' is marked current but is not a complete "
+                         "assignment")]
     rooms.dirty.add(key)  # marked, the shortfall is what the next decision repairs
-    assert eng.index_problems() == []
+    assert eng.problems() == []
 
     eng, rooms = _held_rooms()
     rooms.free.add(next(iter(rooms.pairs)))
-    assert eng.index_problems() == ["free instances of 'room' disagree with the catalog"]
+    assert eng.problems() == [
+        Problem("index", "free instances of 'room' disagree with the catalog")]
 
 
 # --- allocated tags for named promises ---
@@ -560,7 +566,7 @@ def test_double_named_grant_is_rejected(seat_catalog):
     iid = InstanceId("seat", "24G")
     eng.grant([Named(iid)], 30, 0)
     assert isinstance(eng.grant([Named(iid)], 30, 0), Rejection)
-    assert eng.named_conflicts() == []
+    assert eng.problems() == []
 
 
 # --- post-action check ---
@@ -611,7 +617,15 @@ def test_pool_overcommit_helper():
     eng = PromiseEngine(balance_catalog(100))
     eng.grant([Quantity("balance", 60)], 30, 0)
     eng.grant([Quantity("balance", 40)], 30, 0)
-    assert eng.pool_overcommit(view_of(eng.catalog)) == {}
+    assert eng.problems() == []
+    unit = eng.catalog.begin_unit()  # a purchase no post-check saw
+    eng.catalog.apply_mutation(unit, DecrementPool("balance", 10))
+    eng.catalog.commit_unit(unit)
+    assert eng.problems() == [
+        Problem("feasibility", "active set is not satisfiable"),
+        Problem("pool-additivity", "pool 'balance': 100 promised, 90 on hand")]
+    eng.catalog._pools["balance"] = -1
+    assert Problem("pool-additivity", "pool 'balance' holds -1") in eng.problems()
 
 
 def test_table_stays_feasible_after_random_operations():
@@ -645,8 +659,7 @@ def test_table_stays_feasible_after_random_operations():
         preds = eng.active_predicates()
         assert check_satisfiable(preds, view)
         assert brute_force_satisfiable(preds, view)
-        assert eng.named_conflicts() == []
-        assert eng.pool_overcommit(view) == {}
+        assert eng.problems() == []
 
 
 def test_flow_matches_exhaustive_oracle_on_random_cases():

@@ -3,16 +3,23 @@ import json
 import pytest
 
 import promisekit.harness as harness
+from promisekit.catalog import load_catalog
+from promisekit.clock import LogicalClock
+from promisekit.engine import Problem, PromiseEngine, PromiseRecord
 from promisekit.harness import (
     RunReport,
     ScenarioError,
     contention_run,
     fuzz,
     load_script,
+    register_standard_handlers,
     run_script,
 )
+from promisekit.predicates import InstanceId, Named
+from promisekit.protocol import ActionMsg, Envelope
+from promisekit.service import PromiseManager, ServiceError
 
-from conftest import widget_doc
+from conftest import SEAT_DOC, widget_doc
 
 
 BUNDLED = ["merchant", "hotel", "travel", "banking", "gallery"]
@@ -143,6 +150,15 @@ def test_script_validation_errors(mutate, message):
     assert message in str(exc.value)
 
 
+@pytest.mark.parametrize("cap", [0, -5, "60"])
+def test_script_duration_cap_must_be_a_positive_integer(cap):
+    script = {"name": "capped", "catalog-inline": widget_doc(2), "duration-cap": cap,
+              "clients": [{"name": "c", "steps": []}]}
+    with pytest.raises(ServiceError) as exc:
+        run_script(script)
+    assert exc.value.code == "config-error"
+
+
 def test_unknown_bundled_name():
     with pytest.raises(ScenarioError):
         run_script("atlantis")
@@ -180,16 +196,16 @@ def test_fault_steps_verify_exact_rollback():
 
 
 def test_minimization_shrinks_a_failing_trace(monkeypatch):
-    # force a fake invariant: the bulk pool must never drop below 5
-    original = harness._verify_stack
+    # force a fake invariant into the checker: the bulk pool must never drop below 5
+    original = PromiseEngine.problems
 
-    def strict(manager):
-        problems = original(manager)
-        if manager.catalog.quantity_on_hand("bulk") < 5:
-            problems.append("bulk dipped below 5")
+    def strict(engine):
+        problems = original(engine)
+        if engine.catalog.quantity_on_hand("bulk") < 5:
+            problems.append(Problem("pool-additivity", "bulk dipped below 5"))
         return problems
 
-    monkeypatch.setattr(harness, "_verify_stack", strict)
+    monkeypatch.setattr(PromiseEngine, "problems", strict)
     doc = {"resource-types": [{"name": "bulk", "pool": 5}]}
     noise = [{"client": 0, "kind": "advance", "by": 1} for _ in range(4)]
     trigger = {"client": 0, "kind": "action", "name": "purchase-stock",
@@ -203,3 +219,28 @@ def test_contention_smoke():
     report = contention_run(n_clients=3, envelopes_each=30, seed=1)
     assert report.ok, report.to_document()["invariants"]
     assert report.counters["observed-accepted"] > 0
+
+
+def test_a_planted_fault_reads_the_same_to_every_checker_caller():
+    """A second Named record for one instance, written straight into the
+    table past the grant's check, reaches the self-check, the report's
+    `named-exclusivity` invariant and the fuzz verifier as one message."""
+    mgr = PromiseManager(load_catalog(SEAT_DOC), clock=LogicalClock(), self_check=True)
+    register_standard_handlers(mgr)
+    seat = Named(InstanceId("seat", "2A"))
+    mgr.engine.grant([seat], 30, 0)
+    assert mgr.engine.problems() == []
+    mgr.engine._put(PromiseRecord("p-99", (seat,), 0, 30), None)
+    message = "instance seat/2A is named 2 times by active promises"
+
+    mgr.handle(Envelope(action=ActionMsg("no-op")))
+    assert message in mgr.self_check_failures[-1]["problems"]
+
+    report = RunReport("planted", 0, "logical")
+    harness._standard_invariants(report, mgr, 0)
+    invariants = {inv["name"]: inv for inv in report.invariants}
+    assert invariants["named-exclusivity"] == {
+        "name": "named-exclusivity", "ok": False, "detail": message}
+    assert not invariants["final-feasibility"]["ok"]
+
+    assert message in harness._verify_stack(mgr)

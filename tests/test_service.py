@@ -3,6 +3,7 @@ import threading
 
 import pytest
 
+from promisekit import cli
 from promisekit.catalog import load_catalog
 from promisekit.clock import LogicalClock
 from promisekit.harness import register_standard_handlers
@@ -203,6 +204,13 @@ def test_duration_cap_shortens_the_guarantee():
     assert reply.action.status == "promise-expired"
 
 
+@pytest.mark.parametrize("cap", [0, -5, "60", True])
+def test_duration_cap_must_be_a_positive_integer(cap):
+    with pytest.raises(ServiceError) as exc:
+        widget_manager(10, duration_cap=cap)
+    assert exc.value.code == "config-error"
+
+
 def test_handler_registration_guards():
     mgr = widget_manager(10)
     with pytest.raises(ServiceError) as exc:
@@ -391,7 +399,7 @@ def test_warm_checks_never_scan_the_units_held_on_their_type(decisions):
     assert decisions == [{"room"}] * 3
     rooms.pairs = rooms.pairs.plain()
     assert used not in rooms.pairs and len(rooms.pairs) == 1002
-    assert mgr.engine.index_problems() == []
+    assert mgr.engine.problems() == []
 
 
 def test_self_check_reports_a_stale_active_index():
@@ -639,3 +647,31 @@ def test_serve_from_config(tmp_path, monkeypatch):
         client.close()
     finally:
         srv.stop()
+
+
+@pytest.mark.parametrize("text", [
+    "not json", "[]", '{"self-check": "false"}', '{"port": "7341"}', '{"port": true}',
+    '{"port": 70000}', '{"host": 7}', '{"catalog": 7}',
+])
+def test_config_file_errors_are_config_errors(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ServiceError) as exc:
+        ServiceConfig.from_file(path)
+    assert exc.value.code == "config-error"
+
+
+@pytest.mark.parametrize("config,catalog,error", [
+    ("not json", "", "error: config-error"),
+    ('{"catalog": "%s", "duration-cap": 0}', '{"resource-types": []}', "error: config-error"),
+    ('{"catalog": "%s"}', "not json", "error: parse-error"),
+])
+def test_serve_reports_a_bad_config_and_exits_2(tmp_path, monkeypatch, capsys,
+                                                config, catalog, error):
+    catalog_path = tmp_path / "catalog.json"
+    catalog_path.write_text(catalog)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(config.replace("%s", str(catalog_path)))
+    monkeypatch.delenv("PROMISEKIT_CONFIG", raising=False)
+    assert cli.main(["serve", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith(error)
