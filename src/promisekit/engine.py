@@ -151,7 +151,7 @@ class PromiseRecord:
 
 
 class Problem(NamedTuple):
-    """One way the committed state breaks an invariant: `name` says which
+    """One way the state breaks an invariant: `name` says which
     one (see `PromiseEngine.problems`), `message` what is wrong."""
 
     name: str
@@ -462,8 +462,8 @@ class PromiseEngine:
         """Forget the journal: the writes it holds are final."""
         self._journal.clear()
 
-    def problems(self) -> list[Problem]:
-        """Every way the committed state breaks an invariant, by name:
+    def problems(self, unit: Optional[UnitToken] = None) -> list[Problem]:
+        """Every way the state breaks an invariant, by name:
 
           - "index": `active`, the expiry heap, the demand index or a type's
             kept assignment and its bookkeeping disagree with the table and
@@ -477,9 +477,10 @@ class PromiseEngine:
           - "named-exclusivity": active promises name an instance twice.
 
         Pool totals and Named amounts are read from the demand index, which
-        "index" compares with the table. No unit may be open.
+        "index" compares with the table. While a unit is open, only its
+        token may ask, and the state checked is the unit's.
         """
-        view = self.catalog.snapshot_availability()
+        view = self.catalog.snapshot_availability(unit)
         index = []
         in_table = {pid: r for pid, r in self.table.items() if r.status == PROMISE_ACTIVE}
         if self.active != in_table:

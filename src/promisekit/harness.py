@@ -215,16 +215,13 @@ def _collect_counters(manager: PromiseManager, observed: dict[str, int]) -> dict
     return counters
 
 
-# the report's invariant for each problem name of `PromiseEngine.problems`
-_INVARIANT_OF = {"index": "final-feasibility", "feasibility": "final-feasibility",
-                 "pool-additivity": "pool-additivity", "named-exclusivity": "named-exclusivity"}
-
-
 def _standard_invariants(report: RunReport, manager: PromiseManager,
                          observed_violations: int) -> None:
-    problems = manager.engine.problems()
-    for name in ("final-feasibility", "pool-additivity", "named-exclusivity"):
-        messages = [p.message for p in problems if _INVARIANT_OF[p.name] == name]
+    by_name: dict = {"final-feasibility": [], "pool-additivity": [], "named-exclusivity": []}
+    for p in manager.engine.problems():
+        # any other problem ("index", "feasibility") says the final table is unsound
+        by_name.get(p.name, by_name["final-feasibility"]).append(p.message)
+    for name, messages in by_name.items():
         report.add_invariant(name, not messages, detail="; ".join(messages))
     report.add_invariant("per-step-self-check", not manager.self_check_failures,
                          detail=f"{len(manager.self_check_failures)} failures")

@@ -88,22 +88,3 @@ def decisions(monkeypatch):
 
     monkeypatch.setattr(PromiseEngine, "_decide", spy)
     return seen
-
-
-@pytest.fixture
-def view_copies(monkeypatch):
-    """Every view the catalog hands out while the test runs that is not
-    its own live view, that is, every copy."""
-    from promisekit.catalog import ResourceCatalog
-
-    made = []
-    real = ResourceCatalog.snapshot_availability
-
-    def spy(self, token=None):
-        view = real(self, token)
-        if view is not self._live:
-            made.append(view)
-        return view
-
-    monkeypatch.setattr(ResourceCatalog, "snapshot_availability", spy)
-    return made

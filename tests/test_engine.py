@@ -467,6 +467,7 @@ def test_active_index_sweep_and_journal_agree_with_the_table():
             due = [pid for pid, r in _active_in_table(eng).items() if r.expires_at <= now]
             assert eng.expire_sweep(now, unit) == sorted(due, key=lambda pid: int(pid[2:]))
         assert eng.active == _active_in_table(eng)
+        assert eng.problems(unit) == []
 
     for _ in range(200):
         unit = cat.begin_unit()
@@ -479,6 +480,7 @@ def test_active_index_sweep_and_journal_agree_with_the_table():
             eng.restore(mark)
             cat.rollback_to(unit, cat_mark)
             assert eng.table == table and eng.active == active
+            assert eng.problems(unit) == []
         cat.commit_unit(unit)
         eng.commit()
         assert eng.problems() == []
