@@ -568,7 +568,8 @@ class PromiseEngine:
         for rec in records:
             if rec.status != PROMISE_ACTIVE:
                 continue
-            self._put(replace(rec, status=PROMISE_RELEASED), unit)
+            self._put(PromiseRecord(rec.id, rec.predicates, rec.granted_at, rec.expires_at,
+                                   PROMISE_RELEASED), unit)
             self._clear_tags(rec, unit)
             self.counters["releases"] += 1
 
@@ -604,7 +605,8 @@ class PromiseEngine:
             rec = self.active.get(heapq.heappop(self._expiry)[2])
             if rec is None:
                 continue  # released or expired already
-            self._put(replace(rec, status=PROMISE_EXPIRED), unit)
+            self._put(PromiseRecord(rec.id, rec.predicates, rec.granted_at, rec.expires_at,
+                                   PROMISE_EXPIRED), unit)
             self._clear_tags(rec, unit)
             self.counters["expiries"] += 1
             expired.append(rec.id)

@@ -317,7 +317,9 @@ class _ScriptRun:
         self.clock_mode = script.get("clock", "logical")
         if self.clock_mode not in ("logical", "wall"):
             raise ScenarioError(f"unknown clock mode {self.clock_mode!r}")
-        self.seed = int(script.get("seed", 0))
+        self.seed = script.get("seed", 0)
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ScenarioError(f"seed must be an integer, got {self.seed!r}")
         self.schedule = script.get("schedule", "round-robin")
         if self.schedule not in ("round-robin", "seeded"):
             raise ScenarioError(f"unknown schedule {self.schedule!r}")

@@ -199,10 +199,11 @@ def predicate_to_wire(p: Predicate) -> dict:
 
 
 _WIRE_FIELDS = {
-    "quantity": {"form", "resource-type", "amount"},
-    "named": {"form", "resource-type", "key"},
-    "property": {"form", "resource-type", "amount", "constraints"},
+    "quantity": frozenset(("form", "resource-type", "amount")),
+    "named": frozenset(("form", "resource-type", "key")),
+    "property": frozenset(("form", "resource-type", "amount", "constraints")),
 }
+_CONSTRAINT_FIELDS = frozenset(("property", "comparator", "value"))
 
 
 def predicate_from_wire(doc) -> Predicate:
@@ -210,10 +211,9 @@ def predicate_from_wire(doc) -> Predicate:
     if not isinstance(doc, dict):
         raise ValueError("predicate must be an object")
     form = doc.get("form")
-    if form in _WIRE_FIELDS:
-        unknown = set(doc) - _WIRE_FIELDS[form]
-        if unknown:
-            raise ValueError(f"unknown predicate fields {sorted(unknown)}")
+    fields = _WIRE_FIELDS.get(form)
+    if fields is not None and not fields.issuperset(doc):
+        raise ValueError(f"unknown predicate fields {sorted(set(doc) - fields)}")
     rt = doc.get("resource-type")
     if not isinstance(rt, str) or not rt:
         raise ValueError("predicate needs a non-empty resource-type")
@@ -236,9 +236,8 @@ def predicate_from_wire(doc) -> Predicate:
         for c in raw:
             if not isinstance(c, dict):
                 raise ValueError("constraint must be an object")
-            bad = set(c) - {"property", "comparator", "value"}
-            if bad:
-                raise ValueError(f"unknown constraint fields {sorted(bad)}")
+            if not _CONSTRAINT_FIELDS.issuperset(c):
+                raise ValueError(f"unknown constraint fields {sorted(set(c) - _CONSTRAINT_FIELDS)}")
             name = c.get("property")
             comparator = c.get("comparator")
             if not isinstance(name, str) or not name:

@@ -2,18 +2,24 @@
 
 Bodies are JSON documents; frames on the byte stream are
 magic + 4-byte big-endian length + body. docs/wire-protocol.md is the
-normative field list. decode() raises MalformedMessage and nothing else,
-whatever the input bytes.
+normative field list. decode() walks the document once, checking each
+part as it builds it, and raises MalformedMessage and nothing else,
+whatever the input bytes. encode() checks the envelope with the same
+per-part rules, raising InvariantViolation, then writes the body
+directly in canonical form: keys sorted, no whitespace, non-ASCII as
+\\uXXXX escapes, byte for byte what
+json.dumps(doc, sort_keys=True, separators=(",", ":")) writes.
 """
 
 from __future__ import annotations
 
 import json
 import socket
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
-from .predicates import Predicate, predicate_from_wire, predicate_to_wire
+from .predicates import Named, Predicate, Property, Quantity, predicate_from_wire, predicate_to_wire
 
 RESULT_ACCEPTED = "accepted"
 RESULT_REJECTED = "rejected"
@@ -49,7 +55,7 @@ class InvariantViolation(Exception):
     """Envelope under encode() breaks a structural invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PromiseRequestMsg:
     request_id: str
     predicates: tuple[Predicate, ...]
@@ -58,7 +64,7 @@ class PromiseRequestMsg:
     release_on_grant: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PromiseResponseMsg:
     promise_id: Optional[str]
     result: str
@@ -66,26 +72,26 @@ class PromiseResponseMsg:
     correlation: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnvironmentMsg:
     promise_ids: tuple[str, ...]
     release_options: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionMsg:
     action_name: str
     payload: object = None
     status: Optional[str] = None  # set on responses only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PromisePart:
     requests: tuple[PromiseRequestMsg, ...] = ()
     responses: tuple[PromiseResponseMsg, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Envelope:
     promise_part: Optional[PromisePart] = None
     environment: Optional[EnvironmentMsg] = None
@@ -97,8 +103,7 @@ def derive_resources(predicates) -> tuple[tuple[str, Optional[str]], ...]:
     """Resource references covering the given predicates, deduplicated."""
     out: list[tuple[str, Optional[str]]] = []
     for p in predicates:
-        wire = predicate_to_wire(p)
-        ref = (wire["resource-type"], wire.get("key"))
+        ref = tuple(p.instance) if isinstance(p, Named) else (p.resource_type, None)
         if ref not in out:
             out.append(ref)
     return tuple(out)
@@ -113,249 +118,251 @@ def make_request(request_id: str, predicates, duration: int,
                              tuple(release_on_grant))
 
 
-# --- structural validation, shared by encode and decode ---
+# --- structural rules, one per part; decode checks each part as it
+# builds it, encode checks the whole envelope with _check_envelope ---
+
+def _check_layout(part, environment, action, error) -> None:
+    """Which members an envelope may carry together."""
+    if part is not None and not (part.requests or part.responses):
+        raise ValueError("an empty promise part must be omitted, not present")
+    if part is None and action is None and error is None:
+        raise ValueError("envelope carries neither a promise part, an action, nor an error")
+    if error is not None and (not isinstance(error, str) or not error):
+        raise ValueError("error must be a non-empty string")
+    if environment is not None and action is None:
+        raise ValueError("an environment is only meaningful with an action")
+
+
+def _check_environment(env: EnvironmentMsg) -> None:
+    if len(env.promise_ids) != len(env.release_options):
+        raise ValueError("environment lists must be the same length")
+    for pid in env.promise_ids:
+        if not isinstance(pid, str) or not pid:
+            raise ValueError("environment promise identifiers must be non-empty strings")
+    for opt in env.release_options:
+        if opt not in RELEASE_OPTIONS:
+            raise ValueError(f"unknown release option {opt!r}")
+
+
+def _check_action(action: ActionMsg) -> None:
+    if not isinstance(action.action_name, str) or not action.action_name:
+        raise ValueError("action needs a non-empty name")
+    if action.status is not None and action.status not in ACTION_STATUSES:
+        raise ValueError(f"unknown action status {action.status!r}")
+
+
+def _check_request(req: PromiseRequestMsg, seen_rids: set) -> None:
+    rid = req.request_id
+    if not isinstance(rid, str) or not rid:
+        raise ValueError("request needs a non-empty request-identifier")
+    if rid in seen_rids:
+        raise ValueError(f"duplicate request-identifier {rid!r}")
+    seen_rids.add(rid)
+    if not isinstance(req.duration, int) or isinstance(req.duration, bool) or req.duration < 1:
+        raise ValueError("promise-duration must be a positive integer")
+    for pid in req.release_on_grant:
+        if not isinstance(pid, str) or not pid:
+            raise ValueError("release-on-grant identifiers must be non-empty strings")
+    if len(set(req.release_on_grant)) != len(req.release_on_grant):
+        raise ValueError("release-on-grant repeats a promise identifier")
+    types, instances = set(), set()
+    for rt, key in req.resources:
+        if not isinstance(rt, str) or not rt:
+            raise ValueError("resource reference needs a non-empty resource-type")
+        types.add(rt)
+        if key is not None:
+            if not isinstance(key, str) or not key:
+                raise ValueError("resource key must be a non-empty string")
+            instances.add((rt, key))
+    if not req.predicates:
+        raise ValueError("a promise request needs at least one predicate")
+    for p in req.predicates:
+        if isinstance(p, Named):
+            if p.instance not in instances:
+                raise ValueError(f"resources list does not cover instance {p.instance}")
+        elif not isinstance(p, (Quantity, Property)):
+            raise ValueError(f"not a predicate: {p!r}")
+        elif p.resource_type not in types:
+            raise ValueError(f"resources list does not cover resource type {p.resource_type!r}")
+
+
+def _check_response(resp: PromiseResponseMsg) -> None:
+    if resp.result not in (RESULT_ACCEPTED, RESULT_REJECTED):
+        raise ValueError(f"unknown promise-result {resp.result!r}")
+    if (resp.promise_id is not None) != (resp.result == RESULT_ACCEPTED):
+        raise ValueError("promise-identifier must be present exactly when accepted")
+    if not isinstance(resp.granted_duration, int) or isinstance(resp.granted_duration, bool) \
+            or resp.granted_duration < 0:
+        raise ValueError("promise-duration must be a non-negative integer")
+    if not isinstance(resp.correlation, str) or not resp.correlation:
+        raise ValueError("response needs a non-empty promise-correlation")
+
 
 def _check_envelope(e: Envelope) -> None:
-    if e.promise_part is not None and not (e.promise_part.requests or e.promise_part.responses):
-        raise ValueError("an empty promise part must be omitted, not present")
-    if e.promise_part is None and e.action is None and e.error is None:
-        raise ValueError("envelope carries neither a promise part, an action, nor an error")
-    if e.error is not None and (not isinstance(e.error, str) or not e.error):
-        raise ValueError("error must be a non-empty string")
+    _check_layout(e.promise_part, e.environment, e.action, e.error)
     if e.environment is not None:
-        if e.action is None:
-            raise ValueError("an environment is only meaningful with an action")
-        env = e.environment
-        if len(env.promise_ids) != len(env.release_options):
-            raise ValueError("environment lists must be the same length")
-        for pid in env.promise_ids:
-            if not isinstance(pid, str) or not pid:
-                raise ValueError("environment promise identifiers must be non-empty strings")
-        for opt in env.release_options:
-            if opt not in RELEASE_OPTIONS:
-                raise ValueError(f"unknown release option {opt!r}")
+        _check_environment(e.environment)
     if e.action is not None:
-        if not isinstance(e.action.action_name, str) or not e.action.action_name:
-            raise ValueError("action needs a non-empty name")
-        if e.action.status is not None and e.action.status not in ACTION_STATUSES:
-            raise ValueError(f"unknown action status {e.action.status!r}")
-    if e.promise_part is None:
-        return
-    seen_rids: set[str] = set()
-    for req in e.promise_part.requests:
-        if not isinstance(req.request_id, str) or not req.request_id:
-            raise ValueError("request needs a non-empty request-identifier")
-        if req.request_id in seen_rids:
-            raise ValueError(f"duplicate request-identifier {req.request_id!r}")
-        seen_rids.add(req.request_id)
-        if not req.predicates:
-            raise ValueError("a promise request needs at least one predicate")
-        if not isinstance(req.duration, int) or isinstance(req.duration, bool) or req.duration < 1:
-            raise ValueError("promise-duration must be a positive integer")
-        if len(set(req.release_on_grant)) != len(req.release_on_grant):
-            raise ValueError("release-on-grant repeats a promise identifier")
-        for pid in req.release_on_grant:
-            if not isinstance(pid, str) or not pid:
-                raise ValueError("release-on-grant identifiers must be non-empty strings")
-        _check_resources_cover(req)
-    for resp in e.promise_part.responses:
-        if resp.result not in (RESULT_ACCEPTED, RESULT_REJECTED):
-            raise ValueError(f"unknown promise-result {resp.result!r}")
-        if (resp.promise_id is not None) != (resp.result == RESULT_ACCEPTED):
-            raise ValueError("promise-identifier must be present exactly when accepted")
-        if not isinstance(resp.granted_duration, int) or isinstance(resp.granted_duration, bool) \
-                or resp.granted_duration < 0:
-            raise ValueError("promise-duration must be a non-negative integer")
-        if not isinstance(resp.correlation, str) or not resp.correlation:
-            raise ValueError("response needs a non-empty promise-correlation")
+        _check_action(e.action)
+    if e.promise_part is not None:
+        seen_rids: set[str] = set()
+        for req in e.promise_part.requests:
+            _check_request(req, seen_rids)
+        for resp in e.promise_part.responses:
+            _check_response(resp)
 
 
-def _check_resources_cover(req: PromiseRequestMsg) -> None:
-    types = {rt for rt, _ in req.resources}
-    named = set(req.resources)
-    for p in req.predicates:
-        wire = predicate_to_wire(p)
-        rt, key = wire["resource-type"], wire.get("key")
-        if key is not None:
-            if (rt, key) not in named:
-                raise ValueError(f"resources list does not cover instance {rt}/{key}")
-        elif rt not in types:
-            raise ValueError(f"resources list does not cover resource type {rt!r}")
+# --- encode: the checks above guarantee the type of every value written
+# with _quote or %d; the payload and the other values go through _json ---
 
-
-# --- JSON mapping ---
-
-def _envelope_to_doc(e: Envelope) -> dict:
-    doc: dict = {}
-    if e.promise_part is not None and (e.promise_part.requests or e.promise_part.responses):
-        part: dict = {}
-        if e.promise_part.requests:
-            part["promise-request"] = [_request_to_doc(r) for r in e.promise_part.requests]
-        if e.promise_part.responses:
-            part["promise-response"] = [_response_to_doc(r) for r in e.promise_part.responses]
-        doc["promise"] = part
-    if e.environment is not None:
-        doc["environment"] = {
-            "promise-identifiers": list(e.environment.promise_ids),
-            "release-options": list(e.environment.release_options),
-        }
-    if e.action is not None:
-        action: dict = {"action-name": e.action.action_name}
-        if e.action.payload is not None:
-            action["payload"] = e.action.payload
-        if e.action.status is not None:
-            action["status"] = e.action.status
-        doc["action"] = action
-    if e.error is not None:
-        doc["error"] = e.error
-    return doc
-
-
-def _request_to_doc(r: PromiseRequestMsg) -> dict:
-    doc = {
-        "request-identifier": r.request_id,
-        "predicates": [predicate_to_wire(p) for p in r.predicates],
-        "resources": [_resource_to_doc(ref) for ref in r.resources],
-        "promise-duration": r.duration,
-    }
-    if r.release_on_grant:
-        doc["release-on-grant"] = list(r.release_on_grant)
-    return doc
-
-
-def _resource_to_doc(ref: tuple[str, Optional[str]]) -> dict:
-    rt, key = ref
-    return {"resource-type": rt} if key is None else {"resource-type": rt, "key": key}
-
-
-def _response_to_doc(r: PromiseResponseMsg) -> dict:
-    doc = {
-        "promise-result": r.result,
-        "promise-duration": r.granted_duration,
-        "promise-correlation": r.correlation,
-    }
-    if r.promise_id is not None:
-        doc["promise-identifier"] = r.promise_id
-    return doc
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def encode(envelope: Envelope) -> bytes:
     """Serialize a structurally valid envelope to canonical JSON bytes."""
+    e = envelope
     try:
-        _check_envelope(envelope)
+        _check_envelope(e)
     except ValueError as exc:
         raise InvariantViolation(str(exc)) from exc
-    doc = _envelope_to_doc(envelope)
+    # one list joined once: a large payload is copied into the body once
+    out = ["{"]
     try:
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        if e.action is not None:
+            out += ('"action":{"action-name":', _quote(e.action.action_name))
+            if e.action.payload is not None:
+                out += (',"payload":', _json(e.action.payload))
+            if e.action.status is not None:
+                out += (',"status":', _quote(e.action.status))
+            out += ("}", ",")
+        if e.environment is not None:
+            out += ('"environment":{"promise-identifiers":[%s],"release-options":[%s]}' % (
+                ",".join(map(_quote, e.environment.promise_ids)),
+                ",".join(map(_quote, e.environment.release_options))), ",")
+        if e.error is not None:
+            out += ('"error":', _quote(e.error), ",")
+        if e.promise_part is not None:
+            out += ('"promise":', _part_json(e.promise_part), ",")
     except (TypeError, ValueError) as exc:
-        raise InvariantViolation(f"payload is not JSON-serializable: {exc}") from exc
+        raise InvariantViolation(f"envelope is not JSON-serializable: {exc}") from exc
+    out[-1] = "}"  # the last member's separator closes the object
+    return "".join(out).encode()
+
+
+def _part_json(part: PromisePart) -> str:
+    members = []
+    if part.requests:
+        members.append('"promise-request":[%s]' % ",".join([_request_json(r) for r in part.requests]))
+    if part.responses:
+        members.append('"promise-response":[%s]' % ",".join([_response_json(r) for r in part.responses]))
+    return "{" + ",".join(members) + "}"
+
+
+def _request_json(r: PromiseRequestMsg) -> str:
+    release = ',"release-on-grant":[%s]' % ",".join(map(_quote, r.release_on_grant)) \
+        if r.release_on_grant else ""
+    return '{"predicates":[%s],"promise-duration":%d%s,"request-identifier":%s,"resources":[%s]}' % (
+        ",".join([_json(predicate_to_wire(p)) for p in r.predicates]), r.duration, release,
+        _quote(r.request_id), ",".join([_resource_json(rt, key) for rt, key in r.resources]))
+
+
+def _resource_json(rt: str, key: Optional[str]) -> str:
+    if key is None:
+        return '{"resource-type":%s}' % _quote(rt)
+    return '{"key":%s,"resource-type":%s}' % (_quote(key), _quote(rt))
+
+
+def _response_json(r: PromiseResponseMsg) -> str:
+    pid = "" if r.promise_id is None else ',"promise-identifier":' + _json(r.promise_id)
+    return '{"promise-correlation":%s,"promise-duration":%d%s,"promise-result":%s}' % (
+        _quote(r.correlation), r.granted_duration, pid, _quote(r.result))
+
+
+# --- decode ---
+
+_DECODER = json.JSONDecoder()
+_ENVELOPE_FIELDS = frozenset(("promise", "environment", "action", "error"))
+_PART_FIELDS = frozenset(("promise-request", "promise-response"))
+_ENVIRONMENT_FIELDS = frozenset(("promise-identifiers", "release-options"))
+_ACTION_FIELDS = frozenset(("action-name", "payload", "status"))
+_REQUEST_FIELDS = frozenset(("request-identifier", "predicates", "resources",
+                             "promise-duration", "release-on-grant"))
+_RESPONSE_FIELDS = frozenset(("promise-identifier", "promise-result",
+                              "promise-duration", "promise-correlation"))
 
 
 def decode(data: bytes) -> Envelope:
     """Parse envelope bytes; any problem raises MalformedMessage."""
     try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, AttributeError) as exc:
+        doc = _DECODER.decode(data.decode("utf-8"))
+    except (AttributeError, ValueError, RecursionError) as exc:
+        # ValueError: bad UTF-8, bad JSON, or an integer too long to convert
         raise MalformedMessage(f"not a JSON document: {exc}") from exc
     try:
-        envelope = _envelope_from_doc(doc)
-        _check_envelope(envelope)
-    except (ValueError, TypeError, KeyError) as exc:
+        return _envelope_from_doc(doc)
+    except (ValueError, TypeError) as exc:
         raise MalformedMessage(str(exc)) from exc
-    return envelope
 
 
 def _envelope_from_doc(doc) -> Envelope:
-    if not isinstance(doc, dict):
-        raise ValueError("envelope must be an object")
-    unknown = set(doc) - {"promise", "environment", "action", "error"}
-    if unknown:
-        raise ValueError(f"unknown envelope fields {sorted(unknown)}")
-
-    part = None
+    _object(doc, _ENVELOPE_FIELDS, "envelope")
+    part = environment = action = None
     if "promise" in doc:
-        raw = doc["promise"]
-        if not isinstance(raw, dict):
-            raise ValueError("promise part must be an object")
-        bad = set(raw) - {"promise-request", "promise-response"}
-        if bad:
-            raise ValueError(f"unknown promise part fields {sorted(bad)}")
-        requests = tuple(_request_from_doc(r) for r in _as_list(raw.get("promise-request", [])))
-        responses = tuple(_response_from_doc(r) for r in _as_list(raw.get("promise-response", [])))
-        part = PromisePart(requests, responses)
-
-    environment = None
+        raw = _object(doc["promise"], _PART_FIELDS, "promise part")
+        seen_rids: set[str] = set()
+        part = PromisePart(
+            tuple([_request_from_doc(r, seen_rids) for r in _list(raw.get("promise-request", []))]),
+            tuple(map(_response_from_doc, _list(raw.get("promise-response", [])))))
     if "environment" in doc:
-        raw = doc["environment"]
-        if not isinstance(raw, dict):
-            raise ValueError("environment must be an object")
-        bad = set(raw) - {"promise-identifiers", "release-options"}
-        if bad:
-            raise ValueError(f"unknown environment fields {sorted(bad)}")
-        ids = _as_list(raw.get("promise-identifiers", []))
-        opts = _as_list(raw.get("release-options", []))
-        environment = EnvironmentMsg(tuple(ids), tuple(opts))
-
-    action = None
+        raw = _object(doc["environment"], _ENVIRONMENT_FIELDS, "environment")
+        environment = EnvironmentMsg(tuple(_list(raw.get("promise-identifiers", []))),
+                                     tuple(_list(raw.get("release-options", []))))
+        _check_environment(environment)
     if "action" in doc:
-        raw = doc["action"]
-        if not isinstance(raw, dict):
-            raise ValueError("action must be an object")
-        bad = set(raw) - {"action-name", "payload", "status"}
-        if bad:
-            raise ValueError(f"unknown action fields {sorted(bad)}")
+        raw = _object(doc["action"], _ACTION_FIELDS, "action")
         action = ActionMsg(raw.get("action-name"), raw.get("payload"), raw.get("status"))
-
-    return Envelope(part, environment, action, doc.get("error"))
-
-
-def _request_from_doc(raw) -> PromiseRequestMsg:
-    if not isinstance(raw, dict):
-        raise ValueError("promise-request must be an object")
-    bad = set(raw) - {"request-identifier", "predicates", "resources",
-                      "promise-duration", "release-on-grant"}
-    if bad:
-        raise ValueError(f"unknown promise-request fields {sorted(bad)}")
-    predicates = tuple(predicate_from_wire(p) for p in _as_list(raw.get("predicates", [])))
-    resources = tuple(_resource_from_doc(r) for r in _as_list(raw.get("resources", [])))
-    return PromiseRequestMsg(
-        request_id=raw.get("request-identifier"),
-        predicates=predicates,
-        resources=resources,
-        duration=raw.get("promise-duration"),
-        release_on_grant=tuple(_as_list(raw.get("release-on-grant", []))),
-    )
+        _check_action(action)
+    error = doc.get("error")
+    _check_layout(part, environment, action, error)
+    return Envelope(part, environment, action, error)
 
 
-def _resource_from_doc(raw) -> tuple[str, Optional[str]]:
+def _request_from_doc(raw, seen_rids: set) -> PromiseRequestMsg:
+    _object(raw, _REQUEST_FIELDS, "promise-request")
+    req = PromiseRequestMsg(
+        raw.get("request-identifier"),
+        tuple(map(predicate_from_wire, _list(raw.get("predicates", [])))),
+        tuple(map(_resource_from_doc, _list(raw.get("resources", [])))),
+        raw.get("promise-duration"),
+        tuple(_list(raw.get("release-on-grant", []))))
+    _check_request(req, seen_rids)
+    return req
+
+
+def _resource_from_doc(raw) -> tuple:
     if not isinstance(raw, dict):
         raise ValueError("resource reference must be an object")
-    rt = raw.get("resource-type")
-    if not isinstance(rt, str) or not rt:
-        raise ValueError("resource reference needs a non-empty resource-type")
-    key = raw.get("key")
-    if key is not None and (not isinstance(key, str) or not key):
-        raise ValueError("resource key must be a non-empty string")
-    return (rt, key)
+    return (raw.get("resource-type"), raw.get("key"))
 
 
 def _response_from_doc(raw) -> PromiseResponseMsg:
+    _object(raw, _RESPONSE_FIELDS, "promise-response")
+    resp = PromiseResponseMsg(raw.get("promise-identifier"), raw.get("promise-result"),
+                              raw.get("promise-duration"), raw.get("promise-correlation"))
+    _check_response(resp)
+    return resp
+
+
+def _object(raw, fields: frozenset, what: str) -> dict:
+    """`raw` if it is a JSON object whose member names all lie in `fields`."""
     if not isinstance(raw, dict):
-        raise ValueError("promise-response must be an object")
-    bad = set(raw) - {"promise-identifier", "promise-result",
-                      "promise-duration", "promise-correlation"}
-    if bad:
-        raise ValueError(f"unknown promise-response fields {sorted(bad)}")
-    return PromiseResponseMsg(
-        promise_id=raw.get("promise-identifier"),
-        result=raw.get("promise-result"),
-        granted_duration=raw.get("promise-duration"),
-        correlation=raw.get("promise-correlation"),
-    )
+        raise ValueError(f"{what} must be an object")
+    if not fields.issuperset(raw):
+        raise ValueError(f"unknown {what} fields {sorted(set(raw) - fields)}")
+    return raw
 
 
-def _as_list(value) -> list:
+def _list(value) -> list:
     if not isinstance(value, list):
         raise ValueError("expected a list")
     return value

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import promisekit.harness as harness
+from promisekit import cli
 from promisekit.catalog import load_catalog
 from promisekit.clock import LogicalClock
 from promisekit.engine import Problem, PromiseEngine, PromiseRecord
@@ -157,6 +158,15 @@ def test_script_duration_cap_must_be_a_positive_integer(cap):
     with pytest.raises(ServiceError) as exc:
         run_script(script)
     assert exc.value.code == "config-error"
+
+
+@pytest.mark.parametrize("seed", ["x", True, 2.5])
+def test_cli_reports_a_seed_that_is_not_an_integer_and_exits_2(tmp_path, capsys, seed):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"name": "seeded", "catalog-inline": widget_doc(2),
+                                "seed": seed, "clients": [{"name": "c", "steps": []}]}))
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be an integer")
 
 
 def test_unknown_bundled_name():

@@ -38,16 +38,17 @@ from promisekit.protocol import (
 # --- strategies ---
 
 _names = st.from_regex(r"[a-z][a-z0-9-]{0,9}", fullmatch=True)
-_scalars = st.one_of(st.integers(-5, 50), st.booleans(),
-                     st.text(min_size=1, max_size=8))
+# any non-empty text, so that non-ASCII characters reach every string field
+_text = st.text(min_size=1, max_size=8)
+_scalars = st.one_of(st.integers(-5, 50), st.booleans(), _text)
 
-_quantity = st.builds(Quantity, resource_type=_names, amount=st.integers(1, 9))
-_named = st.builds(Named, st.builds(InstanceId, _names, _names))
+_quantity = st.builds(Quantity, resource_type=_text, amount=st.integers(1, 9))
+_named = st.builds(Named, st.builds(InstanceId, _text, _text))
 
 
 @st.composite
 def _properties(draw):
-    rt = draw(_names)
+    rt = draw(_text)
     constraints = draw(st.dictionaries(_names, st.tuples(
         st.sampled_from([EQUALS, AT_LEAST_IN_ORDER]), _scalars),
         min_size=1, max_size=3))
@@ -57,12 +58,12 @@ def _properties(draw):
 
 
 _predicates = st.one_of(_quantity, _named, _properties())
-_payloads = st.one_of(
-    st.none(),
-    st.dictionaries(_names, st.one_of(_scalars, st.lists(_scalars, max_size=3)), max_size=3),
-    st.text(max_size=12),
-    st.integers(-100, 100),
-)
+# NaN is left out: it is written as NaN, but never equals itself after a round trip
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text()),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
 
 
 @st.composite
@@ -73,16 +74,16 @@ def envelopes(draw):
             f"r{i}",
             draw(st.lists(_predicates, min_size=1, max_size=3)),
             draw(st.integers(1, 500)),
-            draw(st.lists(_names.map(lambda s: "p-" + s), max_size=2, unique=True)),
+            draw(st.lists(_text, max_size=2, unique=True)),
         ))
     responses = []
     for i in range(draw(st.integers(0, 3))):
         accepted = draw(st.booleans())
         responses.append(PromiseResponseMsg(
-            promise_id=f"p-{i}" if accepted else None,
+            promise_id=draw(_text) if accepted else None,
             result="accepted" if accepted else "rejected",
             granted_duration=draw(st.integers(0, 500)),
-            correlation=f"r{i}",
+            correlation=draw(_text),
         ))
     part = PromisePart(tuple(requests), tuple(responses)) \
         if requests or responses else None
@@ -91,17 +92,72 @@ def envelopes(draw):
     environment = None
     if draw(st.booleans()) or part is None:
         status = draw(st.one_of(st.none(), st.sampled_from(ACTION_STATUSES)))
-        action = ActionMsg(draw(_names), draw(_payloads), status)
+        action = ActionMsg(draw(_text), draw(_json_values), status)
         if draw(st.booleans()):
             n = draw(st.integers(0, 3))
             environment = EnvironmentMsg(
-                tuple(f"p-{i}" for i in range(n)),
+                tuple(draw(_text) for _ in range(n)),
                 tuple(draw(st.sampled_from(["retain", "release-after-success"]))
                       for _ in range(n)))
-    error = draw(st.one_of(st.none(), st.just("malformed-message")))
+    error = draw(st.one_of(st.none(), st.just("malformed-message"), _text))
     if part is None and action is None and error is None:
         error = "internal-failure"
     return Envelope(part, environment, action, error)
+
+
+def ref_doc(e: Envelope) -> dict:
+    """The envelope as a JSON document, field by field from docs/wire-protocol.md."""
+    doc: dict = {}
+    if e.promise_part is not None:
+        part: dict = {}
+        if e.promise_part.requests:
+            part["promise-request"] = [_ref_request(r) for r in e.promise_part.requests]
+        if e.promise_part.responses:
+            part["promise-response"] = [_ref_response(r) for r in e.promise_part.responses]
+        doc["promise"] = part
+    if e.environment is not None:
+        doc["environment"] = {"promise-identifiers": list(e.environment.promise_ids),
+                              "release-options": list(e.environment.release_options)}
+    if e.action is not None:
+        action: dict = {"action-name": e.action.action_name}
+        if e.action.payload is not None:
+            action["payload"] = e.action.payload
+        if e.action.status is not None:
+            action["status"] = e.action.status
+        doc["action"] = action
+    if e.error is not None:
+        doc["error"] = e.error
+    return doc
+
+
+def _ref_request(r) -> dict:
+    doc = {"request-identifier": r.request_id,
+           "predicates": [_ref_predicate(p) for p in r.predicates],
+           "resources": [{"resource-type": rt} if key is None else
+                         {"resource-type": rt, "key": key} for rt, key in r.resources],
+           "promise-duration": r.duration}
+    if r.release_on_grant:
+        doc["release-on-grant"] = list(r.release_on_grant)
+    return doc
+
+
+def _ref_predicate(p) -> dict:
+    if isinstance(p, Quantity):
+        return {"form": "quantity", "resource-type": p.resource_type, "amount": p.amount}
+    if isinstance(p, Named):
+        return {"form": "named", "resource-type": p.instance.resource_type,
+                "key": p.instance.key}
+    return {"form": "property", "resource-type": p.resource_type, "amount": p.amount,
+            "constraints": [{"property": c.property_name, "comparator": c.comparator,
+                             "value": c.value} for c in p.constraints]}
+
+
+def _ref_response(r) -> dict:
+    doc = {"promise-result": r.result, "promise-duration": r.granted_duration,
+           "promise-correlation": r.correlation}
+    if r.promise_id is not None:
+        doc["promise-identifier"] = r.promise_id
+    return doc
 
 
 # --- round-trip ---
@@ -125,6 +181,45 @@ def test_piggybacked_response_next_to_a_request():
     assert decode(encode(e)) == e
 
 
+# --- canonical bytes ---
+
+@settings(max_examples=300, deadline=None)
+@given(envelopes())
+def test_encode_writes_the_canonical_json_of_the_documented_fields(envelope):
+    assert encode(envelope) == json.dumps(
+        ref_doc(envelope), sort_keys=True, separators=(",", ":")).encode()
+
+
+@pytest.mark.parametrize("envelope,body", [
+    (Envelope(promise_part=PromisePart(responses=(
+        PromiseResponseMsg("p-7", "accepted", 30, "r-1"),))),
+     b'{"promise":{"promise-response":[{"promise-correlation":"r-1","promise-duration":30,'
+     b'"promise-identifier":"p-7","promise-result":"accepted"}]}}'),
+    (Envelope(promise_part=PromisePart(responses=(
+        PromiseResponseMsg(None, "rejected", 0, "r-2"),))),
+     b'{"promise":{"promise-response":[{"promise-correlation":"r-2","promise-duration":0,'
+     b'"promise-result":"rejected"}]}}'),
+    (Envelope(environment=EnvironmentMsg(("p-1", "p-2"), ("retain", "release-after-success")),
+              action=ActionMsg("book-room", {"room": None, "nights": [1, 2.5], "guest": "Zo\u00eb"})),
+     b'{"action":{"action-name":"book-room","payload":{"guest":"Zo\\u00eb","nights":[1,2.5],'
+     b'"room":null}},"environment":{"promise-identifiers":["p-1","p-2"],'
+     b'"release-options":["retain","release-after-success"]}}'),
+    (Envelope(error="malformed-message"), b'{"error":"malformed-message"}'),
+    (Envelope(promise_part=PromisePart(requests=(make_request(
+        "r-3", [Named(InstanceId("room", "512")),
+                Property("room", (PropertyConstraint("grade", AT_LEAST_IN_ORDER, "deluxe"),), 2)],
+        10, ("p-1",)),))),
+     b'{"promise":{"promise-request":[{"predicates":[{"form":"named","key":"512",'
+     b'"resource-type":"room"},{"amount":2,"constraints":[{"comparator":"at-least-in-order",'
+     b'"property":"grade","value":"deluxe"}],"form":"property","resource-type":"room"}],'
+     b'"promise-duration":10,"release-on-grant":["p-1"],"request-identifier":"r-3",'
+     b'"resources":[{"key":"512","resource-type":"room"},{"resource-type":"room"}]}]}}'),
+])
+def test_encode_golden_bytes(envelope, body):
+    assert encode(envelope) == body
+    assert decode(body) == envelope
+
+
 # --- decoder robustness ---
 
 @settings(max_examples=300, deadline=None)
@@ -136,31 +231,118 @@ def test_decode_never_crashes_on_arbitrary_bytes(data):
         pass
 
 
+def _request_doc(**fields) -> dict:
+    """A valid promise-request document with `fields` replaced; None drops one."""
+    doc = {"request-identifier": "r1",
+           "predicates": [{"form": "quantity", "resource-type": "w", "amount": 1}],
+           "resources": [{"resource-type": "w"}], "promise-duration": 5}
+    doc.update((k.replace("_", "-"), v) for k, v in fields.items())
+    return {"promise": {"promise-request": [{k: v for k, v in doc.items() if v is not None}]}}
+
+
+def _response_doc(**fields) -> dict:
+    doc = {"promise-identifier": "p-1", "promise-result": "accepted",
+           "promise-duration": 5, "promise-correlation": "r1"}
+    doc.update((k.replace("_", "-"), v) for k, v in fields.items())
+    return {"promise": {"promise-response": [{k: v for k, v in doc.items() if v is not None}]}}
+
+
+def _environment_doc(ids, options) -> dict:
+    return {"action": {"action-name": "go"},
+            "environment": {"promise-identifiers": ids, "release-options": options}}
+
+
+_NAMED_DESK = {"form": "named", "resource-type": "desk", "key": "d1"}
+
+
 @pytest.mark.parametrize("doc", [
+    # the envelope
+    [],
     {},                                       # nothing present
+    {"action": {"action-name": "go"}, "bogus": 1},
+    {"error": ""},
+    {"error": 7},
+    {"promise": None},
+    # the promise part
     {"promise": {}},                          # empty promise part
+    {"promise": {"promise-request": [], "promise-response": []}},
+    {"promise": {"promise-request": {}}},
+    {"promise": {"promise-response": "r1"}},
+    {"promise": {"promise-request": [_request_doc()["promise"]["promise-request"][0]],
+                 "extra": []}},
+    # promise requests
     {"promise": {"promise-request": [{}]}},
-    {"environment": {"promise-identifiers": ["p-1"], "release-options": []}},
+    {"promise": {"promise-request": ["r1"]}},
+    _request_doc(bogus=1),
+    _request_doc(request_identifier=""),
+    _request_doc(request_identifier=7),
+    {"promise": {"promise-request": _request_doc()["promise"]["promise-request"] * 2}},
+    _request_doc(predicates=[]),
+    _request_doc(predicates={"form": "quantity"}),
+    _request_doc(predicates=[{"form": "quantity", "resource-type": "w", "amount": 1,
+                              "colour": "red"}]),
+    _request_doc(predicates=[{"form": "pool", "resource-type": "w", "amount": 1}]),
+    _request_doc(promise_duration=0),
+    _request_doc(promise_duration=True),
+    _request_doc(promise_duration=2.5),
+    _request_doc(promise_duration=None),
+    _request_doc(resources=[]),               # resources must cover predicates
+    _request_doc(resources={"resource-type": "w"}),
+    _request_doc(resources=["w"]),
+    _request_doc(resources=[{"resource-type": ""}]),
+    _request_doc(resources=[{"resource-type": "w", "key": ""}]),
+    _request_doc(resources=[{"resource-type": "w", "key": 3}]),
+    _request_doc(predicates=[_NAMED_DESK], resources=[{"resource-type": "desk"}]),
+    _request_doc(predicates=[_NAMED_DESK], resources=[{"resource-type": "desk", "key": "d2"}]),
+    _request_doc(release_on_grant="p-1"),
+    _request_doc(release_on_grant=["p-1", "p-1"]),
+    _request_doc(release_on_grant=[["p-1"]]),
+    _request_doc(release_on_grant=[""]),
+    # promise responses
+    {"promise": {"promise-response": [7]}},
+    _response_doc(bogus=1),
+    _response_doc(promise_identifier=None),   # accepted needs an id
+    _response_doc(promise_result="rejected"),  # rejected carries none
+    _response_doc(promise_result="maybe"),
+    _response_doc(promise_duration=-1),
+    _response_doc(promise_duration=False),
+    _response_doc(promise_correlation=""),
+    # the environment
     {"environment": {"promise-identifiers": ["p-1"],
                      "release-options": ["release-after-success"]}},  # env without action
+    {"action": {"action-name": "go"}, "environment": "p-1"},
+    {"action": {"action-name": "go"}, "environment": {"promise-identifiers": [], "extra": 1}},
+    _environment_doc(["p-1"], []),
+    _environment_doc("p-1", ["retain"]),
+    _environment_doc([5], ["retain"]),
+    _environment_doc([""], ["retain"]),
+    _environment_doc(["p-1"], ["keep"]),
+    # the action
+    {"action": []},
+    {"action": {}},
     {"action": {"action-name": ""}},
+    {"action": {"action-name": 7}},
     {"action": {"action-name": "go", "status": "sideways"}},
-    {"action": {"action-name": "go"}, "bogus": 1},
-    {"promise": {"promise-response": [{"promise-result": "accepted",
-                                       "promise-duration": 5,
-                                       "promise-correlation": "r1"}]}},  # accepted needs id
-    {"promise": {"promise-request": [
-        {"request-identifier": "r1",
-         "predicates": [{"form": "quantity", "resource-type": "w", "amount": 1}],
-         "resources": [], "promise-duration": 5}]}},  # resources must cover predicates
-    {"promise": {"promise-request": [
-        {"request-identifier": "r1",
-         "predicates": [{"form": "quantity", "resource-type": "w", "amount": 1}],
-         "resources": [{"resource-type": "w"}], "promise-duration": 0}]}},
+    {"action": {"action-name": "go", "verb": "run"}},
 ])
 def test_structurally_bad_documents_are_malformed(doc):
     with pytest.raises(MalformedMessage):
         decode(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe{}",
+    b"{\"error\": \"malformed-message\"",
+    b"[" * 100_000,
+    b"1" * 5000,
+    "{}",
+    None,
+    memoryview(b"{}"),
+], ids=["not-utf-8", "not-json", "nested-past-the-recursion-limit",
+        "integer-too-long-to-convert", "str", "none", "memoryview"])
+def test_undecodable_input_is_malformed(data):
+    with pytest.raises(MalformedMessage):
+        decode(data)
 
 
 def test_duplicate_request_identifiers_in_one_envelope():
