@@ -211,7 +211,7 @@ def predicate_from_wire(doc) -> Predicate:
     if not isinstance(doc, dict):
         raise ValueError("predicate must be an object")
     form = doc.get("form")
-    fields = _WIRE_FIELDS.get(form)
+    fields = _WIRE_FIELDS.get(form) if isinstance(form, str) else None
     if fields is not None and not fields.issuperset(doc):
         raise ValueError(f"unknown predicate fields {sorted(set(doc) - fields)}")
     rt = doc.get("resource-type")

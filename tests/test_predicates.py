@@ -207,6 +207,7 @@ def test_wire_form_round_trips(pred):
     {"form": "quantity", "resource-type": "x", "amount": 1, "extra": True},
     {"form": "property", "resource-type": "x", "amount": 1,
      "constraints": [{"property": "p", "comparator": "equals", "value": 1, "x": 2}]},
+    {"form": ["quantity"], "resource-type": "x", "amount": 1},
     "not-an-object",
 ])
 def test_bad_wire_predicates_raise(doc):

@@ -232,7 +232,8 @@ def test_decode_never_crashes_on_arbitrary_bytes(data):
 
 
 def _request_doc(**fields) -> dict:
-    """A valid promise-request document with `fields` replaced; None drops one."""
+    """An envelope with one valid promise-request whose `fields` (named with
+    underscores for hyphens) are replaced; a None value drops the field."""
     doc = {"request-identifier": "r1",
            "predicates": [{"form": "quantity", "resource-type": "w", "amount": 1}],
            "resources": [{"resource-type": "w"}], "promise-duration": 5}
@@ -241,6 +242,7 @@ def _request_doc(**fields) -> dict:
 
 
 def _response_doc(**fields) -> dict:
+    """As _request_doc, for one accepted promise-response."""
     doc = {"promise-identifier": "p-1", "promise-result": "accepted",
            "promise-duration": 5, "promise-correlation": "r1"}
     doc.update((k.replace("_", "-"), v) for k, v in fields.items())
@@ -268,8 +270,7 @@ _NAMED_DESK = {"form": "named", "resource-type": "desk", "key": "d1"}
     {"promise": {"promise-request": [], "promise-response": []}},
     {"promise": {"promise-request": {}}},
     {"promise": {"promise-response": "r1"}},
-    {"promise": {"promise-request": [_request_doc()["promise"]["promise-request"][0]],
-                 "extra": []}},
+    {"promise": {**_request_doc()["promise"], "extra": []}},
     # promise requests
     {"promise": {"promise-request": [{}]}},
     {"promise": {"promise-request": ["r1"]}},
