@@ -39,11 +39,9 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            report = run_script(args.script, catalog_override=args.catalog,
-                                verbose=args.verbose)
+            report = run_script(args.script, catalog_override=args.catalog)
         elif args.command == "fuzz":
-            report = fuzz(args.seed, n_clients=args.clients, n_steps=args.steps,
-                          verbose=args.verbose)
+            report = fuzz(args.seed, n_clients=args.clients, n_steps=args.steps)
         else:
             return _serve_forever(args.config)
     except (CatalogError, ScenarioError, ServiceError, OSError) as exc:

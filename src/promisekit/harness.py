@@ -7,16 +7,21 @@ deterministic RunReport.
 Scheduling: under a logical clock the driver interleaves client steps
 deterministically (round-robin, or a seeded shuffle), so a (script, seed)
 pair always yields the same report digest. Under a wall clock the clients
-free-run in threads and only the invariants are asserted, not ordering.
+free-run in threads and only the invariants are asserted, not ordering;
+an error reply, or an exception that ends a client, fails the
+`client-failures` invariant.
 
-The fuzzer works in-process against the same pipeline, verifying after
-every committed step that the max-flow feasibility answer matches the
-exhaustive oracle and that the promise-table invariants hold. Failing
-traces are minimized by greedy step removal.
+Scripts, the contention load and the fuzzer all send through one client,
+which builds each envelope and counts its reply. The fuzzer hands it the
+manager's `handle` instead of a wire connection, and after every step
+checks that the promise-table invariants hold and that the max-flow
+feasibility answer matches the exhaustive oracle. Failing traces are
+minimized by greedy step removal.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
@@ -26,7 +31,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
-from typing import Optional
+from typing import Callable, Optional
 
 from .catalog import (
     STATUS_AVAILABLE,
@@ -54,6 +59,7 @@ from .predicates import (
     validate_predicate,
 )
 from .protocol import (
+    ACTION_REJECTED_BY_PROMISE_VIOLATION,
     ACTION_SUCCEEDED,
     OPTION_RELEASE_AFTER_SUCCESS,
     OPTION_RETAIN,
@@ -76,7 +82,11 @@ from .service import (
     Server,
 )
 
+log = logging.getLogger("promisekit")
+
 UNAVAILABLE_REASONS = ("resource-unavailable", "pool-underflow")
+OBSERVED_COUNTERS = ("observed-accepted", "observed-rejected", "observed-violations",
+                     "actions-succeeded", "actions-failed")
 
 
 class ScenarioError(Exception):
@@ -208,15 +218,10 @@ class RunReport:
         return self.to_document()["digest"]
 
 
-def _collect_counters(manager: PromiseManager, observed: dict[str, int]) -> dict[str, int]:
-    counters = dict(manager.engine.counters)
-    counters.update(manager.counters)
-    counters.update(observed)
-    return counters
-
-
-def _standard_invariants(report: RunReport, manager: PromiseManager,
-                         observed_violations: int) -> None:
+def _finish_report(report: RunReport, manager: PromiseManager,
+                   observed: dict[str, int]) -> RunReport:
+    """Add the counters, the invariants every run ends with and the final state."""
+    report.counters = {**manager.engine.counters, **manager.counters, **observed}
     by_name: dict = {"final-feasibility": [], "pool-additivity": [], "named-exclusivity": []}
     for p in manager.engine.problems():
         # any other problem ("index", "feasibility") says the final table is unsound
@@ -225,10 +230,119 @@ def _standard_invariants(report: RunReport, manager: PromiseManager,
         report.add_invariant(name, not messages, detail="; ".join(messages))
     report.add_invariant("per-step-self-check", not manager.self_check_failures,
                          detail=f"{len(manager.self_check_failures)} failures")
+    observed_violations = observed["observed-violations"]
     report.add_invariant(
         "violation-count-consistent",
         manager.counters["violations-rolled-back"] == observed_violations,
         detail=f"service={manager.counters['violations-rolled-back']} observed={observed_violations}")
+    report.final = {"catalog-digest": manager.catalog.state_digest(),
+                    "promise-table": manager.engine.dump()["promises"]}
+    return report
+
+
+# --- clients ---
+
+class _Unbound(Exception):
+    """A step names a promise its client never got."""
+
+
+class _Client:
+    """One client of a run. `request` and `act` build an envelope, pass it
+    to `send` (a wire round trip, or `PromiseManager.handle` in process)
+    and count the reply in the run's `observed` counters under `lock`."""
+
+    def __init__(self, name: str, send: Callable[[Envelope], Envelope],
+                 observed: dict[str, int], lock: threading.Lock, steps=()):
+        self.name = name
+        self.send = send
+        self.observed = observed
+        self.lock = lock
+        self.steps = list(steps)
+        self.vars: dict[str, str] = {}
+        self.outcomes: list[str] = []
+        self.errors: list[str] = []  # every error reply, and the exception that ended it
+        self.rid = self.sent = 0
+
+    def _roundtrip(self, envelope: Envelope) -> Envelope:
+        self.sent += 1
+        reply = self.send(envelope)
+        if reply.error is not None:
+            self.errors.append(f"{self.name}: error reply {reply.error}")
+        return reply
+
+    def request(self, predicates, duration: int, release=()) -> tuple[Envelope, Optional[str]]:
+        """Ask for one promise; returns the reply and the granted id, or None."""
+        self.rid += 1
+        msg = make_request(f"{self.name}-r{self.rid}", predicates, duration, release)
+        reply = self._roundtrip(Envelope(promise_part=PromisePart(requests=(msg,))))
+        resp = reply.promise_part.responses[0] if reply.promise_part else None
+        pid = resp.promise_id if resp is not None and resp.result == RESULT_ACCEPTED else None
+        with self.lock:
+            self.observed["observed-rejected" if pid is None else "observed-accepted"] += 1
+        return reply, pid
+
+    def act(self, name: str, payload=None, environment=()) -> Envelope:
+        """Run an action under `environment`, pairs of (promise id, release option)."""
+        env = EnvironmentMsg(tuple(pid for pid, _ in environment),
+                             tuple(option for _, option in environment)) if environment else None
+        reply = self._roundtrip(Envelope(action=ActionMsg(name, payload), environment=env))
+        if reply.action is not None:
+            status = reply.action.status
+            with self.lock:
+                self.observed["actions-succeeded" if status == ACTION_SUCCEEDED
+                              else "actions-failed"] += 1
+                if status == ACTION_REJECTED_BY_PROMISE_VIOLATION:
+                    self.observed["observed-violations"] += 1
+        return reply
+
+    def resolve(self, ref: str) -> str:
+        if isinstance(ref, str) and ref.startswith("$"):
+            if ref[1:] not in self.vars:
+                raise _Unbound(ref)
+            return self.vars[ref[1:]]
+        return ref
+
+
+def _wire(sock: socket.socket) -> Callable[[Envelope], Envelope]:
+    def roundtrip(envelope: Envelope) -> Envelope:
+        send_frame(sock, encode(envelope))
+        return decode(recv_frame(sock))
+    return roundtrip
+
+
+@contextlib.contextmanager
+def _serving(manager: PromiseManager, n_clients: int):
+    """Serve `manager` on a local port; yield one wire round trip per client."""
+    server = Server(manager)
+    try:
+        with contextlib.ExitStack() as stack:
+            yield [_wire(stack.enter_context(socket.create_connection(server.address, timeout=30)))
+                   for _ in range(n_clients)]
+    finally:
+        server.stop()
+
+
+def _run_threads(report: RunReport, clients: list[_Client],
+                 body: Callable[[_Client], None]) -> None:
+    """Run `body(client)` for every client in its own thread. Every error
+    reply, and every exception that ends a client, fails the report's
+    `client-failures` invariant instead of dying with its thread."""
+    def guarded(client: _Client) -> None:
+        try:
+            body(client)
+        except Exception as exc:
+            log.exception("client %s died", client.name)
+            client.errors.append(f"{client.name}: died of {type(exc).__name__}: {exc}")
+
+    threads = [threading.Thread(target=guarded, args=(c,)) for c in clients]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    failures = [e for c in clients for e in c.errors]
+    report.add_invariant("client-failures", not failures,
+                         detail=f"{len(failures)} failures: {'; '.join(failures[:5])}"
+                         if failures else "")
 
 
 # --- scripted scenarios ---
@@ -277,43 +391,9 @@ def _script_catalog(script: dict, override=None) -> ResourceCatalog:
     return load_catalog_file(os.path.join(base, name))
 
 
-class _Unbound(Exception):
-    """A step names a promise its client never got."""
-
-
-class _WireClient:
-    def __init__(self, name: str, steps: list, address):
-        self.name = name
-        self.steps = steps
-        self.vars: dict[str, str] = {}
-        self.outcomes: list[str] = []
-        self.rid = 0
-        self.sock = None
-        self.address = address
-
-    def connect(self):
-        self.sock = socket.create_connection(self.address, timeout=30)
-
-    def close(self):
-        if self.sock is not None:
-            self.sock.close()
-
-    def roundtrip(self, envelope: Envelope) -> Envelope:
-        send_frame(self.sock, encode(envelope))
-        return decode(recv_frame(self.sock))
-
-    def resolve(self, ref: str) -> str:
-        if isinstance(ref, str) and ref.startswith("$"):
-            if ref[1:] not in self.vars:
-                raise _Unbound(ref)
-            return self.vars[ref[1:]]
-        return ref
-
-
 class _ScriptRun:
-    def __init__(self, script: dict, catalog_override=None, verbose=False):
+    def __init__(self, script: dict, catalog_override=None):
         self.script = script
-        self.verbose = verbose
         self.clock_mode = script.get("clock", "logical")
         if self.clock_mode not in ("logical", "wall"):
             raise ScenarioError(f"unknown clock mode {self.clock_mode!r}")
@@ -331,9 +411,6 @@ class _ScriptRun:
         register_standard_handlers(self.manager)
         self._validate_script(catalog)
         self.expect_failures: list[str] = []
-        self.observed = {"observed-accepted": 0, "observed-rejected": 0,
-                         "observed-violations": 0, "actions-succeeded": 0,
-                         "actions-failed": 0}
         self.take_keys: list[str] = []
 
     def _validate_script(self, catalog: ResourceCatalog) -> None:
@@ -376,55 +453,39 @@ class _ScriptRun:
             raise ScenarioError(f"{client}: {ref} is used before it is bound")
 
     def run(self) -> RunReport:
-        server = Server(self.manager)
-        clients = [_WireClient(c["name"], list(c.get("steps", [])), server.address)
-                   for c in self.script.get("clients", [])]
-        try:
-            for c in clients:
-                c.connect()
+        report = RunReport(self.script.get("name", "scenario"), self.seed, self.clock_mode)
+        scripted = self.script["clients"]
+        observed, lock = dict.fromkeys(OBSERVED_COUNTERS, 0), threading.Lock()
+        with _serving(self.manager, len(scripted)) as sends:
+            clients = [_Client(c["name"], send, observed, lock, c.get("steps", []))
+                       for c, send in zip(scripted, sends)]
             if self.clock_mode == "logical":
                 self._run_lockstep(clients)
             else:
-                self._run_threads(clients)
-        finally:
-            for c in clients:
-                c.close()
-            server.stop()
-        return self._report(clients)
+                _run_threads(report, clients, self._run_steps)
+        report.clients = {c.name: c.outcomes for c in clients}
+        report.add_invariant("expectations", not self.expect_failures,
+                             detail="; ".join(self.expect_failures))
+        _finish_report(report, self.manager, observed)
+        self._final_expectations(report, clients)
+        return report
 
-    def _run_lockstep(self, clients: list[_WireClient]) -> None:
+    def _run_lockstep(self, clients: list[_Client]) -> None:
         rng = random.Random(self.seed)
         cursors = [0] * len(clients)
-        if self.schedule == "round-robin":
-            pending = True
-            while pending:
-                pending = False
-                for i, c in enumerate(clients):
-                    if cursors[i] < len(c.steps):
-                        self._execute(c, c.steps[cursors[i]])
-                        cursors[i] += 1
-                        pending = pending or cursors[i] < len(c.steps)
-        else:
-            while True:
-                ready = [i for i, c in enumerate(clients) if cursors[i] < len(c.steps)]
-                if not ready:
-                    break
-                i = rng.choice(ready)
+        while True:
+            ready = [i for i, c in enumerate(clients) if cursors[i] < len(c.steps)]
+            if not ready:
+                return
+            for i in ready if self.schedule == "round-robin" else [rng.choice(ready)]:
                 self._execute(clients[i], clients[i].steps[cursors[i]])
                 cursors[i] += 1
 
-    def _run_threads(self, clients: list[_WireClient]) -> None:
-        def worker(c: _WireClient):
-            for step in c.steps:
-                self._execute(c, step)
+    def _run_steps(self, client: _Client) -> None:
+        for step in client.steps:
+            self._execute(client, step)
 
-        threads = [threading.Thread(target=worker, args=(c,)) for c in clients]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-    def _execute(self, client: _WireClient, step: dict) -> None:
+    def _execute(self, client: _Client, step: dict) -> None:
         """Run one step; skip it if it names a promise its client never got.
 
         The request that would have bound it was rejected, which a seeded
@@ -437,7 +498,7 @@ class _ScriptRun:
             self.expect_failures.append(
                 f"{client.name}: {exc} never bound, so the step was skipped: {step}")
 
-    def _execute_step(self, client: _WireClient, step: dict) -> None:
+    def _execute_step(self, client: _Client, step: dict) -> None:
         kind = step["kind"]
         if kind == "advance-clock":
             self.manager.clock.advance(step.get("by", 1))
@@ -449,74 +510,41 @@ class _ScriptRun:
             client.outcomes.append("think")
             return
         if kind == "request":
-            release = tuple(client.resolve(r) for r in step.get("release-on-grant", []))
-            client.rid += 1
-            rid = f"{client.name}-r{client.rid}"
+            release = [client.resolve(r) for r in step.get("release-on-grant", [])]
             preds = tuple(predicate_from_wire(p) for p in step["predicates"])
-            msg = make_request(rid, preds, step["duration"], release)
-            reply = client.roundtrip(Envelope(promise_part=PromisePart(requests=(msg,))))
-            response = reply.promise_part.responses[0] if reply.promise_part else None
-            if response is not None and response.result == RESULT_ACCEPTED:
+            reply, pid = client.request(preds, step["duration"], release)
+            if pid is not None:
                 outcome = "accepted"
-                self.observed["observed-accepted"] += 1
                 if step.get("save-as"):
-                    client.vars[step["save-as"]] = response.promise_id
+                    client.vars[step["save-as"]] = pid
             else:
                 outcome = "rejected" if reply.error is None else f"error {reply.error}"
-                self.observed["observed-rejected"] += 1
             client.outcomes.append(f"request {client.rid}: {outcome}")
             self._expect(client, step, outcome)
             return
         if kind == "action":
-            env = None
-            entries = step.get("environment", [])
-            if entries:
-                env = EnvironmentMsg(
-                    tuple(client.resolve(e["promise"]) for e in entries),
-                    tuple(e.get("option", OPTION_RELEASE_AFTER_SUCCESS) for e in entries))
-            envelope = Envelope(action=ActionMsg(step["name"], step.get("payload")),
-                                environment=env)
-            reply = client.roundtrip(envelope)
-            if reply.action is not None:
-                status = reply.action.status
-                if status == ACTION_SUCCEEDED:
-                    self.observed["actions-succeeded"] += 1
-                    payload = reply.action.payload
-                    if isinstance(payload, dict) and step["name"].startswith("take-"):
-                        self.take_keys.append(payload.get("key"))
-                else:
-                    self.observed["actions-failed"] += 1
-                if status == "rejected-by-promise-violation":
-                    self.observed["observed-violations"] += 1
-            else:
+            env = [(client.resolve(e["promise"]), e.get("option", OPTION_RELEASE_AFTER_SUCCESS))
+                   for e in step.get("environment", [])]
+            reply = client.act(step["name"], step.get("payload"), env)
+            if reply.action is None:
                 status = f"error {reply.error}"
+            else:
+                status, payload = reply.action.status, reply.action.payload
+                if status == ACTION_SUCCEEDED and isinstance(payload, dict) \
+                        and step["name"].startswith("take-"):
+                    self.take_keys.append(payload.get("key"))
             client.outcomes.append(f"action {step['name']}: {status}")
             self._expect(client, step, status)
             return
         raise ScenarioError(f"unknown step kind {kind!r}")
 
-    def _expect(self, client: _WireClient, step: dict, outcome: str) -> None:
+    def _expect(self, client: _Client, step: dict, outcome: str) -> None:
         want = step.get("expect")
         if want is not None and want != outcome:
             self.expect_failures.append(
                 f"{client.name}: expected {want!r}, got {outcome!r} at {step}")
 
-    def _report(self, clients: list[_WireClient]) -> RunReport:
-        report = RunReport(self.script.get("name", "scenario"), self.seed, self.clock_mode)
-        for c in clients:
-            report.clients[c.name] = c.outcomes
-        report.counters = _collect_counters(self.manager, self.observed)
-        report.add_invariant("expectations", not self.expect_failures,
-                             detail="; ".join(self.expect_failures))
-        _standard_invariants(report, self.manager, self.observed["observed-violations"])
-        self._final_expectations(report, clients)
-        report.final = {
-            "catalog-digest": self.manager.catalog.state_digest(),
-            "promise-table": self.manager.engine.dump()["promises"],
-        }
-        return report
-
-    def _final_expectations(self, report: RunReport, clients: list[_WireClient]) -> None:
+    def _final_expectations(self, report: RunReport, clients: list[_Client]) -> None:
         want = self.script.get("expect-final")
         if not want:
             return
@@ -546,9 +574,8 @@ class _ScriptRun:
         report.add_invariant("final-state", not problems, detail="; ".join(problems))
 
 
-def run_script(source, catalog_override=None, verbose: bool = False) -> RunReport:
-    script = load_script(source)
-    return _ScriptRun(script, catalog_override, verbose).run()
+def run_script(source, catalog_override=None) -> RunReport:
+    return _ScriptRun(load_script(source), catalog_override).run()
 
 
 # --- wall-clock contention load over the wire ---
@@ -573,104 +600,55 @@ def contention_run(n_clients: int = 8, envelopes_each: int = 200,
     })
     manager = PromiseManager(catalog, clock=WallClock(), self_check=True)
     register_standard_handlers(manager)
-    server = Server(manager)
+    observed, lock = dict.fromkeys(OBSERVED_COUNTERS, 0), threading.Lock()
     unavailable_under_promise: list[str] = []
-    observed = {"observed-accepted": 0, "observed-rejected": 0,
-                "observed-violations": 0, "actions-succeeded": 0, "actions-failed": 0}
-    counter_lock = threading.Lock()
 
-    def client(idx: int):
-        rng = random.Random(f"{seed}-{idx}")
-        c = _WireClient(f"c{idx}", [], server.address)
-        c.connect()
-        budget = envelopes_each
-        rid = 0
-        try:
-            while budget > 0:
-                def send(envelope) -> Envelope:
-                    nonlocal budget
-                    budget -= 1
-                    return c.roundtrip(envelope)
+    def act_under(c: _Client, pid: str, name: str, payload=None) -> None:
+        reply = c.act(name, payload, [(pid, OPTION_RELEASE_AFTER_SUCCESS)])
+        if reply.action is not None:
+            status, body = reply.action.status, reply.action.payload
+            reason = body.get("reason", "") if isinstance(body, dict) else ""
+            if reason in UNAVAILABLE_REASONS or status == ACTION_REJECTED_BY_PROMISE_VIOLATION:
+                with lock:
+                    unavailable_under_promise.append(
+                        f"{c.name}: {name} under promise -> {status} ({reason})")
 
-                def request(preds, duration=600):
-                    nonlocal rid
-                    rid += 1
-                    msg = make_request(f"c{idx}-r{rid}", preds, duration)
-                    reply = send(Envelope(promise_part=PromisePart(requests=(msg,))))
-                    resp = reply.promise_part.responses[0]
-                    with counter_lock:
-                        if resp.result == RESULT_ACCEPTED:
-                            observed["observed-accepted"] += 1
-                        else:
-                            observed["observed-rejected"] += 1
-                    return resp
-
-                def action(name, payload, env_ids=(), options=()):
-                    envmsg = EnvironmentMsg(tuple(env_ids), tuple(options)) if env_ids else None
-                    reply = send(Envelope(action=ActionMsg(name, payload), environment=envmsg))
-                    status = reply.action.status if reply.action else f"error {reply.error}"
-                    reason = ""
-                    if reply.action and isinstance(reply.action.payload, dict):
-                        reason = reply.action.payload.get("reason", "")
-                    with counter_lock:
-                        if status == ACTION_SUCCEEDED:
-                            observed["actions-succeeded"] += 1
-                        else:
-                            observed["actions-failed"] += 1
-                        if status == "rejected-by-promise-violation":
-                            observed["observed-violations"] += 1
-                        if env_ids and (reason in UNAVAILABLE_REASONS
-                                        or status == "rejected-by-promise-violation"):
-                            unavailable_under_promise.append(
-                                f"c{idx}: {name} under promise -> {status} ({reason})")
-                    return status
-
-                roll = rng.random()
-                if roll < 0.55 and budget >= 3:
-                    k = rng.randint(1, 3)
-                    resp = request((Quantity("widget", k),))
-                    if resp.result == RESULT_ACCEPTED:
-                        action("purchase-stock", {"resource-type": "widget", "amount": k},
-                               (resp.promise_id,), (OPTION_RELEASE_AFTER_SUCCESS,))
-                        action("restock", {"resource-type": "widget", "amount": k})
-                    else:
-                        # unpromised consumption keeps the post-check busy
-                        action("purchase-stock", {"resource-type": "widget", "amount": k})
-                elif roll < 0.8 and budget >= 2:
-                    key = f"s{rng.randrange(5)}"
-                    resp = request((Named(InstanceId("seat", key)),))
-                    if resp.result == RESULT_ACCEPTED:
-                        action(ACTION_NO_OP, None,
-                               (resp.promise_id,), (OPTION_RELEASE_AFTER_SUCCESS,))
-                elif budget >= 2:
-                    level = rng.choice(["economy", "business"])
-                    resp = request((Property("seat",
-                                             (PropertyConstraint("class", AT_LEAST_IN_ORDER, level),),
-                                             1),))
-                    if resp.result == RESULT_ACCEPTED:
-                        action(ACTION_NO_OP, None,
-                               (resp.promise_id,), (OPTION_RELEASE_AFTER_SUCCESS,))
+    def drive(c: _Client) -> None:
+        rng = random.Random(f"{seed}-{c.name}")
+        while c.sent < envelopes_each:
+            left = envelopes_each - c.sent
+            roll = rng.random()
+            if roll < 0.55 and left >= 3:
+                k = rng.randint(1, 3)
+                stock = {"resource-type": "widget", "amount": k}
+                _, pid = c.request((Quantity("widget", k),), 600)
+                if pid is not None:
+                    act_under(c, pid, "purchase-stock", stock)
+                    c.act("restock", stock)
                 else:
-                    send(Envelope(action=ActionMsg(ACTION_NO_OP, None)))
-        finally:
-            c.close()
-
-    threads = [threading.Thread(target=client, args=(i,)) for i in range(n_clients)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    server.stop()
+                    # unpromised consumption keeps the post-check busy
+                    c.act("purchase-stock", stock)
+            elif left >= 2:
+                if roll < 0.8:
+                    pred = Named(InstanceId("seat", f"s{rng.randrange(5)}"))
+                else:
+                    level = rng.choice(["economy", "business"])
+                    pred = Property("seat", (PropertyConstraint("class", AT_LEAST_IN_ORDER,
+                                                                level),), 1)
+                _, pid = c.request((pred,), 600)
+                if pid is not None:
+                    act_under(c, pid, ACTION_NO_OP)
+            else:
+                c.act(ACTION_NO_OP)
 
     report = RunReport("contention", seed, "wall")
-    report.clients = {f"c{i}": [] for i in range(n_clients)}
-    report.counters = _collect_counters(manager, observed)
+    with _serving(manager, n_clients) as sends:
+        clients = [_Client(f"c{i}", send, observed, lock) for i, send in enumerate(sends)]
+        _run_threads(report, clients, drive)
+    report.clients = {c.name: c.outcomes for c in clients}
     report.add_invariant("no-unavailability-under-promise", not unavailable_under_promise,
                          detail="; ".join(unavailable_under_promise[:5]))
-    _standard_invariants(report, manager, observed["observed-violations"])
-    report.final = {"catalog-digest": manager.catalog.state_digest(),
-                    "promise-table": manager.engine.dump()["promises"]}
-    return report
+    return _finish_report(report, manager, observed)
 
 
 # --- fuzzing ---
@@ -781,11 +759,9 @@ def _gen_action(rng: random.Random, n_inst: int) -> dict:
 
 
 def _verify_stack(manager: PromiseManager) -> list[str]:
-    """The table's problems, the flow answer's disagreement with the
-    exhaustive oracle (up to 8 predicates), and the self-check's failures.
-
-    The checker runs here too: a rolled-back envelope skips the self-check.
-    """
+    """The table's problems and the flow answer's disagreement with the
+    exhaustive oracle (up to 8 predicates), after every step, rolled back
+    or not."""
     found = manager.engine.problems()
     problems = [p.message for p in found]
     preds = manager.engine.active_predicates()
@@ -794,15 +770,15 @@ def _verify_stack(manager: PromiseManager) -> list[str]:
         oracle = brute_force_satisfiable(preds, manager.catalog.snapshot_availability())
         if flow != oracle:
             problems.append(f"flow={flow} oracle={oracle} disagree")
-    if manager.self_check_failures:
-        problems.append(f"self-check failures {manager.self_check_failures}")
     return problems
 
 
 def _replay(steps: list[dict], catalog_doc: dict):
-    """Run steps on a fresh stack. Returns (failure, outcomes, manager)."""
-    manager = PromiseManager(load_catalog(catalog_doc), clock=LogicalClock(), self_check=True)
+    """Run steps on a fresh stack. Returns (failure, outcomes, manager, observed)."""
+    manager = PromiseManager(load_catalog(catalog_doc), clock=LogicalClock())
     register_standard_handlers(manager)
+    observed = dict.fromkeys(OBSERVED_COUNTERS, 0)
+    client = _Client("f", manager.handle, observed, threading.Lock())
     granted: dict[int, str] = {}
     outcomes: list[str] = []
 
@@ -824,7 +800,7 @@ def _replay(steps: list[dict], catalog_doc: dict):
             muffle = logger.level  # the rollback traceback is the expected outcome here
             logger.setLevel(logging.CRITICAL)
             try:
-                reply = _apply_step(manager, granted, index, step["inner"])
+                reply = _apply_step(client, granted, index, step["inner"])
             finally:
                 manager.fault_hook = None
                 logger.setLevel(muffle)
@@ -837,18 +813,17 @@ def _replay(steps: list[dict], catalog_doc: dict):
             if before != after:
                 return f"fault at {stage}: STATE CHANGED"
             return f"fault at {stage}: rolled back"
-        reply = _apply_step(manager, granted, index, step)
+        reply = _apply_step(client, granted, index, step)
         return _describe_reply(step, reply)
 
     for i, step in enumerate(steps):
         outcome = run_one(i, step)
         outcomes.append(outcome)
-        if "STATE CHANGED" in outcome:
-            return {"step": i, "problems": ["fault rollback was not exact"]}, outcomes, manager
-        problems = _verify_stack(manager)
+        problems = ["fault rollback was not exact"] if "STATE CHANGED" in outcome \
+            else _verify_stack(manager)
         if problems:
-            return {"step": i, "problems": problems}, outcomes, manager
-    return None, outcomes, manager
+            return {"step": i, "problems": problems}, outcomes, manager, observed
+    return None, outcomes, manager, observed
 
 
 def _resolve_target(granted: dict[int, str], target: int) -> Optional[str]:
@@ -860,45 +835,27 @@ def _resolve_target(granted: dict[int, str], target: int) -> Optional[str]:
     return pid
 
 
-def _apply_step(manager: PromiseManager, granted: dict[int, str],
+def _apply_step(client: _Client, granted: dict[int, str],
                 index: int, step: dict) -> Optional[Envelope]:
     kind = step["kind"]
     if kind in ("grant", "exchange"):
-        release = []
-        for target in step.get("targets", []):
-            pid = _resolve_target(granted, target)
-            if pid is None:
-                return None  # nothing granted yet; skip deterministically
-            release.append(pid)
+        release = [_resolve_target(granted, target) for target in step.get("targets", [])]
+        if None in release:
+            return None  # nothing granted yet; skip deterministically
         preds = tuple(predicate_from_wire(p) for p in step["predicates"])
-        msg = make_request(f"f-{index}", preds, step["duration"], tuple(release))
-        reply = manager.handle(Envelope(promise_part=PromisePart(requests=(msg,))))
-        if reply.promise_part:
-            resp = reply.promise_part.responses[0]
-            if resp.result == RESULT_ACCEPTED:
-                granted[index] = resp.promise_id
+        reply, pid = client.request(preds, step["duration"], release)
+        if pid is not None:
+            granted[index] = pid
         return reply
     if kind == "release":
         pid = _resolve_target(granted, step["target"])
         if pid is None:
             return None
-        env = EnvironmentMsg((pid,), (OPTION_RELEASE_AFTER_SUCCESS,))
-        return manager.handle(Envelope(action=ActionMsg(ACTION_NO_OP, None), environment=env))
+        return client.act(ACTION_NO_OP, None, [(pid, OPTION_RELEASE_AFTER_SUCCESS)])
     if kind == "action":
-        env = None
-        entries = step.get("environment", [])
-        if entries:
-            ids, options = [], []
-            for target, option in entries:
-                pid = _resolve_target(granted, target)
-                if pid is None:
-                    continue
-                ids.append(pid)
-                options.append(option)
-            if ids:
-                env = EnvironmentMsg(tuple(ids), tuple(options))
-        return manager.handle(Envelope(action=ActionMsg(step["name"], step.get("payload")),
-                                       environment=env))
+        env = [(pid, option) for target, option in step.get("environment", [])
+               if (pid := _resolve_target(granted, target)) is not None]
+        return client.act(step["name"], step.get("payload"), env)
     raise ScenarioError(f"unknown fuzz step kind {kind!r}")
 
 
@@ -924,7 +881,7 @@ def _minimize(steps: list[dict], catalog_doc: dict) -> list[dict]:
         shrunk = False
         for i in range(len(current)):
             candidate = current[:i] + current[i + 1:]
-            failure, _, _ = _replay(candidate, catalog_doc)
+            failure = _replay(candidate, catalog_doc)[0]
             if failure is not None:
                 current = candidate
                 shrunk = True
@@ -932,31 +889,23 @@ def _minimize(steps: list[dict], catalog_doc: dict) -> list[dict]:
     return current
 
 
-def fuzz(seed: int, n_clients: int = 3, n_steps: int = 60,
-         verbose: bool = False) -> RunReport:
+def fuzz(seed: int, n_clients: int = 3, n_steps: int = 60) -> RunReport:
     rng = random.Random(seed)
     catalog_doc = _fuzz_catalog_doc(rng)
     n_inst = len(catalog_doc["resource-types"][1]["instances"])
     steps = _gen_steps(rng, n_clients, n_steps, n_inst)
 
-    failure, outcomes, manager = _replay(steps, catalog_doc)
+    failure, outcomes, manager, observed = _replay(steps, catalog_doc)
 
-    report = RunReport("fuzz", seed, "logical")
-    by_client: dict[str, list[str]] = {f"c{i}": [] for i in range(n_clients)}
+    report = RunReport("fuzz", seed, "logical", clients={f"c{i}": [] for i in range(n_clients)})
     for step, outcome in zip(steps, outcomes):
-        by_client[f"c{step['client']}"].append(outcome)
-    report.clients = by_client
-    observed_violations = sum(
-        "rejected-by-promise-violation" in o for o in outcomes)
-    report.counters = _collect_counters(
-        manager, {"observed-violations": observed_violations})
+        report.clients[f"c{step['client']}"].append(outcome)
     report.add_invariant("step-invariants", failure is None,
                          detail="" if failure is None else
                          f"step {failure['step']}: {'; '.join(failure['problems'])}")
-    _standard_invariants(report, manager, observed_violations)
-    report.final = {"catalog-digest": manager.catalog.state_digest(),
-                    "promise-table": manager.engine.dump()["promises"]}
+    # a fuzz report's counters carry only the violations among the observed
+    # counters, so fuzz digests stay comparable across versions
+    _finish_report(report, manager, {"observed-violations": observed["observed-violations"]})
     if failure is not None:
-        trace = _minimize(steps[:failure["step"] + 1], catalog_doc)
-        report.trace = trace
+        report.trace = _minimize(steps[:failure["step"] + 1], catalog_doc)
     return report

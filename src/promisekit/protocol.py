@@ -191,6 +191,9 @@ def _check_response(resp: PromiseResponseMsg) -> None:
         raise ValueError(f"unknown promise-result {resp.result!r}")
     if (resp.promise_id is not None) != (resp.result == RESULT_ACCEPTED):
         raise ValueError("promise-identifier must be present exactly when accepted")
+    if resp.promise_id is not None and (not isinstance(resp.promise_id, str)
+                                        or not resp.promise_id):
+        raise ValueError("promise-identifier must be a non-empty string")
     if not isinstance(resp.granted_duration, int) or isinstance(resp.granted_duration, bool) \
             or resp.granted_duration < 0:
         raise ValueError("promise-duration must be a non-negative integer")
@@ -273,7 +276,7 @@ def _resource_json(rt: str, key: Optional[str]) -> str:
 
 
 def _response_json(r: PromiseResponseMsg) -> str:
-    pid = "" if r.promise_id is None else ',"promise-identifier":' + _json(r.promise_id)
+    pid = "" if r.promise_id is None else ',"promise-identifier":' + _quote(r.promise_id)
     return '{"promise-correlation":%s,"promise-duration":%d%s,"promise-result":%s}' % (
         _quote(r.correlation), r.granted_duration, pid, _quote(r.result))
 
@@ -289,6 +292,7 @@ _REQUEST_FIELDS = frozenset(("request-identifier", "predicates", "resources",
                              "promise-duration", "release-on-grant"))
 _RESPONSE_FIELDS = frozenset(("promise-identifier", "promise-result",
                               "promise-duration", "promise-correlation"))
+_RESOURCE_FIELDS = frozenset(("resource-type", "key"))
 
 
 def decode(data: bytes) -> Envelope:
@@ -320,9 +324,9 @@ def _envelope_from_doc(doc) -> Envelope:
         _check_environment(environment)
     if "action" in doc:
         raw = _object(doc["action"], _ACTION_FIELDS, "action")
-        action = ActionMsg(raw.get("action-name"), raw.get("payload"), raw.get("status"))
+        action = ActionMsg(raw.get("action-name"), raw.get("payload"), _optional(raw, "status"))
         _check_action(action)
-    error = doc.get("error")
+    error = _optional(doc, "error")
     _check_layout(part, environment, action, error)
     return Envelope(part, environment, action, error)
 
@@ -340,14 +344,13 @@ def _request_from_doc(raw, seen_rids: set) -> PromiseRequestMsg:
 
 
 def _resource_from_doc(raw) -> tuple:
-    if not isinstance(raw, dict):
-        raise ValueError("resource reference must be an object")
+    _object(raw, _RESOURCE_FIELDS, "resource reference")
     return (raw.get("resource-type"), raw.get("key"))
 
 
 def _response_from_doc(raw) -> PromiseResponseMsg:
     _object(raw, _RESPONSE_FIELDS, "promise-response")
-    resp = PromiseResponseMsg(raw.get("promise-identifier"), raw.get("promise-result"),
+    resp = PromiseResponseMsg(_optional(raw, "promise-identifier"), raw.get("promise-result"),
                               raw.get("promise-duration"), raw.get("promise-correlation"))
     _check_response(resp)
     return resp
@@ -360,6 +363,14 @@ def _object(raw, fields: frozenset, what: str) -> dict:
     if not fields.issuperset(raw):
         raise ValueError(f"unknown {what} fields {sorted(set(raw) - fields)}")
     return raw
+
+
+def _optional(raw: dict, name: str):
+    """raw[name], or None when it is absent; an explicit null is malformed."""
+    value = raw.get(name)
+    if value is None and name in raw:
+        raise ValueError(f"{name} must not be null")
+    return value
 
 
 def _list(value) -> list:

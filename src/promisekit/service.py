@@ -255,19 +255,16 @@ class PromiseManager:
             if not touched or self.engine.post_action_check(
                     release_ids, self.catalog.snapshot_availability(unit), touched):
                 return ActionMsg(name, payload, ACTION_SUCCEEDED)
-            self.catalog.rollback_to(unit, mark)
-            self.engine.restore(table_mark)
             self.counters["violations-rolled-back"] += 1
-            return ActionMsg(name, {"reason": "outcome would violate an active promise"},
-                             ACTION_REJECTED_BY_PROMISE_VIOLATION)
+            status, reason = ACTION_REJECTED_BY_PROMISE_VIOLATION, \
+                "outcome would violate an active promise"
         except ActionFailure as exc:
-            self.catalog.rollback_to(unit, mark)
-            self.engine.restore(table_mark)
-            return ActionMsg(name, {"reason": str(exc)}, ACTION_FAILED)
+            status, reason = ACTION_FAILED, str(exc)
         except CatalogError as exc:
-            self.catalog.rollback_to(unit, mark)
-            self.engine.restore(table_mark)
-            return ActionMsg(name, {"reason": exc.code}, ACTION_FAILED)
+            status, reason = ACTION_FAILED, exc.code
+        self.catalog.rollback_to(unit, mark)
+        self.engine.restore(table_mark)
+        return ActionMsg(name, {"reason": reason}, status)
 
     def _stage(self, stage: str) -> None:
         if self.fault_hook is not None:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -200,7 +201,7 @@ def test_fault_steps_verify_exact_rollback():
                                    "amount": 1}]}},
     ]
     doc = harness._fuzz_catalog_doc(__import__("random").Random(0))
-    failure, outcomes, _ = harness._replay(steps, doc)
+    failure, outcomes, _, _ = harness._replay(steps, doc)
     assert failure is None
     assert outcomes[1] == "fault at commit: rolled back"
 
@@ -231,6 +232,82 @@ def test_contention_smoke():
     assert report.counters["observed-accepted"] > 0
 
 
+def _raise_once(monkeypatch, owner, name):
+    original = getattr(owner, name)
+    fired = []
+
+    def once(*args, **kwargs):
+        if not fired:
+            fired.append(True)
+            raise RuntimeError("planted fault")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, once)
+
+
+def test_a_pipeline_fault_fails_a_contention_run_and_every_client_finishes(monkeypatch):
+    _raise_once(monkeypatch, PromiseEngine, "grant")
+    report = contention_run(n_clients=3, envelopes_each=30, seed=1)
+    inv = {i["name"]: i for i in report.invariants}
+    assert not report.ok
+    assert inv["client-failures"]["detail"].endswith("error reply internal-failure")
+    assert "died" not in inv["client-failures"]["detail"]
+    assert all(i["ok"] for name, i in inv.items() if name != "client-failures")
+    assert report.counters["internal-failures"] == 1
+    assert sum(report.counters[k] for k in harness.OBSERVED_COUNTERS
+               if k != "observed-violations") == 3 * 30
+
+
+def test_a_client_that_dies_fails_a_contention_run(monkeypatch):
+    _raise_once(monkeypatch, harness._Client, "request")
+    report = contention_run(n_clients=3, envelopes_each=30, seed=1)
+    inv = {i["name"]: i for i in report.invariants}
+    assert not report.ok
+    assert "died of RuntimeError: planted fault" in inv["client-failures"]["detail"]
+
+
+def test_wall_clock_clients_count_every_step_they_send():
+    """More clients than cores and a short switch interval: a lost update to
+    the shared observed counters would break the sums."""
+    request = {"kind": "request", "duration": 600, "save-as": "p",
+               "predicates": [{"form": "quantity", "resource-type": "pink-widget",
+                               "amount": 1}]}
+    purchase = {"kind": "action", "name": "purchase-stock", "environment": [{"promise": "$p"}],
+                "payload": {"resource-type": "pink-widget", "amount": 1}}
+    steps = [request, purchase, {"kind": "think", "ms": 1}] * 10
+    script = {"name": "wall", "catalog-inline": widget_doc(100), "clock": "wall",
+              "clients": [{"name": f"c{i}", "steps": steps} for i in range(4)]}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = run_script(script)
+    finally:
+        sys.setswitchinterval(interval)
+    assert report.ok, report.to_document()["invariants"]
+    assert report.counters["observed-accepted"] + report.counters["observed-rejected"] == 40
+    assert report.counters["actions-succeeded"] + report.counters["actions-failed"] == 40
+    assert report.counters["actions-succeeded"] == 40
+
+
+PINNED_SCENARIO_DIGESTS = {
+    "banking": "9df87b35698250a7", "gallery": "b1237e8b4c89e792", "hotel": "c7888ba2e35734ea",
+    "merchant": "db3de835f5b22445", "travel": "4dd4c96ebe24713d"}
+PINNED_FUZZ_DIGESTS = ["112a8a1700d9ceb7", "4869923fd5d84080", "0aac4df72ee7a165",
+                       "5b6988d0486ac2f9", "6e8231dc568e38f0", "d1f5d8bb87c1f7c8"]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCENARIO_DIGESTS))
+def test_bundled_scenario_digest_is_pinned(name):
+    """A change that moves a logical-clock digest on purpose updates the pin
+    and says why in CHANGES.md."""
+    assert run_script(name).digest[:16] == PINNED_SCENARIO_DIGESTS[name]
+
+
+@pytest.mark.parametrize("seed", range(len(PINNED_FUZZ_DIGESTS)))
+def test_fuzz_digest_is_pinned(seed):
+    assert fuzz(seed).digest[:16] == PINNED_FUZZ_DIGESTS[seed]
+
+
 def test_a_planted_fault_reads_the_same_to_every_checker_caller():
     """A second Named record for one instance, written straight into the
     table past the grant's check, reaches the self-check, the report's
@@ -247,7 +324,7 @@ def test_a_planted_fault_reads_the_same_to_every_checker_caller():
     assert message in mgr.self_check_failures[-1]["problems"]
 
     report = RunReport("planted", 0, "logical")
-    harness._standard_invariants(report, mgr, 0)
+    harness._finish_report(report, mgr, {"observed-violations": 0})
     invariants = {inv["name"]: inv for inv in report.invariants}
     assert invariants["named-exclusivity"] == {
         "name": "named-exclusivity", "ok": False, "detail": message}

@@ -325,6 +325,15 @@ _NAMED_DESK = {"form": "named", "resource-type": "desk", "key": "d1"}
     {"action": {"action-name": 7}},
     {"action": {"action-name": "go", "status": "sideways"}},
     {"action": {"action-name": "go", "verb": "run"}},
+    # an unknown resource-reference member, a null string member, a bad promise-identifier
+    _request_doc(resources=[{"resource-type": "w", "colour": "red"}]),
+    {"action": {"action-name": "go", "status": None}},
+    {"action": {"action-name": "go"}, "error": None},
+    _response_doc(promise_identifier=[5]),
+    _response_doc(promise_identifier=5),
+    _response_doc(promise_identifier=""),
+    {"promise": {"promise-response": [{"promise-identifier": None, "promise-result": "rejected",
+                                       "promise-duration": 0, "promise-correlation": "r1"}]}},
 ])
 def test_structurally_bad_documents_are_malformed(doc):
     with pytest.raises(MalformedMessage):
