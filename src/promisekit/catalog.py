@@ -106,12 +106,6 @@ class CatalogSchema:
     def has_type(self, name: str) -> bool:
         return name in self.types
 
-    def type_decl(self, name: str) -> ResourceTypeDecl:
-        try:
-            return self.types[name]
-        except KeyError:
-            raise CatalogError("unknown-resource", f"resource type {name!r} is not declared") from None
-
     def property_decl(self, resource_type: str, prop: str) -> Optional[PropertyDecl]:
         decl = self.types.get(resource_type)
         if decl is None:

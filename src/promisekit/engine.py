@@ -46,8 +46,8 @@ the units held on the type or the demands on it:
     the eligible ones. If some unit has no augmenting path, none exists
     (Berge), and the answer is infeasible.
 
-Which instances meet a demand is looked up when a search first needs
-it and cached until a property of that type changes. A Property demand
+Which instances meet a demand is looked up when the demand first needs
+a unit and cached until a property of that type changes. A Property demand
 reads per-property value buckets: for `equals`, the bucket of the
 value; for `at-least-in-order`, the buckets of the wanted rank and
 above. A property change (the catalog's per-type `property_version`
@@ -58,19 +58,21 @@ The kept assignment is a hint that needs no journal: rolling an
 envelope back leaves at worst dirty demands, pairs that hold more than
 the restored amounts, and taken moves the next check drains.
 
-A type's first check has no assignment to repair. It builds a flow
-problem (`build_feasibility_problem`) and solves it by Dinic max-flow
-(`solve_feasibility`); the kept assignment starts empty, and the next
-check fills it by augmenting paths. The flow problem merges nodes:
-untaken instances that satisfy the same Property demands are
-interchangeable and become one supply node of capacity k, and
-`satisfies` runs once per Property demand and distinct value of the
-properties the type's demands constrain. An instance a Named demand
-picks stays a node of its own, with edges from every Quantity and
-Property demand it can also serve. The one invariant checker,
-`problems`, always takes this path for its whole-state check, so it
-decides every type independently of the kept assignments and catches
-anything that breaks the invariant instead of relying on it.
+A type's first check has no assignment to repair. It still builds a cold
+problem (`build_feasibility_problem`) and solves it
+(`solve_feasibility`), because the benchmark's per-layer metrics wrap
+those two functions; the kept assignment starts empty, and the next
+check fills it. The cold problem merges nodes: untaken instances that
+satisfy the same Property demands are interchangeable and become one
+supply node of capacity k, and `satisfies` runs once per Property demand
+and distinct value of the properties the type's demands constrain. An
+instance a Named demand picks stays a node of its own, with edges from
+every Quantity and Property demand it can also serve. The solve expands
+each node into its units and places demand units with the repair's
+search (`_augment`). The one invariant checker, `problems`, always takes
+this path for its whole-state check, so it decides every type
+independently of the kept assignments and catches anything that breaks
+the invariant instead of relying on it.
 
 The promise table keeps per-envelope work independent of history:
 
@@ -97,6 +99,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
+from itertools import accumulate, islice
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .catalog import (
@@ -210,7 +213,7 @@ def _group_by_values(instances: Sequence[InstanceRecord],
 
 def build_feasibility_problem(predicates: Sequence[Predicate],
                               view: AvailabilityView) -> FeasibilityProblem:
-    """Flow problem for `predicates` over the untaken instances of the types they name.
+    """Cold problem for `predicates` over the untaken instances of the types they name.
 
     Instance-backed types only: `check_satisfiable` decides a pool-backed
     type by a sum, so a pool contributes no supply here.
@@ -263,91 +266,30 @@ def build_feasibility_problem(predicates: Sequence[Predicate],
     return FeasibilityProblem(demands, tuple(supplies), tuple(tuple(f) for f in fans))
 
 
-class _FlowNet:
-    """Dinic max-flow on a small dense-ish graph."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[list[int]]] = [[] for _ in range(n)]  # [to, cap, rev-index]
-
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = self._bfs(s, t)
-            if level is None:
-                return flow
-            it = [0] * self.n
-            while True:
-                pushed = self._augment(s, t, level, it)
-                if not pushed:
-                    break
-                flow += pushed
-
-    def _bfs(self, s: int, t: int):
-        level = [-1] * self.n
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            for e in self.adj[u]:
-                if e[1] > 0 and level[e[0]] < 0:
-                    level[e[0]] = level[u] + 1
-                    queue.append(e[0])
-        return level if level[t] >= 0 else None
-
-    def _augment(self, s: int, t: int, level, it) -> int:
-        """Push flow along one s-t path of the level graph; 0 if none is left.
-
-        Depth-first with an explicit stack, so a long augmenting path
-        cannot exhaust the interpreter's recursion limit. `it[u]` skips
-        the edges of u already found to lead nowhere.
-        """
-        adj = self.adj
-        path: list[list[int]] = []  # edges from s to u
-        u = s
-        while u != t:
-            edges = adj[u]
-            while it[u] < len(edges):
-                e = edges[it[u]]
-                if e[1] > 0 and level[e[0]] == level[u] + 1:
-                    path.append(e)
-                    u = e[0]
-                    break
-                it[u] += 1
-            else:
-                if not path:
-                    return 0
-                e = path.pop()  # dead end: retreat and skip the edge into u
-                u = adj[e[0]][e[2]][0]
-                it[u] += 1
-        pushed = min(e[1] for e in path)
-        for e in path:
-            e[1] -= pushed
-            adj[e[0]][e[2]][1] += pushed
-        return pushed
-
-
 def solve_feasibility(problem: FeasibilityProblem) -> bool:
-    if not problem.demands:
-        return True
-    if any(not fan and d.amount > 0 for d, fan in zip(problem.demands, problem.edges)):
-        return False
-    n_sup = len(problem.supplies)
-    n_dem = len(problem.demands)
-    # node ids: 0 source, 1..n_sup supplies, n_sup+1..n_sup+n_dem demands, last sink
-    net = _FlowNet(n_sup + n_dem + 2)
-    sink = n_sup + n_dem + 1
-    for i, sup in enumerate(problem.supplies):
-        if sup.capacity > 0:
-            net.add_edge(0, 1 + i, sup.capacity)
-    for j, dem in enumerate(problem.demands):
-        net.add_edge(n_sup + 1 + j, sink, dem.amount)
-        for i in problem.edges[j]:
-            net.add_edge(1 + i, n_sup + 1 + j, dem.amount)
-    return net.max_flow(0, sink) == problem.total_demand
+    """True iff every demand unit can be placed on its own supply unit.
+
+    Each supply node is expanded into `capacity` units. Starting from an
+    empty assignment, each demand takes the free units it can in one pass
+    over its eligible ones, and `_augment` places the rest one by one.
+    Demands with the fewest eligible units go first, so a nested
+    `at-least-in-order` chain needs no re-routing.
+    """
+    starts = [0, *accumulate(sup.capacity for sup in problem.supplies)]
+    eligible: dict = {}
+    for j, fan in enumerate(problem.edges):
+        order = [u for i in fan for u in range(starts[i], starts[i + 1])]
+        eligible[j] = (order, frozenset(order))
+    pairs, held, free = {}, {}, set(range(starts[-1]))
+    for j in sorted(eligible, key=lambda j: len(eligible[j][0])):
+        amount = problem.demands[j].amount
+        mine = held[j] = set(islice((u for u in eligible[j][0] if u in free), amount))
+        free -= mine
+        pairs.update(dict.fromkeys(mine, j))
+        for _ in range(amount - len(mine)):
+            if not _augment(pairs, held, free, eligible, j):
+                return False
+    return True
 
 
 def check_satisfiable(predicates: Sequence[Predicate], view: AvailabilityView,
@@ -399,7 +341,7 @@ class _TypeState:
         self.free: set = set()    # untaken positions that `pairs` leaves unused
         self.dirty: set = set()   # demand keys whose held count may differ from their amount
         # demand key -> (eligible positions in order, a container to test
-        # membership in), computed when first needed
+        # membership in), computed when first needed and kept while held
         self.eligible: dict = {}
         self.buckets: dict = {}   # property name -> {scalar_key(value): positions in order}
         self.eligible_at = -1     # the catalog property version the pairs were checked at
@@ -703,7 +645,7 @@ class PromiseEngine:
         gives them) over its demand index, and leave its kept assignment as
         complete as the demands allow.
 
-        The first decision of a type builds and solves its flow problem and
+        The first decision of a type builds and solves its cold problem and
         starts the assignment empty. Every later one repairs the assignment
         where it may have gone wrong since the last decision:
           - it drops the pairs on instances that became taken, which the
@@ -723,8 +665,11 @@ class PromiseEngine:
             self._revalidate(st, changes, records, version)
         elif moved:
             _read_moves(st, moved, records)
-        if len(st.eligible) > 2 * len(st.demands) + 64:
-            st.eligible.clear()  # the keys of promises long gone would otherwise pile up
+        eligible = st.eligible
+        if len(eligible) > 2 * len(st.demands) + 64:
+            # the keys of long-gone promises would pile up; a search reads the held ones
+            st.eligible = eligible = {key: found for key, found in eligible.items()
+                                      if key in st.held}
         deficits: list = []
         for key, slot in changes.items():
             _trim(st, key, slot[1], deficits)
@@ -734,8 +679,9 @@ class PromiseEngine:
                 slot = demands.get(key)
                 _trim(st, key, slot[1] if slot else 0, deficits)
         for key, n in deficits:
+            self._eligible(st, key, changes, records)
             for _ in range(n):
-                if not self._augment(st, key, changes, records):
+                if not _augment(pairs, st.held, st.free, eligible, key):
                     st.dirty.update(changes)
                     return False
         # every demand looked at now holds what `changes` gives it
@@ -747,7 +693,7 @@ class PromiseEngine:
         return True
 
     def _seed(self, rt: str, st: _TypeState, changes: dict, records, view) -> bool:
-        """A type's first decision: solve its flow problem, and start the
+        """A type's first decision: solve its cold problem, and start the
         kept assignment empty for the next decision to fill."""
         st.position = {r.id: pos for pos, r in enumerate(records)}
         st.pairs, st.held = {}, {}
@@ -777,45 +723,6 @@ class PromiseEngine:
         st.held = held
         st.free = {pos for pos, r in enumerate(records)
                    if r.status != STATUS_TAKEN and pos not in pairs}
-
-    def _augment(self, st: _TypeState, start, changes: dict, records) -> bool:
-        """Give demand `start` one more instance along a shortest augmenting path.
-
-        Breadth-first over demand keys: a demand may take an eligible free
-        instance, or one that another demand holds if that demand can in
-        turn be given another. On success the instances along the path move
-        one step and `start` holds one more; on failure nothing changes.
-        """
-        free = st.free
-        if not free:
-            return False
-        pairs, held = st.pairs, st.held
-        parent: dict = {start: None}  # demand -> (demand that wants its instance, that instance)
-        queue = [start]
-        for key in queue:
-            order, members = self._eligible(st, key, changes, records)
-            pos = _first_free(order, members, free)
-            if pos is not None:
-                free.discard(pos)
-                while True:
-                    owner = pairs.get(pos)
-                    if owner is not None:
-                        held[owner].discard(pos)
-                    pairs[pos] = key
-                    mine = held.get(key)
-                    if mine is None:
-                        mine = held[key] = set()
-                    mine.add(pos)
-                    step = parent[key]
-                    if step is None:
-                        return True
-                    key, pos = step
-            for pos in order:
-                owner = pairs.get(pos)
-                if owner is not None and owner not in parent:
-                    parent[owner] = (key, pos)
-                    queue.append(owner)
-        return False
 
     def _eligible(self, st: _TypeState, key, changes: dict, records) -> tuple:
         """The positions of the instances, taken or not, that can serve
@@ -979,6 +886,49 @@ def _trim(st: _TypeState, key, want: int, deficits: list) -> None:
             del st.held[key]
     elif n < want:
         deficits.append((key, want - n))
+
+
+def _augment(pairs: dict, held: dict, free: set, eligible: dict, start) -> bool:
+    """Give demand `start` one more unit along a shortest augmenting path.
+
+    `pairs` maps each assigned unit to the demand holding it, `held` each
+    demand to its units, `free` holds the unassigned units and `eligible`
+    each demand that `start` or `pairs` names to its eligible units, in
+    order and as a container to test membership in. Breadth-first over
+    demands: a demand may take an eligible free unit, or one that another
+    demand holds if that demand can in turn be given another. On success the
+    units along the path move one step and `start` holds one more; on
+    failure nothing changes, and no assignment places this unit and every
+    unit placed so far (Berge).
+    """
+    if not free:
+        return False
+    parent: dict = {start: None}  # demand -> (demand that wants its unit, that unit)
+    queue = [start]
+    for key in queue:
+        order, members = eligible[key]
+        pos = _first_free(order, members, free)
+        if pos is not None:
+            free.discard(pos)
+            while True:
+                owner = pairs.get(pos)
+                if owner is not None:
+                    held[owner].discard(pos)
+                pairs[pos] = key
+                mine = held.get(key)
+                if mine is None:
+                    mine = held[key] = set()
+                mine.add(pos)
+                step = parent[key]
+                if step is None:
+                    return True
+                key, pos = step
+        for pos in order:
+            owner = pairs.get(pos)
+            if owner is not None and owner not in parent:
+                parent[owner] = (key, pos)
+                queue.append(owner)
+    return False
 
 
 def _first_free(order, members, free: set):

@@ -14,7 +14,7 @@ an error reply, or an exception that ends a client, fails the
 Scripts, the contention load and the fuzzer all send through one client,
 which builds each envelope and counts its reply. The fuzzer hands it the
 manager's `handle` instead of a wire connection, and after every step
-checks that the promise-table invariants hold and that the max-flow
+checks that the promise-table invariants hold and that the engine's
 feasibility answer matches the exhaustive oracle. Failing traces are
 minimized by greedy step removal.
 """
@@ -759,17 +759,17 @@ def _gen_action(rng: random.Random, n_inst: int) -> dict:
 
 
 def _verify_stack(manager: PromiseManager) -> list[str]:
-    """The table's problems and the flow answer's disagreement with the
-    exhaustive oracle (up to 8 predicates), after every step, rolled back
-    or not."""
+    """The table's problems and the checker's feasibility answer's
+    disagreement with the exhaustive oracle (up to 8 predicates), after
+    every step, rolled back or not."""
     found = manager.engine.problems()
     problems = [p.message for p in found]
     preds = manager.engine.active_predicates()
     if len(preds) <= 8:
-        flow = all(p.name != "feasibility" for p in found)
+        checker = all(p.name != "feasibility" for p in found)
         oracle = brute_force_satisfiable(preds, manager.catalog.snapshot_availability())
-        if flow != oracle:
-            problems.append(f"flow={flow} oracle={oracle} disagree")
+        if checker != oracle:
+            problems.append(f"checker={checker} oracle={oracle} disagree")
     return problems
 
 

@@ -1,9 +1,9 @@
 """Exhaustive feasibility oracle.
 
-Independent of the max-flow path: enumerates concrete assignments of
-supply units to predicates by backtracking over combinations. Exponential,
-so only for small instances (the fuzz and acceptance suites stay within
-8 instances and 6 predicates).
+Independent of the engine's augmenting-path search: enumerates concrete
+assignments of supply units to predicates by backtracking over
+combinations. Exponential, so only for small instances (the fuzz and
+acceptance suites stay within 8 instances and 6 predicates).
 """
 
 from __future__ import annotations

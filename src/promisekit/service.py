@@ -7,9 +7,10 @@ with a savepoint taken first, so:
 
   - a handler's declared failure (ActionFailure) or a post-action promise
     violation rolls back the action's effects and any provisional
-    releases, while grants made earlier in the same envelope stand;
+    releases, with the engine counters they moved, while grants made
+    earlier in the same envelope stand;
   - any unexpected exception rolls back the whole envelope, promise table
-    included, leaving the exact pre-call state.
+    and counters included, leaving the exact pre-call state.
 
 Release options are honored literally: release-after-success releases a
 promise iff the action result is succeeded; retain never releases.
@@ -151,9 +152,9 @@ class PromiseManager:
 
     # --- pipeline ---
 
-    def handle(self, envelope: Envelope, now: Optional[int] = None) -> Envelope:
+    def handle(self, envelope: Envelope) -> Envelope:
         with self._lock:
-            return self._handle_locked(envelope, now)
+            return self._handle_locked(envelope)
 
     def handle_bytes(self, data: bytes) -> bytes:
         try:
@@ -162,15 +163,15 @@ class PromiseManager:
             return encode(Envelope(error="malformed-message"))
         return encode(self.handle(envelope))
 
-    def _handle_locked(self, envelope: Envelope, now: Optional[int]) -> Envelope:
+    def _handle_locked(self, envelope: Envelope) -> Envelope:
         requests = envelope.promise_part.requests if envelope.promise_part else ()
         if not requests and envelope.action is None:
             return Envelope(error="nothing-to-process")
-        if now is None:
-            now = self.clock.now()
+        now = self.clock.now()
 
         unit = self.catalog.begin_unit()
         table_before = self.engine.snapshot()
+        counters_before = self.counters.copy(), self.engine.counters.copy()
         try:
             self._stage("sweep")
             self.engine.expire_sweep(now, unit)
@@ -189,6 +190,8 @@ class PromiseManager:
             log.exception("pipeline failure; rolling back the whole request")
             self.catalog.rollback_unit(unit)
             self.engine.restore(table_before)
+            self.counters.update(counters_before[0])
+            self.engine.counters.update(counters_before[1])
             self.counters["internal-failures"] += 1
             return Envelope(error="internal-failure")
 
@@ -243,6 +246,7 @@ class PromiseManager:
 
         mark = self.catalog.savepoint(unit)
         table_mark = self.engine.snapshot()
+        releases = self.engine.counters["releases"]  # the one engine counter an action moves
         release_ids = [pid for pid, opt in zip(env_ids, env.release_options)
                        if opt == OPTION_RELEASE_AFTER_SUCCESS] if env else []
         try:
@@ -264,6 +268,7 @@ class PromiseManager:
             status, reason = ACTION_FAILED, exc.code
         self.catalog.rollback_to(unit, mark)
         self.engine.restore(table_mark)
+        self.engine.counters["releases"] = releases
         return ActionMsg(name, {"reason": reason}, status)
 
     def _stage(self, stage: str) -> None:

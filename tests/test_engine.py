@@ -17,6 +17,7 @@ from promisekit.catalog import (
     ResourceTypeDecl,
     load_catalog,
 )
+from promisekit.clock import LogicalClock
 from promisekit.engine import (
     DemandNode,
     FeasibilityProblem,
@@ -39,6 +40,8 @@ from promisekit.predicates import (
     PropertyConstraint,
     Quantity,
 )
+from promisekit.protocol import Envelope, PromisePart, make_request
+from promisekit.service import PromiseManager
 
 from conftest import HOTEL_DOC, SEAT_DOC, widget_doc
 
@@ -147,6 +150,52 @@ def test_long_augmenting_path_needs_no_recursion():
     crowded = FeasibilityProblem(demands + (DemandNode(Quantity("slot", 1), 1),),
                                  supplies, edges + ((index[0],),))
     assert not solve_feasibility(crowded)
+
+
+def _planted_matching(n, extra, rng):
+    """n unit supplies and n unit demands: demand j meets its own supply
+    (a shuffled one) and `extra` random others, so a perfect matching exists."""
+    own = list(range(n))
+    rng.shuffle(own)
+    supplies = tuple(SupplyNode(f"inst:slot/{i}", 1) for i in range(n))
+    edges = tuple(tuple(sorted({own[j]} | {rng.randrange(n) for _ in range(extra)}))
+                  for j in range(n))
+    demands = tuple(DemandNode(Quantity("slot", 1), 1) for _ in range(n))
+    return FeasibilityProblem(demands, supplies, edges)
+
+
+def test_a_planted_perfect_matching_is_feasible():
+    assert solve_feasibility(_planted_matching(3000, 3, random.Random(7)))
+
+
+def test_a_planted_matching_with_one_demand_over_the_supply_is_infeasible():
+    rng = random.Random(7)
+    prob = _planted_matching(3000, 3, rng)
+    more = FeasibilityProblem(prob.demands + (DemandNode(Quantity("slot", 1), 1),),
+                              prob.supplies,
+                              prob.edges + (tuple(sorted({rng.randrange(3000) for _ in range(3)})),))
+    assert not solve_feasibility(more)
+
+
+def test_a_long_at_least_in_order_chain_stays_feasible():
+    # level k is met by the instances of level k and above, so the 600
+    # grants, made in a shuffled order, fit only as one instance per level
+    levels = [f"l{k}" for k in range(600)]
+    cat = load_catalog({"resource-types": [{
+        "name": "room", "properties": [{"name": "level", "order": levels}],
+        "instances": [{"key": f"r{k}", "properties": {"level": v}}
+                      for k, v in enumerate(levels)]}]})
+    mgr = PromiseManager(cat, clock=LogicalClock())
+    order = list(range(600))
+    random.Random(3).shuffle(order)
+    for k in order:
+        pred = Property("room", (PropertyConstraint("level", AT_LEAST_IN_ORDER, levels[k]),), 1)
+        reply = mgr.handle(Envelope(promise_part=PromisePart(
+            requests=(make_request(f"q{k}", [pred], 100),))))
+        assert reply.promise_part.responses[0].result == "accepted"
+    assert mgr.engine.problems() == []
+    top = Property("room", (PropertyConstraint("level", AT_LEAST_IN_ORDER, "l0"),), 1)
+    assert isinstance(mgr.engine.grant([top], 100, 0), Rejection)
 
 
 # --- per-type decomposition ---

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 
 import pytest
@@ -226,6 +227,28 @@ def test_minimization_shrinks_a_failing_trace(monkeypatch):
     assert harness._minimize(steps, doc) == [trigger]
 
 
+def test_a_failing_fuzz_run_reports_a_minimized_counterexample(monkeypatch):
+    real = harness._verify_stack
+
+    def planted(manager):
+        problems = real(manager)
+        if len(manager.engine.active) >= 2:
+            problems.append("two promises are active")
+        return problems
+
+    monkeypatch.setattr(harness, "_verify_stack", planted)
+    report = fuzz(1)
+    assert not report.ok
+    failed = next(inv for inv in report.invariants if inv["name"] == "step-invariants")
+    assert not failed["ok"] and failed["detail"].endswith("two promises are active")
+    failing_prefix = int(failed["detail"].split(":")[0].removeprefix("step ")) + 1
+    counterexample = report.to_document()["counterexample"]
+    assert 0 < len(counterexample) < failing_prefix
+    doc = harness._fuzz_catalog_doc(random.Random(1))  # as fuzz(1) draws it
+    failure = harness._replay(counterexample, doc)[0]
+    assert failure is not None and failure["problems"] == ["two promises are active"]
+
+
 def test_contention_smoke():
     report = contention_run(n_clients=3, envelopes_each=30, seed=1)
     assert report.ok, report.to_document()["invariants"]
@@ -292,8 +315,8 @@ def test_wall_clock_clients_count_every_step_they_send():
 PINNED_SCENARIO_DIGESTS = {
     "banking": "9df87b35698250a7", "gallery": "b1237e8b4c89e792", "hotel": "c7888ba2e35734ea",
     "merchant": "db3de835f5b22445", "travel": "4dd4c96ebe24713d"}
-PINNED_FUZZ_DIGESTS = ["112a8a1700d9ceb7", "4869923fd5d84080", "0aac4df72ee7a165",
-                       "5b6988d0486ac2f9", "6e8231dc568e38f0", "d1f5d8bb87c1f7c8"]
+PINNED_FUZZ_DIGESTS = ["96351c307b7e7564", "53e2bc0afd6e88a2", "0aac4df72ee7a165",
+                       "142195dbed3e70d0", "8921595f3e807eb7", "18df628a9e44aaf5"]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_SCENARIO_DIGESTS))

@@ -453,6 +453,53 @@ def test_fault_rollback_restores_expired_records_for_resweep():
     assert mgr.engine.record(resp.promise_id).status == "expired"  # re-swept
 
 
+def _fault_at(stage):
+    def hook(current):
+        if current == stage:
+            raise _Boom(stage)
+    return hook
+
+
+def test_a_whole_envelope_rollback_restores_the_counters():
+    mgr = widget_manager(2)
+    first_response(mgr.handle(grant_envelope(2)))
+    service_before, engine_before = dict(mgr.counters), dict(mgr.engine.counters)
+    mgr.fault_hook = _fault_at("commit")
+    # the unprotected purchase is a violation, then the commit fails
+    assert mgr.handle(purchase_envelope(1)).error == "internal-failure"
+    # and so is a rejected grant
+    assert mgr.handle(grant_envelope(1, rid="r-2")).error == "internal-failure"
+    mgr.fault_hook = None
+    assert mgr.counters == {**service_before, "internal-failures": 2}
+    assert mgr.engine.counters == engine_before
+
+
+def test_an_action_rolled_back_for_a_violation_restores_the_release_count():
+    mgr = widget_manager(10)
+    p1 = first_response(mgr.handle(grant_envelope(5))).promise_id
+    first_response(mgr.handle(grant_envelope(5, rid="r-2")))
+    reply = mgr.handle(purchase_envelope(6, (p1,), ("release-after-success",)))
+    assert reply.action.status == "rejected-by-promise-violation"
+    assert mgr.engine.record(p1).status == "active"
+    assert mgr.engine.counters["releases"] == 0
+    assert mgr.counters["violations-rolled-back"] == 1
+
+
+def test_handle_bytes_answers_undecodable_bytes_as_malformed():
+    mgr = widget_manager(10)
+    for body in (b"\xff\xfe", b"{", b"[]", b'{"promise-part": 5}'):
+        assert mgr.handle_bytes(body) == encode(Envelope(error="malformed-message"))
+    assert mgr.engine.table == {}
+
+
+def test_handle_bytes_is_handle_between_decode_and_encode():
+    mgr, twin = widget_manager(10), widget_manager(10)
+    for body in (encode(grant_envelope(4)), encode(grant_envelope(7, rid="r-2")),
+                 encode(purchase_envelope(3))):
+        assert mgr.handle_bytes(body) == encode(twin.handle(decode(body)))
+    assert mgr.state_digest() == twin.state_digest()
+
+
 # --- wire endpoint ---
 
 class WireClient:
