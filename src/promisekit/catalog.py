@@ -158,19 +158,19 @@ class AvailabilityView:
 
 # --- mutations ---
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DecrementPool:
     resource_type: str
     amount: int  # negative restocks
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SetInstanceStatus:
     instance: InstanceId
     status: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SetProperty:
     instance: InstanceId
     property_name: str

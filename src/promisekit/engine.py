@@ -36,15 +36,14 @@ the units held on the type or the demands on it:
     taken, and the check drains that record;
   - it trims each demand the request changes, and each dirty demand,
     down to its amount;
-  - it fills each deficit one unit at a time by a breadth-first
+  - it gives each deficit the free eligible instances it can in one
+    pass, and fills the rest one unit at a time by a breadth-first
     augmenting path over the residual graph (the augmenting step of
     Hopcroft and Karp). A path may move units held by other demands onto
     other instances, so reallocation happens along these paths: a new
     request can displace an earlier pairing as long as a complete
-    assignment still exists. A search starts from a free eligible
-    instance if there is one, and only then walks the demands holding
-    the eligible ones. If some unit has no augmenting path, none exists
-    (Berge), and the answer is infeasible.
+    assignment still exists. If some unit has no augmenting path, none
+    exists (Berge), and the answer is infeasible.
 
 Which instances meet a demand is looked up when the demand first needs
 a unit and cached until a property of that type changes. A Property demand
@@ -77,7 +76,9 @@ the invariant instead of relying on it.
 The promise table keeps per-envelope work independent of history:
 
   - `table` holds every record ever issued, released and expired ones
-    included, because `dump`, `record()` and the digests report them;
+    included, because `dump`, `record()` and the digests report them.
+    A record is an immutable tuple: a release or an expiry writes a new
+    one, so the table, `active`, the journal and the heap share records;
   - `active` indexes the active records by id, and every check, conflict
     count and overcommit test reads it or the demand index alone;
   - a heap of (expires_at, issue order, id) lets the sweep pop only the
@@ -144,8 +145,10 @@ class Rejection:
     reason: str = "unsatisfiable with current promises and availability"
 
 
-@dataclass(frozen=True)
-class PromiseRecord:
+class PromiseRecord(NamedTuple):
+    """One promise as issued, released or expired. Immutable, because the
+    table, the active index, the journal and the expiry heap share it."""
+
     id: str
     predicates: tuple[Predicate, ...]
     granted_at: int
@@ -271,7 +274,7 @@ def solve_feasibility(problem: FeasibilityProblem) -> bool:
 
     Each supply node is expanded into `capacity` units. Starting from an
     empty assignment, each demand takes the free units it can in one pass
-    over its eligible ones, and `_augment` places the rest one by one.
+    (`_take_free`), and `_augment` places the rest one by one.
     Demands with the fewest eligible units go first, so a nested
     `at-least-in-order` chain needs no re-routing.
     """
@@ -283,10 +286,7 @@ def solve_feasibility(problem: FeasibilityProblem) -> bool:
     pairs, held, free = {}, {}, set(range(starts[-1]))
     for j in sorted(eligible, key=lambda j: len(eligible[j][0])):
         amount = problem.demands[j].amount
-        mine = held[j] = set(islice((u for u in eligible[j][0] if u in free), amount))
-        free -= mine
-        pairs.update(dict.fromkeys(mine, j))
-        for _ in range(amount - len(mine)):
+        for _ in range(amount - _take_free(pairs, held, free, eligible[j], j, amount)):
             if not _augment(pairs, held, free, eligible, j):
                 return False
     return True
@@ -651,7 +651,8 @@ class PromiseEngine:
           - it drops the pairs on instances that became taken, which the
             catalog reports (a moved property version re-checks every pair);
           - it trims each changed or dirty demand down to its amount;
-          - it fills each deficit one unit at a time by an augmenting path.
+          - it gives each deficit the free eligible units it can in one
+            pass, and fills the rest one unit at a time by an augmenting path.
         If some unit has none, no complete assignment exists (Berge).
         """
         st = self._state(rt)
@@ -679,8 +680,8 @@ class PromiseEngine:
                 slot = demands.get(key)
                 _trim(st, key, slot[1] if slot else 0, deficits)
         for key, n in deficits:
-            self._eligible(st, key, changes, records)
-            for _ in range(n):
+            found = self._eligible(st, key, changes, records)
+            for _ in range(n - _take_free(pairs, st.held, st.free, found, key, n)):
                 if not _augment(pairs, st.held, st.free, eligible, key):
                     st.dirty.update(changes)
                     return False
@@ -886,6 +887,29 @@ def _trim(st: _TypeState, key, want: int, deficits: list) -> None:
             del st.held[key]
     elif n < want:
         deficits.append((key, want - n))
+
+
+def _take_free(pairs: dict, held: dict, free: set, found: tuple, key, n: int) -> int:
+    """Give demand `key` up to `n` units that are eligible (`found`, as
+    `_augment` reads it) and free, in one pass over the smaller side;
+    returns how many it took."""
+    order, members = found
+    walk, test = (free, members) if len(free) < len(order) else (order, free)
+    mine = []
+    for pos in walk:
+        if pos in test:
+            mine.append(pos)
+            if len(mine) == n:
+                break
+    if mine:
+        free.difference_update(mine)
+        pairs.update(dict.fromkeys(mine, key))
+        have = held.get(key)
+        if have is None:
+            held[key] = set(mine)
+        else:
+            have.update(mine)
+    return len(mine)
 
 
 def _augment(pairs: dict, held: dict, free: set, eligible: dict, start) -> bool:

@@ -55,7 +55,7 @@ class InvariantViolation(Exception):
     """Envelope under encode() breaks a structural invariant."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PromiseRequestMsg:
     request_id: str
     predicates: tuple[Predicate, ...]
@@ -64,7 +64,7 @@ class PromiseRequestMsg:
     release_on_grant: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PromiseResponseMsg:
     promise_id: Optional[str]
     result: str
@@ -72,26 +72,26 @@ class PromiseResponseMsg:
     correlation: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class EnvironmentMsg:
     promise_ids: tuple[str, ...]
     release_options: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ActionMsg:
     action_name: str
     payload: object = None
     status: Optional[str] = None  # set on responses only
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PromisePart:
     requests: tuple[PromiseRequestMsg, ...] = ()
     responses: tuple[PromiseResponseMsg, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Envelope:
     promise_part: Optional[PromisePart] = None
     environment: Optional[EnvironmentMsg] = None

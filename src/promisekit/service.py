@@ -201,29 +201,24 @@ class PromiseManager:
         return Envelope(promise_part=part, action=action_result)
 
     def _process_request(self, req: PromiseRequestMsg, now: int, unit) -> PromiseResponseMsg:
-        rejected = PromiseResponseMsg(None, RESULT_REJECTED, 0, req.request_id)
-        try:
-            for p in req.predicates:
-                validate_predicate(p, self.catalog.schema)
-        except PredicateInvalid as exc:
-            log.info("request %s rejected: %s", req.request_id, exc)
-            self.engine.counters["rejections"] += 1
-            return rejected
-
         duration = req.duration
         if self.duration_cap is not None:
             duration = min(duration, self.duration_cap)
         try:
+            for p in req.predicates:
+                validate_predicate(p, self.catalog.schema)
             if req.release_on_grant:
                 outcome = self.engine.exchange(req.predicates, duration,
                                                req.release_on_grant, now, unit)
             else:
                 outcome = self.engine.grant(req.predicates, duration, now, unit)
-        except UnknownPromiseId as exc:
+        except (PredicateInvalid, UnknownPromiseId) as exc:
+            # the engine counts only the rejections it decides by feasibility
             log.info("request %s rejected: %s", req.request_id, exc)
-            return rejected
+            self.engine.counters["rejections"] += 1
+            outcome = Rejection(str(exc))
         if isinstance(outcome, Rejection):
-            return rejected
+            return PromiseResponseMsg(None, RESULT_REJECTED, 0, req.request_id)
         assert outcome is not None  # wire requests always carry predicates
         return PromiseResponseMsg(outcome.id, RESULT_ACCEPTED, duration, req.request_id)
 

@@ -1,4 +1,7 @@
+import inspect
 import random
+import sys
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -137,11 +140,26 @@ def test_interchangeable_instances_merge_and_named_picks_keep_their_edges(monkey
 
 
 def test_long_augmenting_path_needs_no_recursion():
-    # A staircase: demand j fits slot j or j+1, the last demand only its own
-    # slot. Supplies are listed from the top, so the first phase gives every
-    # demand j < n-1 slot j+1, and the last demand then needs an augmenting
-    # path through all 2n nodes.
+    # A staircase: demand j holds slot j and also fits slot j+1, and the
+    # only free slot is the last one. A new demand that fits only slot 0
+    # gets it along an augmenting path through every demand of the chain.
     n = 2000
+    pairs = {j: j for j in range(n)}  # slot -> the demand holding it
+    held = {j: {j} for j in range(n)}
+    eligible = {j: ((j, j + 1), frozenset((j, j + 1))) for j in range(n)}
+    eligible["new"] = ((0,), frozenset((0,)))
+    free = {n}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        assert engine._augment(pairs, held, free, eligible, "new")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert held == {"new": {0}, **{j: {j + 1} for j in range(n)}}
+    assert pairs == {0: "new", **{j + 1: j for j in range(n)}}
+    assert free == set()
+    # The same staircase as a cold problem, crowded by one demand more than
+    # it has slots: the search runs across the whole chain and fails.
     index = [n - 1 - pos for pos in range(n)]
     supplies = tuple(SupplyNode(f"inst:slot/{n - 1 - i}", 1) for i in range(n))
     edges = tuple((index[j], index[j + 1]) if j + 1 < n else (index[j],) for j in range(n))
@@ -150,6 +168,20 @@ def test_long_augmenting_path_needs_no_recursion():
     crowded = FeasibilityProblem(demands + (DemandNode(Quantity("slot", 1), 1),),
                                  supplies, edges + ((index[0],),))
     assert not solve_feasibility(crowded)
+
+
+def test_a_warm_fill_takes_free_units_without_searching(monkeypatch):
+    # the first grant leaves the kept assignment empty, so the second one
+    # has a deficit of 20,001 units, all of which are free
+    eng = PromiseEngine(load_catalog({"resource-types": [{
+        "name": "slot", "instances": [{"key": f"s{i}"} for i in range(30000)]}]}))
+    assert not isinstance(eng.grant([Quantity("slot", 20000)], 30, 0), Rejection)
+    calls = []
+    real = engine._augment
+    monkeypatch.setattr(engine, "_augment", lambda *a: calls.append(a) or real(*a))
+    assert not isinstance(eng.grant([Quantity("slot", 1)], 30, 0), Rejection)
+    assert calls == []
+    assert eng.problems() == []
 
 
 def _planted_matching(n, extra, rng):
@@ -318,6 +350,15 @@ def test_grant_with_enough_stock():
     rec = eng.grant([Quantity("pink-widget", 5)], 30, 0)
     assert rec.status == "active" and rec.expires_at == 30
     assert eng.record(rec.id) is rec
+
+
+def test_a_record_is_immutable():
+    # the table, the active index, the journal and the expiry heap share it
+    eng = PromiseEngine(load_catalog(widget_doc(10)))
+    rec = eng.grant([Quantity("pink-widget", 5)], 30, 0)
+    with pytest.raises(AttributeError):
+        rec.status = "released"
+    assert eng.record(rec.id).status == "active"
 
 
 def test_grant_rejected_when_short_and_table_unchanged():
@@ -711,6 +752,49 @@ def test_table_stays_feasible_after_random_operations():
         assert check_satisfiable(preds, view)
         assert brute_force_satisfiable(preds, view)
         assert eng.problems() == []
+
+
+def _take_only(problem):
+    """The cold solve without re-routing: demands with the fewest eligible
+    units first, each takes the free units it can and moves no other's."""
+    starts = [0, *accumulate(sup.capacity for sup in problem.supplies)]
+    orders = [[u for i in fan for u in range(starts[i], starts[i + 1])]
+              for fan in problem.edges]
+    free = set(range(starts[-1]))
+    for j in sorted(range(len(orders)), key=lambda j: len(orders[j])):
+        amount = problem.demands[j].amount
+        mine = [u for u in orders[j] if u in free][:amount]
+        if len(mine) < amount:
+            return False
+        free -= set(mine)
+    return True
+
+
+def _rerouting_cases(rng, count):
+    """Oracle-sized Property cases that are satisfiable but that the
+    take-only solve rejects: only a solver that moves placed units gets
+    them right."""
+    found = []
+    while len(found) < count:
+        instances = [InstanceRecord(InstanceId("gadget", f"g{i}"),
+                                    {"grade": rng.choice(_GRADES), "color": rng.choice(_COLORS)},
+                                    STATUS_AVAILABLE) for i in range(rng.randint(3, 7))]
+        view = AvailabilityView(_decomposition_schema(), {"bulk": 0}, instances)
+        preds = []
+        for _ in range(rng.randint(2, 4)):
+            constraints = [PropertyConstraint("grade", AT_LEAST_IN_ORDER, rng.choice(_GRADES))]
+            if rng.random() < 0.5:
+                constraints.append(PropertyConstraint("color", EQUALS, rng.choice(_COLORS)))
+            preds.append(Property("gadget", tuple(constraints), rng.randint(1, 2)))
+        if brute_force_satisfiable(preds, view) \
+                and not _take_only(build_feasibility_problem(preds, view)):
+            found.append((preds, view))
+    return found
+
+
+def test_cases_that_need_rerouting_match_the_oracle():
+    for preds, view in _rerouting_cases(random.Random(11), 25):
+        assert check_satisfiable(preds, view) == brute_force_satisfiable(preds, view)
 
 
 def test_flow_matches_exhaustive_oracle_on_random_cases():

@@ -315,8 +315,8 @@ def test_wall_clock_clients_count_every_step_they_send():
 PINNED_SCENARIO_DIGESTS = {
     "banking": "9df87b35698250a7", "gallery": "b1237e8b4c89e792", "hotel": "c7888ba2e35734ea",
     "merchant": "db3de835f5b22445", "travel": "4dd4c96ebe24713d"}
-PINNED_FUZZ_DIGESTS = ["96351c307b7e7564", "53e2bc0afd6e88a2", "0aac4df72ee7a165",
-                       "142195dbed3e70d0", "8921595f3e807eb7", "18df628a9e44aaf5"]
+PINNED_FUZZ_DIGESTS = ["e4ca1c49c538fe2b", "53e2bc0afd6e88a2", "756ef0fe1212f958",
+                       "cde986a642348c96", "0cba27ecf768552d", "fca40b6f482332d4"]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_SCENARIO_DIGESTS))

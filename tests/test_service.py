@@ -1,3 +1,4 @@
+import copy
 import socket
 import threading
 
@@ -193,6 +194,36 @@ def test_invalid_predicate_is_rejected_not_crashed():
     req = make_request("r-1", [Quantity("no-such-type", 1)], 30)
     resp = first_response(mgr.handle(Envelope(promise_part=PromisePart(requests=(req,)))))
     assert resp.result == "rejected"
+
+
+def test_every_rejected_request_is_counted():
+    mgr = widget_manager(10)
+    p1 = first_response(mgr.handle(grant_envelope(1))).promise_id
+    mgr.handle(Envelope(action=ActionMsg("no-op"),
+                        environment=EnvironmentMsg((p1,), ("release-after-success",))))
+    invalid = make_request("bad", [Quantity("no-such-type", 1)], 30)
+    replies = [mgr.handle(grant_envelope(11, rid="short")),
+               mgr.handle(grant_envelope(1, rid="unknown", release=("p-404",))),
+               mgr.handle(grant_envelope(1, rid="inactive", release=(p1,))),
+               mgr.handle(Envelope(promise_part=PromisePart(requests=(invalid,))))]
+    assert [first_response(r).result for r in replies] == ["rejected"] * 4
+    assert mgr.engine.counters["rejections"] == 4
+
+
+def test_handle_leaves_the_envelope_it_is_given_unchanged():
+    # messages are mutable; the pipeline only reads them
+    mgr = widget_manager(10)
+    p1 = first_response(mgr.handle(grant_envelope(2))).promise_id
+    exchange = grant_envelope(1, rid="r-2", release=(p1,))
+    before = copy.deepcopy(exchange)
+    p2 = first_response(mgr.handle(exchange)).promise_id
+    assert p2 is not None and exchange == before
+    for envelope in (grant_envelope(3, rid="r-3"),
+                     purchase_envelope(1, (p2,), ("release-after-success",))):
+        before = copy.deepcopy(envelope)
+        reply = mgr.handle(envelope)
+        assert reply.error is None and envelope == before
+    assert mgr.engine.record(p2).status == "released"
 
 
 def test_duration_cap_shortens_the_guarantee():
