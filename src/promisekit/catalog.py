@@ -235,11 +235,26 @@ class ResourceCatalog:
         self._require_active(token)
         return len(token.log)
 
-    def touched_types(self, token: UnitToken, mark: int) -> set[str]:
-        """Resource types changed by the mutations applied after `mark`."""
+    def supply_cut_types(self, token: UnitToken, mark: int) -> set[str]:
+        """Resource types whose supply the mutations applied after `mark`
+        may have cut: a pool that now holds less than it did at `mark`, an
+        instance moved to taken, or a property change. A restock, or a
+        promise tag moving between available and promised, cuts nothing."""
         self._require_active(token)
-        return {entry[1] if entry[0] == "pool" else entry[1].resource_type
-                for entry in token.log[mark:]}
+        cut: set[str] = set()
+        pools_at_mark: dict[str, int] = {}
+        # backwards, so a pool's first entry after `mark`, which holds its
+        # value at `mark`, is the one left in pools_at_mark
+        for entry in reversed(token.log[mark:]):
+            if entry[0] == "pool":
+                pools_at_mark[entry[1]] = entry[2]
+            elif entry[0] == "prop" or self._instances[entry[1]].status == STATUS_TAKEN:
+                # taken is final, so an instance taken now was moved there
+                cut.add(entry[1].resource_type)
+        for rt, held in pools_at_mark.items():
+            if self._pools[rt] < held:
+                cut.add(rt)
+        return cut
 
     def rollback_to(self, token: UnitToken, mark: int) -> None:
         """Undo everything applied after `mark`; clears an aborted flag."""

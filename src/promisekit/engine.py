@@ -20,8 +20,8 @@ changes.
 Checks are scoped by one invariant: the committed active set is
 feasible on every type. A grant or exchange then only has to decide the
 types its new predicates name, since releasing only removes demand, and
-a post-action check only the types the action's catalog mutations
-touched.
+a post-action check only the types whose supply the action's catalog
+mutations cut.
 
 Instance-backed types are decided by allocation. The engine keeps, per
 type, the assignment of demand units to instances that its checks
@@ -542,6 +542,8 @@ class PromiseEngine:
 
     def expire_sweep(self, now: int, unit: Optional[UnitToken] = None) -> list[str]:
         """Expire every active record with expires_at <= now; returns their ids in issue order."""
+        if not self._expiry or self._expiry[0][0] > now:
+            return []
         expired = []
         while self._expiry and self._expiry[0][0] <= now:
             rec = self.active.get(heapq.heappop(self._expiry)[2])
@@ -560,7 +562,8 @@ class PromiseEngine:
 
         Call with the released ids already provisionally marked; a False
         result tells the pipeline to roll the action back. `types` names
-        the resource types the action changed; None checks every type.
+        the resource types whose supply the action cut; None checks every
+        type.
         """
         for pid in released_ids:
             assert pid not in self.active, \

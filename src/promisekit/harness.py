@@ -103,8 +103,6 @@ def _purchase_stock(payload, unit, catalog: ResourceCatalog):
 
 def _restock(payload, unit, catalog: ResourceCatalog):
     rt, amount = _fields(payload, "resource-type", "amount")
-    if not isinstance(amount, int) or amount < 1:
-        raise ActionFailure("restock amount must be a positive integer")
     catalog.apply_mutation(unit, DecrementPool(rt, -amount))
     return {"resource-type": rt, "amount": amount}
 
@@ -124,10 +122,8 @@ def _take_named(payload, unit, catalog: ResourceCatalog):
 def _take_matching(payload, unit, catalog: ResourceCatalog):
     rt, raw = _fields(payload, "resource-type", "constraints")
     try:
-        constraints = tuple(
-            PropertyConstraint(c["property"], c["comparator"], c["value"]) for c in raw)
-        pred = Property(rt, constraints, 1)
-    except (TypeError, KeyError) as exc:
+        pred = predicate_from_wire({"form": "property", "resource-type": rt, "constraints": raw})
+    except ValueError as exc:
         raise ActionFailure(f"bad constraints: {exc}") from exc
     view = catalog.snapshot_availability(unit)
     for rec in view.instances_of(rt):
@@ -160,13 +156,25 @@ STANDARD_HANDLERS = {
 }
 
 
+_NAME_FIELDS = frozenset(("resource-type", "key", "property"))
+
+
 def _fields(payload, *names):
+    """The named members of a payload object. An `amount` must be a
+    positive integer and a resource-type, key or property a non-empty
+    string; anything else fails the action."""
     if not isinstance(payload, dict):
         raise ActionFailure("payload must be an object")
     try:
-        return tuple(payload[n] for n in names)
+        values = tuple(payload[n] for n in names)
     except KeyError as exc:
         raise ActionFailure(f"payload is missing {exc.args[0]!r}") from exc
+    for name, value in zip(names, values):
+        if name == "amount" and (type(value) is not int or value < 1):
+            raise ActionFailure("amount must be a positive integer")
+        if name in _NAME_FIELDS and (not isinstance(value, str) or not value):
+            raise ActionFailure(f"{name} must be a non-empty string")
+    return values
 
 
 def register_standard_handlers(manager: PromiseManager) -> None:

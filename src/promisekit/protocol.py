@@ -2,13 +2,20 @@
 
 Bodies are JSON documents; frames on the byte stream are
 magic + 4-byte big-endian length + body. docs/wire-protocol.md is the
-normative field list. decode() walks the document once, checking each
-part as it builds it, and raises MalformedMessage and nothing else,
-whatever the input bytes. encode() checks the envelope with the same
-per-part rules, raising InvariantViolation, then writes the body
-directly in canonical form: keys sorted, no whitespace, non-ASCII as
-\\uXXXX escapes, byte for byte what
-json.dumps(doc, sort_keys=True, separators=(",", ":")) writes.
+normative field list. decode() parses a body with one call of the json
+module's scanner, falling back to JSONDecoder.decode only when that call
+does not consume the whole text (surrounding whitespace, trailing data,
+no value), then walks the document once, checking each part as it
+builds it; it raises MalformedMessage and nothing else, whatever the
+input bytes. encode() checks the envelope with the same per-part rules,
+raising InvariantViolation, then writes the body directly in canonical
+form: keys sorted, no whitespace, non-ASCII as \\uXXXX escapes, byte for
+byte what json.dumps(doc, sort_keys=True, separators=(",", ":")) writes.
+The action payload and the predicates go through one C encoder built at
+import; it keeps no record of the containers it is in, so a payload that
+contains itself, or one nested too deep, ends in RecursionError, which
+encode() raises as InvariantViolation like any other value JSON cannot
+write.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import json
 import socket
 from dataclasses import dataclass
+from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
@@ -218,7 +226,21 @@ def _check_envelope(e: Envelope) -> None:
 # --- encode: the checks above guarantee the type of every value written
 # with _quote or %d; the payload and the other values go through _json ---
 
-_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+def _unserializable(value):
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+if c_make_encoder is None:  # an interpreter without the _json accelerator
+    _json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+else:
+    # the settings JSONEncoder(sort_keys=True, separators=(",", ":")) passes,
+    # except the markers: a shared dict of them would be used by every
+    # server thread at once and keep stale entries after an error
+    _c_encoder = c_make_encoder(None, _unserializable, _quote, None, ":", ",",
+                                True, False, True)
+
+    def _json(value) -> str:
+        return "".join(_c_encoder(value, 0))
 
 
 def encode(envelope: Envelope) -> bytes:
@@ -246,7 +268,8 @@ def encode(envelope: Envelope) -> bytes:
             out += ('"error":', _quote(e.error), ",")
         if e.promise_part is not None:
             out += ('"promise":', _part_json(e.promise_part), ",")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
+        # RecursionError: a payload that contains itself, or nests too deep
         raise InvariantViolation(f"envelope is not JSON-serializable: {exc}") from exc
     out[-1] = "}"  # the last member's separator closes the object
     return "".join(out).encode()
@@ -284,6 +307,7 @@ def _response_json(r: PromiseResponseMsg) -> str:
 # --- decode ---
 
 _DECODER = json.JSONDecoder()
+_scan = _DECODER.scan_once
 _ENVELOPE_FIELDS = frozenset(("promise", "environment", "action", "error"))
 _PART_FIELDS = frozenset(("promise-request", "promise-response"))
 _ENVIRONMENT_FIELDS = frozenset(("promise-identifiers", "release-options"))
@@ -298,7 +322,13 @@ _RESOURCE_FIELDS = frozenset(("resource-type", "key"))
 def decode(data: bytes) -> Envelope:
     """Parse envelope bytes; any problem raises MalformedMessage."""
     try:
-        doc = _DECODER.decode(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        try:
+            doc, end = _scan(text, 0)
+        except StopIteration:  # no value at 0: leading whitespace, or no text
+            end = None
+        if end != len(text):  # JSONDecoder.decode gives the answer, or the error
+            doc = _DECODER.decode(text)
     except (AttributeError, ValueError, RecursionError) as exc:
         # ValueError: bad UTF-8, bad JSON, or an integer too long to convert
         raise MalformedMessage(f"not a JSON document: {exc}") from exc

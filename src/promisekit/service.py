@@ -249,10 +249,11 @@ class PromiseManager:
             if release_ids:
                 self.engine.release(release_ids, unit)
             self._stage("post-check")
-            # only the types the action changed can have become infeasible
-            touched = self.catalog.touched_types(unit, mark)
-            if not touched or self.engine.post_action_check(
-                    release_ids, self.catalog.snapshot_availability(unit), touched):
+            # feasibility falls only where supply falls
+            cut = self.catalog.supply_cut_types(unit, mark) \
+                if self.catalog.savepoint(unit) > mark else ()
+            if not cut or self.engine.post_action_check(
+                    release_ids, self.catalog.snapshot_availability(unit), cut):
                 return ActionMsg(name, payload, ACTION_SUCCEEDED)
             self.counters["violations-rolled-back"] += 1
             status, reason = ACTION_REJECTED_BY_PROMISE_VIOLATION, \

@@ -210,6 +210,31 @@ def test_savepoint_rollback_to(widget_catalog):
     assert widget_catalog.quantity_on_hand("pink-widget") == 8
 
 
+@pytest.mark.parametrize("mutations,cut", [
+    ([], set()),
+    ([DecrementPool("pink-widget", 2)], {"pink-widget"}),
+    ([DecrementPool("pink-widget", -2)], set()),
+    ([DecrementPool("pink-widget", -3), DecrementPool("pink-widget", 2)], set()),
+    ([DecrementPool("pink-widget", 2), DecrementPool("pink-widget", -2)], set()),
+    ([SetInstanceStatus(ROOM_512, "promised")], set()),
+    ([SetInstanceStatus(ROOM_512, "promised"), SetInstanceStatus(ROOM_512, "available")], set()),
+    ([SetInstanceStatus(ROOM_512, "promised"), SetInstanceStatus(ROOM_512, "taken")], {"room"}),
+    ([SetProperty(ROOM_512, "floor", 7)], {"room"}),
+    ([SetInstanceStatus(ROOM_512, "taken"), DecrementPool("pink-widget", -1)], {"room"}),
+])
+def test_supply_cut_types_names_the_types_whose_supply_fell_after_the_mark(mutations, cut):
+    cat = load_catalog({"resource-types": widget_doc()["resource-types"]
+                        + HOTEL_DOC["resource-types"]})
+    unit = cat.begin_unit()
+    # what came before the mark is not the action's doing
+    cat.apply_mutation(unit, DecrementPool("pink-widget", 1))
+    cat.apply_mutation(unit, SetInstanceStatus(InstanceId("room", "610"), "taken"))
+    mark = cat.savepoint(unit)
+    for m in mutations:
+        cat.apply_mutation(unit, m)
+    assert cat.supply_cut_types(unit, mark) == cut
+
+
 def test_rollback_to_clears_abort(widget_catalog):
     unit = widget_catalog.begin_unit()
     widget_catalog.apply_mutation(unit, DecrementPool("pink-widget", 2))

@@ -355,6 +355,45 @@ def test_undecodable_input_is_malformed(data):
         decode(data)
 
 
+_GRANT_BODY = encode(Envelope(promise_part=PromisePart(requests=(
+    make_request("r-1", [Quantity("pink-widget", 5)], 30),))))
+
+
+def test_surrounding_whitespace_decodes_like_the_bare_body():
+    assert decode(b" \n\t\r" + _GRANT_BODY + b"\r\n ") == decode(_GRANT_BODY)
+
+
+@pytest.mark.parametrize("data", [
+    _GRANT_BODY + b"{}",
+    _GRANT_BODY + b" x",
+    b"",
+    b" \n ",
+], ids=["extra-document", "extra-data", "empty", "whitespace-only"])
+def test_a_body_that_is_not_one_whole_document_is_malformed(data):
+    with pytest.raises(MalformedMessage):
+        decode(data)
+
+
+def _nested_lists(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _self_containing():
+    value = {"a": 1}
+    value["self"] = value
+    return value
+
+
+@pytest.mark.parametrize("payload", [_nested_lists(5000), _self_containing()],
+                         ids=["nested-5000-deep", "contains-itself"])
+def test_a_payload_json_cannot_write_is_an_invariant_violation(payload):
+    with pytest.raises(InvariantViolation):
+        encode(Envelope(action=ActionMsg("go", payload)))
+
+
 def test_duplicate_request_identifiers_in_one_envelope():
     r1 = make_request("r-1", [Quantity("w", 1)], 5)
     e = Envelope(promise_part=PromisePart(requests=(r1, r1)))

@@ -7,6 +7,7 @@ import pytest
 from promisekit import cli
 from promisekit.catalog import load_catalog
 from promisekit.clock import LogicalClock
+from promisekit.engine import PromiseEngine
 from promisekit.harness import register_standard_handlers
 from promisekit.predicates import (
     AT_LEAST_IN_ORDER,
@@ -321,6 +322,52 @@ def test_action_is_checked_on_the_type_it_changes_only(decisions):
     decisions.clear()
     assert mgr.handle(purchase_envelope(3)).action.status == "succeeded"
     assert decisions == []
+
+
+def test_only_an_action_that_cuts_supply_is_post_checked(monkeypatch):
+    mgr = widget_manager(10)
+    assert first_response(mgr.handle(grant_envelope(5))).result == "accepted"
+    checked = []
+    real = PromiseEngine.post_action_check
+
+    def spy(self, released_ids, view, types=None):
+        checked.append(set(types))
+        return real(self, released_ids, view, types)
+
+    monkeypatch.setattr(PromiseEngine, "post_action_check", spy)
+    restock = Envelope(action=ActionMsg("restock", {"resource-type": "pink-widget", "amount": 3}))
+    assert mgr.handle(restock).action.status == "succeeded"
+    assert checked == []
+    assert mgr.handle(purchase_envelope(2)).action.status == "succeeded"
+    assert checked == [{"pink-widget"}]
+
+
+@pytest.mark.parametrize("name,payload", [
+    ("purchase-stock", {"resource-type": "pink-widget", "amount": -5}),
+    ("purchase-stock", {"resource-type": "pink-widget", "amount": 0}),
+    ("purchase-stock", {"resource-type": "pink-widget", "amount": 2.5}),
+    ("restock", {"resource-type": "pink-widget", "amount": True}),
+    ("restock", {"resource-type": "pink-widget", "amount": "1"}),
+    ("purchase-stock", {"resource-type": ["pink-widget"], "amount": 1}),
+    ("restock", {"resource-type": "", "amount": 1}),
+    ("take-named", {"resource-type": "room", "key": ["512"]}),
+    ("take-named", {"resource-type": "room", "key": ""}),
+    ("take-matching", {"resource-type": ["room"], "constraints": []}),
+    ("take-matching", {"resource-type": "room",
+                       "constraints": [{"property": ["floor"], "comparator": "equals", "value": 5}]}),
+    ("set-property", {"resource-type": "room", "key": "512", "property": ["floor"], "value": 6}),
+    ("set-property", {"resource-type": "room", "key": None, "property": "floor", "value": 6}),
+], ids=["negative-amount", "zero-amount", "fractional-amount", "bool-amount", "string-amount",
+        "list-type", "empty-type", "list-key", "empty-key", "take-matching-list-type",
+        "take-matching-list-property", "list-property", "null-key"])
+def test_a_standard_handler_fails_a_payload_field_of_the_wrong_type(name, payload):
+    mgr = seats_and_rooms_manager()
+    before = mgr.state_digest()
+    reply = mgr.handle(Envelope(action=ActionMsg(name, payload)))
+    assert reply.error is None
+    assert reply.action.status == "failed"
+    assert mgr.state_digest() == before
+    assert mgr.counters["internal-failures"] == 0
 
 
 def test_property_change_that_breaks_a_held_promise_is_rolled_back(decisions):
