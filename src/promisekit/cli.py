@@ -26,7 +26,6 @@ def main(argv=None) -> int:
 
     p_fuzz = sub.add_parser("fuzz", help="randomized envelope streams with oracle checks")
     p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--clients", type=int, default=3)
     p_fuzz.add_argument("--steps", type=int, default=60)
     p_fuzz.add_argument("--report", help="write the structured report here")
 
@@ -41,7 +40,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             report = run_script(args.script, catalog_override=args.catalog)
         elif args.command == "fuzz":
-            report = fuzz(args.seed, n_clients=args.clients, n_steps=args.steps)
+            report = fuzz(args.seed, n_steps=args.steps)
         else:
             return _serve_forever(args.config)
     except (CatalogError, ScenarioError, ServiceError, OSError) as exc:
@@ -65,9 +64,9 @@ def _print_summary(doc: dict) -> None:
         detail = f"  ({inv['detail']})" if inv["detail"] else ""
         print(f"  [{mark}] {inv['name']}{detail}")
     if "counterexample" in doc:
-        print("  minimized counterexample:")
-        for step in doc["counterexample"]:
-            print(f"    {step}")
+        print("  minimized counterexample (a script `promisekit run` replays):")
+        for step in doc["counterexample"]["clients"][0]["steps"]:
+            print(f"    {json.dumps(step, sort_keys=True)}")
     print(f"digest: {doc['digest']}")
     print("RESULT:", "PASS" if doc["ok"] else "FAIL")
 

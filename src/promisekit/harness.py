@@ -1,22 +1,23 @@
 """Scenario and fuzz harness.
 
-Drives a real server over the wire protocol with scripted or generated
-clients, re-checks the system invariants as it goes, and produces a
-deterministic RunReport.
+Drives a promise manager, over the wire or in process, with scripted or
+generated clients, re-checks the system invariants as it goes, and
+produces a deterministic RunReport.
 
-Scheduling: under a logical clock the driver interleaves client steps
-deterministically (round-robin, or a seeded shuffle), so a (script, seed)
-pair always yields the same report digest. Under a wall clock the clients
-free-run in threads and only the invariants are asserted, not ordering;
-an error reply, or an exception that ends a client, fails the
-`client-failures` invariant.
+There is one step language, the scenario script's. Scripts, the
+contention load and the fuzzer all send through one client, which builds
+each envelope and counts its reply. Under a logical clock the driver
+interleaves client steps deterministically (round-robin, or a seeded
+shuffle), so a (script, seed) pair always yields the same report digest,
+and after every step it checks the promise-table invariants and the
+engine's feasibility answer against the exhaustive oracle. Under a wall
+clock the clients free-run in threads; an error reply, or an exception
+that ends a client, fails the `client-failures` invariant.
 
-Scripts, the contention load and the fuzzer all send through one client,
-which builds each envelope and counts its reply. The fuzzer hands it the
-manager's `handle` instead of a wire connection, and after every step
-checks that the promise-table invariants hold and that the engine's
-feasibility answer matches the exhaustive oracle. Failing traces are
-minimized by greedy step removal.
+The fuzzer draws a one-client script step by step and runs it in process
+up to the first step that fails the check, then minimizes it by greedy
+step removal. Its counterexample is that script, which `promisekit run`
+replays.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .protocol import (
     ACTION_SUCCEEDED,
     OPTION_RELEASE_AFTER_SUCCESS,
     OPTION_RETAIN,
+    RELEASE_OPTIONS,
     RESULT_ACCEPTED,
     ActionMsg,
     Envelope,
@@ -77,6 +79,7 @@ from .protocol import (
 from .service import (
     ACTION_NO_OP,
     ACTION_TABLE_DUMP,
+    PIPELINE_STAGES,
     ActionFailure,
     PromiseManager,
     Server,
@@ -196,7 +199,7 @@ class RunReport:
     counters: dict[str, int] = field(default_factory=dict)
     invariants: list[dict] = field(default_factory=list)
     final: dict = field(default_factory=dict)
-    trace: Optional[list] = None
+    trace: Optional[dict] = None
 
     def add_invariant(self, name: str, ok: bool, detail: str = "") -> None:
         self.invariants.append({"name": name, "ok": bool(ok), "detail": detail})
@@ -304,11 +307,10 @@ class _Client:
         return reply
 
     def resolve(self, ref: str) -> str:
-        if isinstance(ref, str) and ref.startswith("$"):
-            if ref[1:] not in self.vars:
-                raise _Unbound(ref)
-            return self.vars[ref[1:]]
-        return ref
+        """The promise id a validated `$name` reference is bound to."""
+        if ref[1:] not in self.vars:
+            raise _Unbound(ref)
+        return self.vars[ref[1:]]
 
 
 def _wire(sock: socket.socket) -> Callable[[Envelope], Envelope]:
@@ -355,9 +357,16 @@ def _run_threads(report: RunReport, clients: list[_Client],
 
 # --- scripted scenarios ---
 
-def bundled_scenario_path(name: str):
-    ref = importlib_resources.files("promisekit").joinpath("scenarios", f"{name}.json")
-    return ref
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise ScenarioError(message)
+
+
+def _bundled(name: str):
+    """A JSON document shipped in the package's scenarios directory."""
+    ref = importlib_resources.files("promisekit").joinpath("scenarios", name)
+    _require(ref.is_file(), f"{name!r} is neither a file nor a bundled scenario file")
+    return json.loads(ref.read_text(encoding="utf-8"))
 
 
 def load_script(source) -> dict:
@@ -367,16 +376,17 @@ def load_script(source) -> dict:
         base = os.getcwd()
     else:
         path = str(source)
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                script = json.load(fh)
-            base = os.path.dirname(os.path.abspath(path))
-        else:
-            ref = bundled_scenario_path(path)
-            if not ref.is_file():
-                raise ScenarioError(f"no script file or bundled scenario named {path!r}")
-            script = json.loads(ref.read_text(encoding="utf-8"))
-            base = None  # bundled catalogs resolve inside the package
+        try:
+            if os.path.exists(path):
+                with open(path, "r", encoding="utf-8") as fh:
+                    script = json.load(fh)
+                base = os.path.dirname(os.path.abspath(path))
+            else:
+                script = _bundled(f"{path}.json")
+                base = None  # bundled catalogs resolve inside the package
+        except ValueError as exc:
+            raise ScenarioError(f"script is not a JSON document ({path}): {exc}") from exc
+        _require(isinstance(script, dict), f"{path}: a script must be a JSON object")
         script.setdefault("name", os.path.splitext(os.path.basename(path))[0])
         script["_base"] = base
     return script
@@ -388,14 +398,10 @@ def _script_catalog(script: dict, override=None) -> ResourceCatalog:
     if "catalog-inline" in script:
         return load_catalog(script["catalog-inline"])
     name = script.get("catalog")
-    if not name:
-        raise ScenarioError("script names no catalog")
+    _require(name, "script names no catalog")
     base = script.get("_base", os.getcwd())
     if base is None:
-        ref = importlib_resources.files("promisekit").joinpath("scenarios", name)
-        if not ref.is_file():
-            raise ScenarioError(f"bundled catalog {name!r} not found")
-        return load_catalog(json.loads(ref.read_text(encoding="utf-8")))
+        return load_catalog(_bundled(name))
     return load_catalog_file(os.path.join(base, name))
 
 
@@ -403,14 +409,11 @@ class _ScriptRun:
     def __init__(self, script: dict, catalog_override=None):
         self.script = script
         self.clock_mode = script.get("clock", "logical")
-        if self.clock_mode not in ("logical", "wall"):
-            raise ScenarioError(f"unknown clock mode {self.clock_mode!r}")
+        _require(self.clock_mode in ("logical", "wall"), f"unknown clock mode {self.clock_mode!r}")
         self.seed = script.get("seed", 0)
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ScenarioError(f"seed must be an integer, got {self.seed!r}")
+        _require(type(self.seed) is int, f"seed must be an integer, got {self.seed!r}")
         self.schedule = script.get("schedule", "round-robin")
-        if self.schedule not in ("round-robin", "seeded"):
-            raise ScenarioError(f"unknown schedule {self.schedule!r}")
+        _require(self.schedule in ("round-robin", "seeded"), f"unknown schedule {self.schedule!r}")
         catalog = _script_catalog(script, catalog_override)
         clock = LogicalClock() if self.clock_mode == "logical" else WallClock()
         self.manager = PromiseManager(catalog, clock=clock,
@@ -418,63 +421,111 @@ class _ScriptRun:
                                       self_check=True)
         register_standard_handlers(self.manager)
         self._validate_script(catalog)
+        self.observed, self.lock = dict.fromkeys(OBSERVED_COUNTERS, 0), threading.Lock()
         self.expect_failures: list[str] = []
         self.take_keys: list[str] = []
+        self.steps_run = 0
+        self.failure: Optional[dict] = None  # the first step the stack check failed
 
     def _validate_script(self, catalog: ResourceCatalog) -> None:
-        clients = self.script.get("clients", [])
-        if not clients:
-            raise ScenarioError("script declares no clients")
+        clients = self.script.get("clients")
+        _require(isinstance(clients, list) and clients, "script declares no clients")
         for client in clients:
+            name = client.get("name") if isinstance(client, dict) else None
+            _require(isinstance(name, str) and name, f"a client needs a name, got {client!r}")
+            steps = client.get("steps", [])
+            _require(isinstance(steps, list), f"{name}: steps must be a list")
             bound: set[str] = set()
-            for step in client.get("steps", []):
-                kind = step.get("kind")
-                if kind == "request":
-                    for raw in step.get("predicates", []):
-                        try:
-                            pred = predicate_from_wire(raw)
-                            validate_predicate(pred, catalog.schema)
-                        except (ValueError, PredicateInvalid) as exc:
-                            raise ScenarioError(f"bad predicate in script: {exc}") from exc
-                    for ref in step.get("release-on-grant", []):
-                        self._check_ref(ref, bound, client["name"])
-                    if step.get("save-as"):
-                        bound.add(step["save-as"])
-                elif kind == "action":
-                    if step.get("name") not in KNOWN_ACTIONS:
-                        raise ScenarioError(f"unknown action {step.get('name')!r}")
-                    for entry in step.get("environment", []):
-                        self._check_ref(entry.get("promise"), bound, client["name"])
-                elif kind == "advance-clock":
-                    if self.clock_mode != "logical":
-                        raise ScenarioError("advance-clock requires the logical clock")
-                elif kind == "think":
-                    pass
-                else:
-                    raise ScenarioError(f"unknown step kind {kind!r}")
+            for step in steps:
+                self._validate_step(step, bound, name, catalog)
+        want = self.script.get("expect-final") or {}
+        _require(isinstance(want, dict) and all(isinstance(want.get(k, {}), dict) for k in
+                                                ("pools", "promise-status", "instance-status")),
+                 "expect-final and its pools, promise-status and instance-status are objects")
+
+    def _validate_step(self, step, bound: set[str], client: str,
+                       catalog: ResourceCatalog) -> None:
+        _require(isinstance(step, dict), f"{client}: a step must be an object, got {step!r}")
+        kind = step.get("kind")
+        if kind == "request":
+            duration, predicates = step.get("duration"), step.get("predicates")
+            _require(type(duration) is int and duration > 0,
+                     f"{client}: a request needs a positive integer duration, got {duration!r}")
+            _require(isinstance(predicates, list) and predicates,
+                     f"{client}: a request needs a non-empty list of predicates")
+            for raw in predicates:
+                try:
+                    validate_predicate(predicate_from_wire(raw), catalog.schema)
+                except (ValueError, PredicateInvalid) as exc:
+                    raise ScenarioError(f"bad predicate in script: {exc}") from exc
+            refs = step.get("release-on-grant", [])
+            _require(isinstance(refs, list), f"{client}: release-on-grant must be a list")
+            for ref in refs:
+                self._check_ref(ref, bound, client)
+            _require(len(set(refs)) == len(refs), f"{client}: release-on-grant repeats {refs}")
+            _require(isinstance(step.get("save-as", ""), str), f"{client}: save-as must be text")
+            if step.get("save-as"):
+                bound.add(step["save-as"])
+        elif kind == "action":
+            _require(step.get("name") in KNOWN_ACTIONS, f"unknown action {step.get('name')!r}")
+            environment = step.get("environment", [])
+            _require(isinstance(environment, list)
+                     and all(isinstance(entry, dict) for entry in environment),
+                     f"{client}: environment must be a list of objects")
+            for entry in environment:
+                self._check_ref(entry.get("promise"), bound, client)
+                _require(entry.get("option", OPTION_RELEASE_AFTER_SUCCESS) in RELEASE_OPTIONS,
+                         f"{client}: unknown release option {entry.get('option')!r}")
+        elif kind == "advance-clock":
+            by = step.get("by", 1)
+            _require(self.clock_mode == "logical", "advance-clock requires the logical clock")
+            _require(type(by) is int and by >= 0,
+                     f"{client}: advance-clock needs a non-negative integer, got {by!r}")
+        elif kind == "fault":
+            _require(self.clock_mode == "logical", "fault requires the logical clock")
+            _require(step.get("stage") in PIPELINE_STAGES,
+                     f"{client}: unknown fault stage {step.get('stage')!r}")
+            inner = step.get("step")
+            _require(isinstance(inner, dict) and inner.get("kind") in ("request", "action"),
+                     f"{client}: a fault's step must be a request or an action")
+            self._validate_step(inner, bound, client, catalog)
+        elif kind == "think":
+            ms = step.get("ms", 1)
+            _require(type(ms) in (int, float) and ms >= 0, f"{client}: think needs ms >= 0")
+        else:
+            raise ScenarioError(f"unknown step kind {kind!r}")
 
     @staticmethod
     def _check_ref(ref, bound: set[str], client: str) -> None:
-        if not isinstance(ref, str) or not ref.startswith("$"):
-            raise ScenarioError(f"{client}: promise references must look like $name, got {ref!r}")
-        if ref[1:] not in bound:
-            raise ScenarioError(f"{client}: {ref} is used before it is bound")
+        _require(isinstance(ref, str) and ref.startswith("$"),
+                 f"{client}: promise references must look like $name, got {ref!r}")
+        _require(ref[1:] in bound, f"{client}: {ref} is used before it is bound")
 
-    def run(self) -> RunReport:
+    def run(self, in_process: bool = False) -> RunReport:
+        """Run every client's steps over the wire or, `in_process`, through
+        `PromiseManager.handle`."""
         report = RunReport(self.script.get("name", "scenario"), self.seed, self.clock_mode)
         scripted = self.script["clients"]
-        observed, lock = dict.fromkeys(OBSERVED_COUNTERS, 0), threading.Lock()
-        with _serving(self.manager, len(scripted)) as sends:
-            clients = [_Client(c["name"], send, observed, lock, c.get("steps", []))
+        serving = contextlib.nullcontext([self.manager.handle] * len(scripted)) if in_process \
+            else _serving(self.manager, len(scripted))
+        with serving as sends:
+            clients = [_Client(c["name"], send, self.observed, self.lock, c.get("steps", []))
                        for c, send in zip(scripted, sends)]
             if self.clock_mode == "logical":
                 self._run_lockstep(clients)
             else:
                 _run_threads(report, clients, self._run_steps)
+        return self.finish(report, clients)
+
+    def finish(self, report: RunReport, clients: list[_Client]) -> RunReport:
         report.clients = {c.name: c.outcomes for c in clients}
         report.add_invariant("expectations", not self.expect_failures,
                              detail="; ".join(self.expect_failures))
-        _finish_report(report, self.manager, observed)
+        if self.clock_mode == "logical":
+            failure = self.failure
+            report.add_invariant("step-invariants", failure is None, detail="" if failure is None
+                                 else f"step {failure['step']}: {'; '.join(failure['problems'])}")
+        _finish_report(report, self.manager, self.observed)
         self._final_expectations(report, clients)
         return report
 
@@ -494,29 +545,69 @@ class _ScriptRun:
             self._execute(client, step)
 
     def _execute(self, client: _Client, step: dict) -> None:
-        """Run one step; skip it if it names a promise its client never got.
+        """Run one step and, under the logical clock, check the whole stack
+        (wall-clock clients run outside one lock, so that check would race).
 
-        The request that would have bound it was rejected, which a seeded
+        A step that names a promise its client never got is skipped: the
+        request that would have bound it was rejected, which a seeded
         schedule can cause; the skipped step counts as a failed expectation.
         """
+        problems: list[str] = []
         try:
-            self._execute_step(client, step)
+            if step["kind"] == "fault":
+                problems = self._inject_fault(client, step)
+            else:
+                self._execute_step(client, step)
         except _Unbound as exc:
             client.outcomes.append(f"{step['kind']} skipped: {exc} unbound")
             self.expect_failures.append(
                 f"{client.name}: {exc} never bound, so the step was skipped: {step}")
+        if self.clock_mode == "logical":
+            problems += _verify_stack(self.manager)
+            if problems and self.failure is None:
+                self.failure = {"step": self.steps_run, "problems": problems}
+            self.steps_run += 1
 
-    def _execute_step(self, client: _Client, step: dict) -> None:
+    def _inject_fault(self, client: _Client, step: dict) -> list[str]:
+        """Run the inner step with a failure injected at `stage`. An
+        internal-failure reply must leave the committed state as it was; any
+        other reply means the stage never ran (the handler failed first, say)
+        and the envelope committed normally."""
+        stage, before, muffle = step["stage"], self.manager.state_digest(), log.level
+
+        def hook(current: str) -> None:
+            if current == stage:
+                raise RuntimeError(f"fault injected at {stage}")
+
+        self.manager.fault_hook = hook
+        log.setLevel(logging.CRITICAL)  # the rollback traceback is the expected outcome
+        try:
+            reply = self._execute_step(client, step["step"])
+        finally:
+            self.manager.fault_hook = None
+            log.setLevel(muffle)
+        inner = client.outcomes.pop()
+        if reply.error != "internal-failure":
+            outcome, problems = f"not reached ({inner})", []
+        elif self.manager.state_digest() != before:
+            outcome, problems = "state changed", ["fault rollback was not exact"]
+        else:
+            outcome, problems = "rolled back", []
+        client.outcomes.append(f"fault at {stage}: {outcome}")
+        return problems
+
+    def _execute_step(self, client: _Client, step: dict) -> Optional[Envelope]:
+        """Run a step; returns the reply of a request or an action."""
         kind = step["kind"]
         if kind == "advance-clock":
             self.manager.clock.advance(step.get("by", 1))
             client.outcomes.append(f"advance-clock {step.get('by', 1)}")
-            return
+            return None
         if kind == "think":
             if self.clock_mode == "wall":
                 time.sleep(step.get("ms", 1) / 1000.0)
             client.outcomes.append("think")
-            return
+            return None
         if kind == "request":
             release = [client.resolve(r) for r in step.get("release-on-grant", [])]
             preds = tuple(predicate_from_wire(p) for p in step["predicates"])
@@ -529,22 +620,20 @@ class _ScriptRun:
                 outcome = "rejected" if reply.error is None else f"error {reply.error}"
             client.outcomes.append(f"request {client.rid}: {outcome}")
             self._expect(client, step, outcome)
-            return
-        if kind == "action":
-            env = [(client.resolve(e["promise"]), e.get("option", OPTION_RELEASE_AFTER_SUCCESS))
-                   for e in step.get("environment", [])]
-            reply = client.act(step["name"], step.get("payload"), env)
-            if reply.action is None:
-                status = f"error {reply.error}"
-            else:
-                status, payload = reply.action.status, reply.action.payload
-                if status == ACTION_SUCCEEDED and isinstance(payload, dict) \
-                        and step["name"].startswith("take-"):
-                    self.take_keys.append(payload.get("key"))
-            client.outcomes.append(f"action {step['name']}: {status}")
-            self._expect(client, step, status)
-            return
-        raise ScenarioError(f"unknown step kind {kind!r}")
+            return reply
+        env = [(client.resolve(e["promise"]), e.get("option", OPTION_RELEASE_AFTER_SUCCESS))
+               for e in step.get("environment", [])]
+        reply = client.act(step["name"], step.get("payload"), env)
+        if reply.action is None:
+            status = f"error {reply.error}"
+        else:
+            status, payload = reply.action.status, reply.action.payload
+            if status == ACTION_SUCCEEDED and isinstance(payload, dict) \
+                    and step["name"].startswith("take-"):
+                self.take_keys.append(payload.get("key"))
+        client.outcomes.append(f"action {step['name']}: {status}")
+        self._expect(client, step, status)
+        return reply
 
     def _expect(self, client: _Client, step: dict, outcome: str) -> None:
         want = step.get("expect")
@@ -661,10 +750,6 @@ def contention_run(n_clients: int = 8, envelopes_each: int = 200,
 
 # --- fuzzing ---
 
-class _InjectedFault(RuntimeError):
-    pass
-
-
 def _fuzz_catalog_doc(rng: random.Random) -> dict:
     classes = ["economy", "business", "first"]
     n_inst = rng.randint(3, 6)
@@ -699,51 +784,43 @@ def _gen_predicate(rng: random.Random, n_inst: int):
             "amount": rng.randint(1, 2), "constraints": constraints}
 
 
-def _gen_steps(rng: random.Random, n_clients: int, n_steps: int, n_inst: int) -> list[dict]:
-    steps: list[dict] = []
-    live_estimate: set[int] = set()  # grant step indices assumed still active
-    for i in range(n_steps):
-        client = rng.randrange(n_clients)
-        roll = rng.random()
-        if roll < 0.40 and len(live_estimate) < 6:
-            step = {"client": client, "kind": "grant",
-                    "predicates": [_gen_predicate(rng, n_inst)
-                                   for _ in range(rng.randint(1, 2))],
-                    "duration": rng.randint(2, 8)}
-            live_estimate.add(i)
-        elif roll < 0.52 and live_estimate:
-            target = rng.choice(sorted(live_estimate))
-            step = {"client": client, "kind": "release", "target": target}
-            live_estimate.discard(target)
-        elif roll < 0.62 and live_estimate:
-            target = rng.choice(sorted(live_estimate))
-            step = {"client": client, "kind": "exchange",
-                    "predicates": [_gen_predicate(rng, n_inst)],
-                    "duration": rng.randint(2, 8), "targets": [target]}
-            live_estimate.discard(target)
-            live_estimate.add(i)
-        elif roll < 0.85:
-            step = {"client": client, "kind": "action", **_gen_action(rng, n_inst)}
-            if rng.random() < 0.5 and live_estimate:
-                target = rng.choice(sorted(live_estimate))
-                option = rng.choice((OPTION_RETAIN, OPTION_RELEASE_AFTER_SUCCESS))
-                step["environment"] = [[target, option]]
-                if option == OPTION_RELEASE_AFTER_SUCCESS:
-                    live_estimate.discard(target)
-        elif roll < 0.95:
-            step = {"client": client, "kind": "advance", "by": rng.randint(1, 3)}
-            live_estimate.clear()  # expiry may reap anything; stay conservative
-        else:
-            stage = rng.choice(("sweep", "requests", "action", "post-check", "commit"))
-            if stage in ("action", "post-check"):
-                inner = {"client": client, "kind": "action", **_gen_action(rng, n_inst)}
-            else:
-                inner = {"client": client, "kind": "grant",
-                         "predicates": [_gen_predicate(rng, n_inst)],
-                         "duration": rng.randint(2, 8)}
-            step = {"client": client, "kind": "fault", "stage": stage, "inner": inner}
-        steps.append(step)
-    return steps
+def _draw_step(rng: random.Random, index: int, live: set[str], n_inst: int) -> dict:
+    """The next fuzz step. `live` holds the save-as names of granted
+    promises still assumed active; a step that may end one drops it."""
+    roll = rng.random()
+    if roll < 0.40 and len(live) < 6:
+        return {"kind": "request",
+                "predicates": [_gen_predicate(rng, n_inst) for _ in range(rng.randint(1, 2))],
+                "duration": rng.randint(2, 8), "save-as": f"g{index}"}
+    if roll < 0.62 and live:
+        target = rng.choice(sorted(live))
+        live.discard(target)
+        if roll < 0.52:  # a release
+            return {"kind": "action", "name": ACTION_NO_OP,
+                    "environment": [{"promise": f"${target}",
+                                     "option": OPTION_RELEASE_AFTER_SUCCESS}]}
+        return {"kind": "request", "predicates": [_gen_predicate(rng, n_inst)],
+                "duration": rng.randint(2, 8), "release-on-grant": [f"${target}"],
+                "save-as": f"g{index}"}
+    if roll < 0.85:
+        step = {"kind": "action", **_gen_action(rng, n_inst)}
+        if rng.random() < 0.5 and live:
+            target = rng.choice(sorted(live))
+            option = rng.choice((OPTION_RETAIN, OPTION_RELEASE_AFTER_SUCCESS))
+            step["environment"] = [{"promise": f"${target}", "option": option}]
+            if option == OPTION_RELEASE_AFTER_SUCCESS:
+                live.discard(target)
+        return step
+    if roll < 0.95:
+        live.clear()  # expiry may reap anything; stay conservative
+        return {"kind": "advance-clock", "by": rng.randint(1, 3)}
+    stage = rng.choice(PIPELINE_STAGES)
+    if stage in ("action", "post-check"):
+        inner = {"kind": "action", **_gen_action(rng, n_inst)}
+    else:
+        inner = {"kind": "request", "predicates": [_gen_predicate(rng, n_inst)],
+                 "duration": rng.randint(2, 8)}
+    return {"kind": "fault", "stage": stage, "step": inner}
 
 
 def _gen_action(rng: random.Random, n_inst: int) -> dict:
@@ -781,139 +858,51 @@ def _verify_stack(manager: PromiseManager) -> list[str]:
     return problems
 
 
-def _replay(steps: list[dict], catalog_doc: dict):
-    """Run steps on a fresh stack. Returns (failure, outcomes, manager, observed)."""
-    manager = PromiseManager(load_catalog(catalog_doc), clock=LogicalClock())
-    register_standard_handlers(manager)
-    observed = dict.fromkeys(OBSERVED_COUNTERS, 0)
-    client = _Client("f", manager.handle, observed, threading.Lock())
-    granted: dict[int, str] = {}
-    outcomes: list[str] = []
-
-    def run_one(index: int, step: dict) -> str:
-        kind = step["kind"]
-        if kind == "advance":
-            manager.clock.advance(step["by"])
-            return f"advance {step['by']}"
-        if kind == "fault":
-            stage = step["stage"]
-            before = manager.state_digest()
-
-            def hook(current: str):
-                if current == stage:
-                    raise _InjectedFault(stage)
-
-            manager.fault_hook = hook
-            logger = logging.getLogger("promisekit")
-            muffle = logger.level  # the rollback traceback is the expected outcome here
-            logger.setLevel(logging.CRITICAL)
-            try:
-                reply = _apply_step(client, granted, index, step["inner"])
-            finally:
-                manager.fault_hook = None
-                logger.setLevel(muffle)
-            fired = reply is not None and reply.error == "internal-failure"
-            if not fired:
-                # the armed stage never ran (e.g. handler failed first);
-                # the envelope committed normally and no equality is owed
-                return f"fault at {stage}: not reached ({_describe_reply(step['inner'], reply)})"
-            after = manager.state_digest()
-            if before != after:
-                return f"fault at {stage}: STATE CHANGED"
-            return f"fault at {stage}: rolled back"
-        reply = _apply_step(client, granted, index, step)
-        return _describe_reply(step, reply)
-
-    for i, step in enumerate(steps):
-        outcome = run_one(i, step)
-        outcomes.append(outcome)
-        problems = ["fault rollback was not exact"] if "STATE CHANGED" in outcome \
-            else _verify_stack(manager)
-        if problems:
-            return {"step": i, "problems": problems}, outcomes, manager, observed
-    return None, outcomes, manager, observed
+def _step_failure(script: dict) -> Optional[dict]:
+    """Run a script in process; the first step the stack check failed, or
+    None. A script that no longer validates counts as not failing."""
+    try:
+        run = _ScriptRun(script)
+    except ScenarioError:
+        return None
+    run.run(in_process=True)
+    return run.failure
 
 
-def _resolve_target(granted: dict[int, str], target: int) -> Optional[str]:
-    # a rejected grant leaves no id; fall back to the newest granted one so
-    # release traffic stays high (deterministic either way)
-    pid = granted.get(target)
-    if pid is None and granted:
-        return granted[max(granted)]
-    return pid
-
-
-def _apply_step(client: _Client, granted: dict[int, str],
-                index: int, step: dict) -> Optional[Envelope]:
-    kind = step["kind"]
-    if kind in ("grant", "exchange"):
-        release = [_resolve_target(granted, target) for target in step.get("targets", [])]
-        if None in release:
-            return None  # nothing granted yet; skip deterministically
-        preds = tuple(predicate_from_wire(p) for p in step["predicates"])
-        reply, pid = client.request(preds, step["duration"], release)
-        if pid is not None:
-            granted[index] = pid
-        return reply
-    if kind == "release":
-        pid = _resolve_target(granted, step["target"])
-        if pid is None:
-            return None
-        return client.act(ACTION_NO_OP, None, [(pid, OPTION_RELEASE_AFTER_SUCCESS)])
-    if kind == "action":
-        env = [(pid, option) for target, option in step.get("environment", [])
-               if (pid := _resolve_target(granted, target)) is not None]
-        return client.act(step["name"], step.get("payload"), env)
-    raise ScenarioError(f"unknown fuzz step kind {kind!r}")
-
-
-def _describe_reply(step: dict, reply: Optional[Envelope]) -> str:
-    if reply is None:
-        return f"{step['kind']}: skipped"
-    if reply.error:
-        return f"{step['kind']}: error {reply.error}"
-    if reply.action is not None:
-        return f"{step['kind']} {reply.action.action_name}: {reply.action.status}"
-    if reply.promise_part and reply.promise_part.responses:
-        resp = reply.promise_part.responses[0]
-        tail = f" {resp.promise_id}" if resp.promise_id else ""
-        return f"{step['kind']}: {resp.result}{tail}"
-    return f"{step['kind']}: ok"
-
-
-def _minimize(steps: list[dict], catalog_doc: dict) -> list[dict]:
-    """Greedy step removal keeping the failure alive."""
-    current = list(steps)
+def _minimize(script: dict) -> dict:
+    """Greedy step removal from a one-client script, keeping a step failure alive."""
+    steps = script["clients"][0]["steps"]
     shrunk = True
-    while shrunk and len(current) > 1:
+    while shrunk and len(steps) > 1:
         shrunk = False
-        for i in range(len(current)):
-            candidate = current[:i] + current[i + 1:]
-            failure = _replay(candidate, catalog_doc)[0]
-            if failure is not None:
-                current = candidate
-                shrunk = True
+        for i in range(len(steps)):
+            candidate = {**script, "clients": [{**script["clients"][0],
+                                                "steps": steps[:i] + steps[i + 1:]}]}
+            if _step_failure(candidate) is not None:
+                script, steps, shrunk = candidate, candidate["clients"][0]["steps"], True
                 break
-    return current
+    return script
 
 
-def fuzz(seed: int, n_clients: int = 3, n_steps: int = 60) -> RunReport:
+def fuzz(seed: int, n_steps: int = 60) -> RunReport:
+    """Draw a one-client script step by step and run each step in process,
+    up to the first step that fails the stack check."""
     rng = random.Random(seed)
     catalog_doc = _fuzz_catalog_doc(rng)
     n_inst = len(catalog_doc["resource-types"][1]["instances"])
-    steps = _gen_steps(rng, n_clients, n_steps, n_inst)
-
-    failure, outcomes, manager, observed = _replay(steps, catalog_doc)
-
-    report = RunReport("fuzz", seed, "logical", clients={f"c{i}": [] for i in range(n_clients)})
-    for step, outcome in zip(steps, outcomes):
-        report.clients[f"c{step['client']}"].append(outcome)
-    report.add_invariant("step-invariants", failure is None,
-                         detail="" if failure is None else
-                         f"step {failure['step']}: {'; '.join(failure['problems'])}")
-    # a fuzz report's counters carry only the violations among the observed
-    # counters, so fuzz digests stay comparable across versions
-    _finish_report(report, manager, {"observed-violations": observed["observed-violations"]})
-    if failure is not None:
-        report.trace = _minimize(steps[:failure["step"] + 1], catalog_doc)
+    steps: list[dict] = []
+    script = {"name": "fuzz", "seed": seed, "clock": "logical", "catalog-inline": catalog_doc,
+              "clients": [{"name": "f", "steps": steps}]}
+    run = _ScriptRun(script)
+    client = _Client("f", run.manager.handle, run.observed, run.lock)
+    live: set[str] = set()
+    while len(steps) < n_steps and run.failure is None:
+        step = _draw_step(rng, len(steps), live, n_inst)
+        steps.append(step)
+        run._execute(client, step)
+        if step.get("save-as") in client.vars:
+            live.add(step["save-as"])
+    report = run.finish(RunReport("fuzz", seed, "logical"), [client])
+    if run.failure is not None:
+        report.trace = _minimize(script)
     return report

@@ -139,17 +139,44 @@ def test_inline_catalog_and_dict_script():
          "environment": [{"promise": "$ghost"}]}), "before it is bound"),
     (lambda s: s.update(clock="lunar"), "unknown clock"),
     (lambda s: s.update(clients=[]), "no clients"),
+    (lambda s: s["clients"][0]["steps"].append(
+        {"kind": "request",
+         "predicates": [{"form": "quantity", "resource-type": "pink-widget", "amount": 1}]}),
+     "positive integer duration"),
+    (lambda s: [s], "a script must be a JSON object"),
+    (lambda s: s.update(clients=[{"steps": []}]), "a client needs a name"),
+    (lambda s: s["clients"][0]["steps"].append("request"), "a step must be an object"),
+    (lambda s: s["clients"][0]["steps"].append({"kind": "advance-clock", "by": -4}),
+     "non-negative integer"),
+    (lambda s: s["clients"][0]["steps"].extend([
+        {"kind": "request", "duration": 5, "save-as": "p",
+         "predicates": [{"form": "quantity", "resource-type": "pink-widget", "amount": 1}]},
+        {"kind": "request", "duration": 5, "release-on-grant": "$p",
+         "predicates": [{"form": "quantity", "resource-type": "pink-widget", "amount": 1}]}]),
+     "release-on-grant must be a list"),
+    (lambda s: s["clients"][0]["steps"].append(
+        {"kind": "fault", "stage": "lunch", "step": {"kind": "action", "name": "no-op"}}),
+     "unknown fault stage"),
+    (lambda s: s["clients"][0]["steps"].append(
+        {"kind": "fault", "stage": "commit", "step": {"kind": "advance-clock"}}),
+     "must be a request or an action"),
+    (lambda s: s.update(clock="wall", clients=[{"name": "c", "steps": [{"kind": "think",
+                                                                         "ms": -1}]}]),
+     "think needs ms >= 0"),
+    (lambda s: s.update({"expect-final": {"pools": ["pink-widget"]}}), "expect-final"),
 ])
-def test_script_validation_errors(mutate, message):
+def test_script_validation_errors(tmp_path, mutate, message):
     script = {
         "name": "broken",
         "catalog-inline": widget_doc(2),
         "clock": "logical",
         "clients": [{"name": "c", "steps": []}],
     }
-    mutate(script)
+    script = mutate(script) or script  # a mutation may return a whole new document
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(script))
     with pytest.raises(ScenarioError) as exc:
-        run_script(script)
+        run_script(str(path))
     assert message in str(exc.value)
 
 
@@ -162,13 +189,17 @@ def test_script_duration_cap_must_be_a_positive_integer(cap):
     assert exc.value.code == "config-error"
 
 
-@pytest.mark.parametrize("seed", ["x", True, 2.5])
-def test_cli_reports_a_seed_that_is_not_an_integer_and_exits_2(tmp_path, capsys, seed):
+@pytest.mark.parametrize("text,message", [
+    *[(json.dumps({"name": "seeded", "catalog-inline": widget_doc(2), "seed": seed,
+                   "clients": [{"name": "c", "steps": []}]}), "error: seed must be an integer")
+      for seed in ["x", True, 2.5]],
+    ('{"name": "cut short", "clients": [', "error: script is not a JSON document"),
+])
+def test_cli_reports_a_malformed_script_and_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "script.json"
-    path.write_text(json.dumps({"name": "seeded", "catalog-inline": widget_doc(2),
-                                "seed": seed, "clients": [{"name": "c", "steps": []}]}))
+    path.write_text(text)
     assert cli.main(["run", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: seed must be an integer")
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_unknown_bundled_name():
@@ -177,7 +208,7 @@ def test_unknown_bundled_name():
 
 
 def test_fuzz_smoke_seed_zero():
-    report = fuzz(0, n_clients=2, n_steps=25)
+    report = fuzz(0, n_steps=25)
     assert report.ok, report.to_document()
 
 
@@ -192,19 +223,53 @@ def test_fuzz_reports_are_json_serializable(tmp_path):
     assert json.loads(path.read_text())["digest"] == doc["digest"]
 
 
+def _one_client_script(catalog_doc, steps):
+    return {"name": "script", "clock": "logical", "catalog-inline": catalog_doc,
+            "clients": [{"name": "f", "steps": steps}]}
+
+
 def test_fault_steps_verify_exact_rollback():
     steps = [
-        {"client": 0, "kind": "grant", "duration": 9,
+        {"kind": "request", "duration": 9,
          "predicates": [{"form": "quantity", "resource-type": "bulk", "amount": 2}]},
-        {"client": 0, "kind": "fault", "stage": "commit",
-         "inner": {"client": 0, "kind": "grant", "duration": 9,
-                   "predicates": [{"form": "quantity", "resource-type": "bulk",
-                                   "amount": 1}]}},
+        {"kind": "fault", "stage": "commit",
+         "step": {"kind": "request", "duration": 9,
+                  "predicates": [{"form": "quantity", "resource-type": "bulk", "amount": 1}]}},
     ]
-    doc = harness._fuzz_catalog_doc(__import__("random").Random(0))
-    failure, outcomes, _, _ = harness._replay(steps, doc)
-    assert failure is None
-    assert outcomes[1] == "fault at commit: rolled back"
+    run = harness._ScriptRun(_one_client_script(harness._fuzz_catalog_doc(random.Random(0)),
+                                                steps))
+    report = run.run(in_process=True)
+    assert run.failure is None and report.ok
+    assert report.clients["f"][1] == "fault at commit: rolled back"
+
+
+PURCHASE = {"kind": "action", "name": "purchase-stock",
+            "payload": {"resource-type": "pink-widget", "amount": 1}}
+
+
+@pytest.mark.parametrize("stage,step,outcome", [
+    ("commit", PURCHASE, "fault at commit: rolled back"),
+    ("post-check", {"kind": "action", "name": "fail"},
+     "fault at post-check: not reached (action fail: failed)"),
+])
+def test_fault_steps_run_over_the_wire(stage, step, outcome):
+    # a failing handler raises ActionFailure before the post-check stage runs
+    report = run_script(_one_client_script(widget_doc(3), [
+        PURCHASE, {"kind": "fault", "stage": stage, "step": step}, PURCHASE]))
+    assert report.ok, report.to_document()["invariants"]
+    assert report.clients["f"][1] == outcome
+    assert report.counters["internal-failures"] == (stage == "commit")
+
+
+def test_a_fault_that_changes_state_fails_the_step(monkeypatch):
+    digests = iter(["before", "after"])
+    monkeypatch.setattr(PromiseManager, "state_digest", lambda manager: next(digests))
+    report = run_script(_one_client_script(widget_doc(3), [
+        {"kind": "fault", "stage": "commit", "step": PURCHASE}]))
+    inv = {i["name"]: i for i in report.invariants}
+    assert report.clients["f"] == ["fault at commit: state changed"]
+    assert inv["step-invariants"]["detail"] == "step 0: fault rollback was not exact"
+    assert all(i["ok"] for name, i in inv.items() if name != "step-invariants")
 
 
 def test_minimization_shrinks_a_failing_trace(monkeypatch):
@@ -219,15 +284,15 @@ def test_minimization_shrinks_a_failing_trace(monkeypatch):
 
     monkeypatch.setattr(PromiseEngine, "problems", strict)
     doc = {"resource-types": [{"name": "bulk", "pool": 5}]}
-    noise = [{"client": 0, "kind": "advance", "by": 1} for _ in range(4)]
-    trigger = {"client": 0, "kind": "action", "name": "purchase-stock",
+    noise = [{"kind": "advance-clock", "by": 1} for _ in range(4)]
+    trigger = {"kind": "action", "name": "purchase-stock",
                "payload": {"resource-type": "bulk", "amount": 1}}
-    steps = noise[:2] + [trigger] + noise[2:]
-    assert harness._replay(steps, doc)[0] is not None
-    assert harness._minimize(steps, doc) == [trigger]
+    script = _one_client_script(doc, noise[:2] + [trigger] + noise[2:])
+    assert harness._step_failure(script) is not None
+    assert harness._minimize(script)["clients"][0]["steps"] == [trigger]
 
 
-def test_a_failing_fuzz_run_reports_a_minimized_counterexample(monkeypatch):
+def _plant_two_promise_limit(monkeypatch):
     real = harness._verify_stack
 
     def planted(manager):
@@ -237,16 +302,34 @@ def test_a_failing_fuzz_run_reports_a_minimized_counterexample(monkeypatch):
         return problems
 
     monkeypatch.setattr(harness, "_verify_stack", planted)
+
+
+def test_a_failing_fuzz_run_reports_a_minimized_counterexample(monkeypatch):
+    _plant_two_promise_limit(monkeypatch)
     report = fuzz(1)
     assert not report.ok
     failed = next(inv for inv in report.invariants if inv["name"] == "step-invariants")
     assert not failed["ok"] and failed["detail"].endswith("two promises are active")
     failing_prefix = int(failed["detail"].split(":")[0].removeprefix("step ")) + 1
     counterexample = report.to_document()["counterexample"]
-    assert 0 < len(counterexample) < failing_prefix
-    doc = harness._fuzz_catalog_doc(random.Random(1))  # as fuzz(1) draws it
-    failure = harness._replay(counterexample, doc)[0]
+    assert 0 < len(counterexample["clients"][0]["steps"]) < failing_prefix
+    failure = harness._step_failure(counterexample)
     assert failure is not None and failure["problems"] == ["two promises are active"]
+
+
+def test_a_fuzz_counterexample_replays_under_the_cli(monkeypatch, tmp_path, capsys):
+    _plant_two_promise_limit(monkeypatch)
+    fuzz_path, script_path, run_path = (tmp_path / name for name in ("fuzz", "script", "run"))
+    assert cli.main(["fuzz", "--seed", "1", "--report", str(fuzz_path)]) == 1
+    counterexample = json.loads(fuzz_path.read_text())["counterexample"]
+    printed = capsys.readouterr().out
+    assert all(json.dumps(step, sort_keys=True) in printed
+               for step in counterexample["clients"][0]["steps"])
+    script_path.write_text(json.dumps(counterexample))
+    assert cli.main(["run", str(script_path), "--report", str(run_path)]) == 1
+    invariants = {i["name"]: i for i in json.loads(run_path.read_text())["invariants"]}
+    assert not invariants["step-invariants"]["ok"]
+    assert invariants["step-invariants"]["detail"].endswith(": two promises are active")
 
 
 def test_contention_smoke():
@@ -313,10 +396,10 @@ def test_wall_clock_clients_count_every_step_they_send():
 
 
 PINNED_SCENARIO_DIGESTS = {
-    "banking": "9df87b35698250a7", "gallery": "b1237e8b4c89e792", "hotel": "c7888ba2e35734ea",
-    "merchant": "db3de835f5b22445", "travel": "4dd4c96ebe24713d"}
-PINNED_FUZZ_DIGESTS = ["e4ca1c49c538fe2b", "53e2bc0afd6e88a2", "756ef0fe1212f958",
-                       "cde986a642348c96", "0cba27ecf768552d", "fca40b6f482332d4"]
+    "banking": "e9a4b720c18eb02b", "gallery": "7f8d878ec7b7b39a", "hotel": "245873b6072075ae",
+    "merchant": "5d344217a2d5f11f", "travel": "cd3dbcc3a6b93e7d"}
+PINNED_FUZZ_DIGESTS = ["6c5ab68e20cd123a", "c9299d2db10147b9", "a99fc1c3169be1a3",
+                       "af2c674c3377bca6", "7f794825487f2350", "13b2990801530e26"]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_SCENARIO_DIGESTS))
