@@ -204,56 +204,72 @@ _WIRE_FIELDS = {
     "property": frozenset(("form", "resource-type", "amount", "constraints")),
 }
 _CONSTRAINT_FIELDS = frozenset(("property", "comparator", "value"))
+_SCALAR_TYPES = (str, int, bool)
 
 
 def predicate_from_wire(doc) -> Predicate:
-    """Parse one wire predicate object. Raises ValueError on bad shape."""
-    if not isinstance(doc, dict):
+    """Parse one wire predicate object. Raises ValueError on bad shape.
+
+    Each value is checked as it is read; a form's member set is checked by
+    counting, since every member the form requires has been read by then."""
+    if type(doc) is not dict:
         raise ValueError("predicate must be an object")
     form = doc.get("form")
-    fields = _WIRE_FIELDS.get(form) if isinstance(form, str) else None
-    if fields is not None and not fields.issuperset(doc):
-        raise ValueError(f"unknown predicate fields {sorted(set(doc) - fields)}")
     rt = doc.get("resource-type")
-    if not isinstance(rt, str) or not rt:
+    if type(rt) is not str or not rt:
         raise ValueError("predicate needs a non-empty resource-type")
     if form == "quantity":
         amount = doc.get("amount")
-        _require_amount(amount)
+        if type(amount) is not int or amount < 1 or len(doc) != 3:
+            raise _bad_predicate(doc, form)
         return Quantity(rt, amount)
     if form == "named":
         key = doc.get("key")
-        if not isinstance(key, str) or not key:
-            raise ValueError("named predicate needs a non-empty key")
+        if type(key) is not str or not key or len(doc) != 3:
+            raise _bad_predicate(doc, form)
         return Named(InstanceId(rt, key))
     if form == "property":
         amount = doc.get("amount", 1)
-        _require_amount(amount)
         raw = doc.get("constraints")
-        if not isinstance(raw, list) or not raw:
-            raise ValueError("property predicate needs a non-empty constraints list")
+        if type(amount) is not int or amount < 1 or type(raw) is not list or not raw \
+                or len(doc) != 3 + ("amount" in doc):
+            raise _bad_predicate(doc, form)
         constraints = []
         for c in raw:
-            if not isinstance(c, dict):
+            if type(c) is not dict:
                 raise ValueError("constraint must be an object")
-            if not _CONSTRAINT_FIELDS.issuperset(c):
-                raise ValueError(f"unknown constraint fields {sorted(set(c) - _CONSTRAINT_FIELDS)}")
             name = c.get("property")
             comparator = c.get("comparator")
-            if not isinstance(name, str) or not name:
-                raise ValueError("constraint needs a non-empty property name")
-            if comparator not in COMPARATORS:
-                raise ValueError(f"unknown comparator {comparator!r}")
-            if "value" not in c:
-                raise ValueError("constraint needs a value")
-            value = c["value"]
-            if not isinstance(value, (str, int, bool)):
-                raise ValueError(f"constraint value must be a scalar, got {type(value).__name__}")
+            value = c.get("value")
+            if type(name) is not str or not name or comparator not in COMPARATORS \
+                    or type(value) not in _SCALAR_TYPES or len(c) != 3:
+                raise _bad_constraint(c)
             constraints.append(PropertyConstraint(name, comparator, value))
         return Property(rt, tuple(constraints), amount)
     raise ValueError(f"unknown predicate form {form!r}")
 
 
-def _require_amount(amount) -> None:
-    if not isinstance(amount, int) or isinstance(amount, bool) or amount < 1:
-        raise ValueError(f"amount must be a positive integer, got {amount!r}")
+def _bad_predicate(doc: dict, form: str) -> ValueError:
+    """Which rule a predicate of a known form broke."""
+    fields = _WIRE_FIELDS[form]
+    if not fields.issuperset(doc):
+        return ValueError(f"unknown predicate fields {sorted(set(doc) - fields)}")
+    if form == "named":
+        return ValueError("named predicate needs a non-empty key")
+    amount = doc.get("amount", 1)
+    if type(amount) is not int or amount < 1:
+        return ValueError(f"amount must be a positive integer, got {amount!r}")
+    return ValueError("property predicate needs a non-empty constraints list")
+
+
+def _bad_constraint(c: dict) -> ValueError:
+    if not _CONSTRAINT_FIELDS.issuperset(c):
+        return ValueError(f"unknown constraint fields {sorted(set(c) - _CONSTRAINT_FIELDS)}")
+    name = c.get("property")
+    if type(name) is not str or not name:
+        return ValueError("constraint needs a non-empty property name")
+    if c.get("comparator") not in COMPARATORS:
+        return ValueError(f"unknown comparator {c.get('comparator')!r}")
+    if "value" not in c:
+        return ValueError("constraint needs a value")
+    return ValueError(f"constraint value must be a scalar, got {type(c['value']).__name__}")

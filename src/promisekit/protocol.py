@@ -2,27 +2,33 @@
 
 Bodies are JSON documents; frames on the byte stream are
 magic + 4-byte big-endian length + body. docs/wire-protocol.md is the
-normative field list. decode() parses a body with one call of the json
-module's scanner, falling back to JSONDecoder.decode only when that call
-does not consume the whole text (surrounding whitespace, trailing data,
-no value), then walks the document once, checking each part as it
-builds it; it raises MalformedMessage and nothing else, whatever the
-input bytes. encode() checks the envelope with the same per-part rules,
-raising InvariantViolation, then writes the body directly in canonical
-form: keys sorted, no whitespace, non-ASCII as \\uXXXX escapes, byte for
-byte what json.dumps(doc, sort_keys=True, separators=(",", ":")) writes.
-The action payload and the predicates go through one C encoder built at
+normative field list. The codec makes one pass each way.
+
+decode() parses a body with one call of the json module's scanner,
+falling back to JSONDecoder.decode only when that call does not consume
+the whole text (surrounding whitespace, trailing data, no value), then
+walks the document once, checking each value as it reads it and building
+the message from it; it raises MalformedMessage and nothing else, whatever
+the input bytes.
+
+encode() writes the body directly in canonical form, checking each field
+against the same rules where it writes it and raising InvariantViolation:
+keys sorted, no whitespace, non-ASCII as \\uXXXX escapes, byte for byte
+what json.dumps(doc, sort_keys=True, separators=(",", ":")) writes. The
+action payload and the predicates go through one C encoder built at
 import; it keeps no record of the containers it is in, so a payload that
-contains itself, or one nested too deep, ends in RecursionError, which
-encode() raises as InvariantViolation like any other value JSON cannot
-write.
+contains itself, or one nested too deep, ends in RecursionError, which is
+raised as InvariantViolation like any other value JSON cannot write. A
+reply's payload is encoded by encode_payload() while the server can still
+roll the action back (ActionMsg.payload_json), and encode() writes that
+text in place of encoding the payload again.
 """
 
 from __future__ import annotations
 
 import json
 import socket
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
@@ -91,6 +97,9 @@ class ActionMsg:
     action_name: str
     payload: object = None
     status: Optional[str] = None  # set on responses only
+    # the payload's canonical JSON, written as the server builds a reply;
+    # encode() writes it as it stands, whatever the payload has become since
+    payload_json: Optional[str] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True)
@@ -126,105 +135,8 @@ def make_request(request_id: str, predicates, duration: int,
                              tuple(release_on_grant))
 
 
-# --- structural rules, one per part; decode checks each part as it
-# builds it, encode checks the whole envelope with _check_envelope ---
-
-def _check_layout(part, environment, action, error) -> None:
-    """Which members an envelope may carry together."""
-    if part is not None and not (part.requests or part.responses):
-        raise ValueError("an empty promise part must be omitted, not present")
-    if part is None and action is None and error is None:
-        raise ValueError("envelope carries neither a promise part, an action, nor an error")
-    if error is not None and (not isinstance(error, str) or not error):
-        raise ValueError("error must be a non-empty string")
-    if environment is not None and action is None:
-        raise ValueError("an environment is only meaningful with an action")
-
-
-def _check_environment(env: EnvironmentMsg) -> None:
-    if len(env.promise_ids) != len(env.release_options):
-        raise ValueError("environment lists must be the same length")
-    for pid in env.promise_ids:
-        if not isinstance(pid, str) or not pid:
-            raise ValueError("environment promise identifiers must be non-empty strings")
-    for opt in env.release_options:
-        if opt not in RELEASE_OPTIONS:
-            raise ValueError(f"unknown release option {opt!r}")
-
-
-def _check_action(action: ActionMsg) -> None:
-    if not isinstance(action.action_name, str) or not action.action_name:
-        raise ValueError("action needs a non-empty name")
-    if action.status is not None and action.status not in ACTION_STATUSES:
-        raise ValueError(f"unknown action status {action.status!r}")
-
-
-def _check_request(req: PromiseRequestMsg, seen_rids: set) -> None:
-    rid = req.request_id
-    if not isinstance(rid, str) or not rid:
-        raise ValueError("request needs a non-empty request-identifier")
-    if rid in seen_rids:
-        raise ValueError(f"duplicate request-identifier {rid!r}")
-    seen_rids.add(rid)
-    if not isinstance(req.duration, int) or isinstance(req.duration, bool) or req.duration < 1:
-        raise ValueError("promise-duration must be a positive integer")
-    for pid in req.release_on_grant:
-        if not isinstance(pid, str) or not pid:
-            raise ValueError("release-on-grant identifiers must be non-empty strings")
-    if len(set(req.release_on_grant)) != len(req.release_on_grant):
-        raise ValueError("release-on-grant repeats a promise identifier")
-    types, instances = set(), set()
-    for rt, key in req.resources:
-        if not isinstance(rt, str) or not rt:
-            raise ValueError("resource reference needs a non-empty resource-type")
-        types.add(rt)
-        if key is not None:
-            if not isinstance(key, str) or not key:
-                raise ValueError("resource key must be a non-empty string")
-            instances.add((rt, key))
-    if not req.predicates:
-        raise ValueError("a promise request needs at least one predicate")
-    for p in req.predicates:
-        if isinstance(p, Named):
-            if p.instance not in instances:
-                raise ValueError(f"resources list does not cover instance {p.instance}")
-        elif not isinstance(p, (Quantity, Property)):
-            raise ValueError(f"not a predicate: {p!r}")
-        elif p.resource_type not in types:
-            raise ValueError(f"resources list does not cover resource type {p.resource_type!r}")
-
-
-def _check_response(resp: PromiseResponseMsg) -> None:
-    if resp.result not in (RESULT_ACCEPTED, RESULT_REJECTED):
-        raise ValueError(f"unknown promise-result {resp.result!r}")
-    if (resp.promise_id is not None) != (resp.result == RESULT_ACCEPTED):
-        raise ValueError("promise-identifier must be present exactly when accepted")
-    if resp.promise_id is not None and (not isinstance(resp.promise_id, str)
-                                        or not resp.promise_id):
-        raise ValueError("promise-identifier must be a non-empty string")
-    if not isinstance(resp.granted_duration, int) or isinstance(resp.granted_duration, bool) \
-            or resp.granted_duration < 0:
-        raise ValueError("promise-duration must be a non-negative integer")
-    if not isinstance(resp.correlation, str) or not resp.correlation:
-        raise ValueError("response needs a non-empty promise-correlation")
-
-
-def _check_envelope(e: Envelope) -> None:
-    _check_layout(e.promise_part, e.environment, e.action, e.error)
-    if e.environment is not None:
-        _check_environment(e.environment)
-    if e.action is not None:
-        _check_action(e.action)
-    if e.promise_part is not None:
-        seen_rids: set[str] = set()
-        for req in e.promise_part.requests:
-            _check_request(req, seen_rids)
-        for resp in e.promise_part.responses:
-            _check_response(resp)
-
-
-# --- encode: the checks above guarantee the type of every value written
-# with _quote or %d; the payload and the other values go through _json ---
+# --- encode: one pass that checks each field where it writes it, raising
+# InvariantViolation for the rules decode enforces on the way in ---
 
 def _unserializable(value):
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
@@ -243,68 +155,170 @@ else:
         return "".join(_c_encoder(value, 0))
 
 
-def encode(envelope: Envelope) -> bytes:
-    """Serialize a structurally valid envelope to canonical JSON bytes."""
-    e = envelope
+def encode_payload(payload) -> Optional[str]:
+    """The canonical JSON text of an action payload, None for no payload;
+    raises InvariantViolation when JSON cannot write it."""
+    if payload is None:
+        return None
     try:
-        _check_envelope(e)
-    except ValueError as exc:
-        raise InvariantViolation(str(exc)) from exc
-    # one list joined once: a large payload is copied into the body once
-    out = ["{"]
-    try:
-        if e.action is not None:
-            out += ('"action":{"action-name":', _quote(e.action.action_name))
-            if e.action.payload is not None:
-                out += (',"payload":', _json(e.action.payload))
-            if e.action.status is not None:
-                out += (',"status":', _quote(e.action.status))
-            out += ("}", ",")
-        if e.environment is not None:
-            out += ('"environment":{"promise-identifiers":[%s],"release-options":[%s]}' % (
-                ",".join(map(_quote, e.environment.promise_ids)),
-                ",".join(map(_quote, e.environment.release_options))), ",")
-        if e.error is not None:
-            out += ('"error":', _quote(e.error), ",")
-        if e.promise_part is not None:
-            out += ('"promise":', _part_json(e.promise_part), ",")
+        return _json(payload)
     except (TypeError, ValueError, RecursionError) as exc:
         # RecursionError: a payload that contains itself, or nests too deep
+        raise InvariantViolation(f"payload is not JSON-serializable: {exc}") from exc
+
+
+def encode(envelope: Envelope) -> bytes:
+    """Serialize an envelope to canonical JSON bytes; an envelope that breaks
+    a structural rule raises InvariantViolation.
+
+    Strings are written with _quote, which raises TypeError for anything
+    but a str, so a rule on a string need only test that it is not empty;
+    an integer is tested with type() before %d writes it."""
+    e = envelope
+    members = []  # in the sorted order of their names
+    try:
+        if e.action is not None:
+            members.append(_action_json(e.action))
+        if e.environment is not None:
+            if e.action is None:
+                raise ValueError("an environment is only meaningful with an action")
+            members.append(_environment_json(e.environment))
+        if e.error is not None:
+            if not e.error:
+                raise ValueError("error must be a non-empty string")
+            members.append('"error":' + _quote(e.error))
+        if e.promise_part is not None:
+            members.append(_part_json(e.promise_part))
+        elif e.action is None and e.error is None:
+            raise ValueError("envelope carries neither a promise part, an action, nor an error")
+    except ValueError as exc:
+        raise InvariantViolation(str(exc)) from exc
+    except (TypeError, RecursionError) as exc:
         raise InvariantViolation(f"envelope is not JSON-serializable: {exc}") from exc
-    out[-1] = "}"  # the last member's separator closes the object
-    return "".join(out).encode()
+    return ("{" + ",".join(members) + "}").encode()
+
+
+def _action_json(action: ActionMsg) -> str:
+    if not action.action_name:
+        raise ValueError("action needs a non-empty name")
+    out = '"action":{"action-name":' + _quote(action.action_name)
+    if action.payload is not None:
+        text = action.payload_json
+        out += ',"payload":' + (text if text is not None else encode_payload(action.payload))
+    if action.status is not None:
+        if action.status not in ACTION_STATUSES:
+            raise ValueError(f"unknown action status {action.status!r}")
+        out += ',"status":' + _quote(action.status)
+    return out + "}"
+
+
+def _environment_json(env: EnvironmentMsg) -> str:
+    _require_environment(env.promise_ids, env.release_options)
+    return '"environment":{"promise-identifiers":[%s],"release-options":[%s]}' % (
+        ",".join(map(_quote, env.promise_ids)), ",".join(map(_quote, env.release_options)))
 
 
 def _part_json(part: PromisePart) -> str:
     members = []
     if part.requests:
-        members.append('"promise-request":[%s]' % ",".join([_request_json(r) for r in part.requests]))
+        seen_rids: set = set()
+        members.append('"promise-request":[%s]' % ",".join(
+            [_request_json(r, seen_rids) for r in part.requests]))
     if part.responses:
-        members.append('"promise-response":[%s]' % ",".join([_response_json(r) for r in part.responses]))
-    return "{" + ",".join(members) + "}"
+        members.append('"promise-response":[%s]' % ",".join(map(_response_json, part.responses)))
+    if not members:
+        raise ValueError("an empty promise part must be omitted, not present")
+    return '"promise":{' + ",".join(members) + "}"
 
 
-def _request_json(r: PromiseRequestMsg) -> str:
-    release = ',"release-on-grant":[%s]' % ",".join(map(_quote, r.release_on_grant)) \
-        if r.release_on_grant else ""
+def _request_json(r: PromiseRequestMsg, seen_rids: set) -> str:
+    rid = r.request_id
+    if not rid:
+        raise ValueError("request needs a non-empty request-identifier")
+    if rid in seen_rids:
+        raise ValueError(f"duplicate request-identifier {rid!r}")
+    seen_rids.add(rid)
+    if type(r.duration) is not int or r.duration < 1:
+        raise ValueError("promise-duration must be a positive integer")
+    release = ""
+    if r.release_on_grant:
+        _require_release(r.release_on_grant)
+        release = ',"release-on-grant":[%s]' % ",".join(map(_quote, r.release_on_grant))
+    covered, resources = set(), []
+    for rt, key in r.resources:
+        if not rt:
+            raise ValueError("resource reference needs a non-empty resource-type")
+        covered.add(rt)
+        if key is None:
+            resources.append('{"resource-type":%s}' % _quote(rt))
+        elif not key:
+            raise ValueError("resource key must be a non-empty string")
+        else:
+            covered.add((rt, key))
+            resources.append('{"key":%s,"resource-type":%s}' % (_quote(key), _quote(rt)))
+    if not r.predicates:
+        raise ValueError("a promise request needs at least one predicate")
+    for p in r.predicates:
+        if not isinstance(p, (Named, Quantity, Property)):
+            raise ValueError(f"not a predicate: {p!r}")
+        if (p.instance if isinstance(p, Named) else p.resource_type) not in covered:
+            raise _uncovered(p)
     return '{"predicates":[%s],"promise-duration":%d%s,"request-identifier":%s,"resources":[%s]}' % (
         ",".join([_json(predicate_to_wire(p)) for p in r.predicates]), r.duration, release,
-        _quote(r.request_id), ",".join([_resource_json(rt, key) for rt, key in r.resources]))
-
-
-def _resource_json(rt: str, key: Optional[str]) -> str:
-    if key is None:
-        return '{"resource-type":%s}' % _quote(rt)
-    return '{"key":%s,"resource-type":%s}' % (_quote(key), _quote(rt))
+        _quote(rid), ",".join(resources))
 
 
 def _response_json(r: PromiseResponseMsg) -> str:
-    pid = "" if r.promise_id is None else ',"promise-identifier":' + _quote(r.promise_id)
-    return '{"promise-correlation":%s,"promise-duration":%d%s,"promise-result":%s}' % (
-        _quote(r.correlation), r.granted_duration, pid, _quote(r.result))
+    if type(r.granted_duration) is not int or r.granted_duration < 0:
+        raise ValueError("promise-duration must be a non-negative integer")
+    if not r.correlation:
+        raise ValueError("response needs a non-empty promise-correlation")
+    if r.result == RESULT_ACCEPTED:
+        if not r.promise_id:
+            raise ValueError("an accepted response needs a non-empty promise-identifier")
+        return ('{"promise-correlation":%s,"promise-duration":%d,"promise-identifier":%s,'
+                '"promise-result":"accepted"}') % (
+            _quote(r.correlation), r.granted_duration, _quote(r.promise_id))
+    if r.result != RESULT_REJECTED:
+        raise ValueError(f"unknown promise-result {r.result!r}")
+    if r.promise_id is not None:
+        raise ValueError("a rejected response carries no promise-identifier")
+    return '{"promise-correlation":%s,"promise-duration":%d,"promise-result":"rejected"}' % (
+        _quote(r.correlation), r.granted_duration)
 
 
-# --- decode ---
+def _require_environment(ids, options) -> None:
+    """The environment's rules, on its two lists as decode reads them and as
+    encode writes them."""
+    if len(ids) != len(options):
+        raise ValueError("environment lists must be the same length")
+    for pid in ids:
+        if type(pid) is not str or not pid:
+            raise ValueError("environment promise identifiers must be non-empty strings")
+    for opt in options:
+        if opt not in RELEASE_OPTIONS:
+            raise ValueError(f"unknown release option {opt!r}")
+
+
+def _require_release(ids) -> None:
+    """The rules of a release-on-grant list, as for _require_environment."""
+    for pid in ids:
+        if type(pid) is not str or not pid:
+            raise ValueError("release-on-grant identifiers must be non-empty strings")
+    if len(set(ids)) != len(ids):
+        raise ValueError("release-on-grant repeats a promise identifier")
+
+
+def _uncovered(p: Predicate) -> ValueError:
+    """The error for a predicate whose instance id, which equals the (type,
+    key) pair of a keyed reference, or whose type no reference covers."""
+    if isinstance(p, Named):
+        return ValueError(f"resources list does not cover instance {p.instance}")
+    return ValueError(f"resources list does not cover resource type {p.resource_type!r}")
+
+
+# --- decode: one walk over the scanned document that checks each value as
+# it reads it, with the same rules, raising ValueError inside the walk ---
 
 _DECODER = json.JSONDecoder()
 _scan = _DECODER.scan_once
@@ -338,75 +352,170 @@ def decode(data: bytes) -> Envelope:
         raise MalformedMessage(str(exc)) from exc
 
 
+# An object whose members are optional (the envelope, its promise part, an
+# action, an environment) is walked member by member, so that a null or an
+# unknown member fails where it is met. The others are read with get(),
+# which reads an absent member and a null one alike as None; once every
+# member a rule needs has been read and checked, the object's member count
+# tells whether it also holds a member that no rule read.
+
 def _envelope_from_doc(doc) -> Envelope:
-    _object(doc, _ENVELOPE_FIELDS, "envelope")
-    part = environment = action = None
-    if "promise" in doc:
-        raw = _object(doc["promise"], _PART_FIELDS, "promise part")
-        seen_rids: set[str] = set()
-        part = PromisePart(
-            tuple([_request_from_doc(r, seen_rids) for r in _list(raw.get("promise-request", []))]),
-            tuple(map(_response_from_doc, _list(raw.get("promise-response", [])))))
-    if "environment" in doc:
-        raw = _object(doc["environment"], _ENVIRONMENT_FIELDS, "environment")
-        environment = EnvironmentMsg(tuple(_list(raw.get("promise-identifiers", []))),
-                                     tuple(_list(raw.get("release-options", []))))
-        _check_environment(environment)
-    if "action" in doc:
-        raw = _object(doc["action"], _ACTION_FIELDS, "action")
-        action = ActionMsg(raw.get("action-name"), raw.get("payload"), _optional(raw, "status"))
-        _check_action(action)
-    error = _optional(doc, "error")
-    _check_layout(part, environment, action, error)
+    if type(doc) is not dict:
+        raise ValueError("envelope must be an object")
+    part = environment = action = error = None
+    for name, raw in doc.items():
+        if name == "promise":
+            if type(raw) is not dict:
+                raise ValueError("promise part must be an object")
+            requests = responses = ()
+            for member, docs in raw.items():
+                if member == "promise-request":
+                    requests = tuple(map(_request_from_doc, _list(docs)))
+                    if len(requests) > 1 and len({r.request_id for r in requests}) < len(requests):
+                        raise ValueError("duplicate request-identifier")
+                elif member == "promise-response":
+                    responses = tuple(map(_response_from_doc, _list(docs)))
+                else:
+                    raise _bad_members(raw, _PART_FIELDS, "promise part")
+            if not (requests or responses):
+                raise ValueError("an empty promise part must be omitted, not present")
+            part = PromisePart(requests, responses)
+        elif name == "action":
+            action = _action_from_doc(raw)
+        elif name == "environment":
+            environment = _environment_from_doc(raw)
+        elif name == "error":
+            if type(raw) is not str or not raw:
+                raise ValueError("error must be a non-empty string")
+            error = raw
+        else:
+            raise _bad_members(doc, _ENVELOPE_FIELDS, "envelope")
+    if environment is not None and action is None:
+        raise ValueError("an environment is only meaningful with an action")
+    if part is None and action is None and error is None:
+        raise ValueError("envelope carries neither a promise part, an action, nor an error")
     return Envelope(part, environment, action, error)
 
 
-def _request_from_doc(raw, seen_rids: set) -> PromiseRequestMsg:
-    _object(raw, _REQUEST_FIELDS, "promise-request")
-    req = PromiseRequestMsg(
-        raw.get("request-identifier"),
-        tuple(map(predicate_from_wire, _list(raw.get("predicates", [])))),
-        tuple(map(_resource_from_doc, _list(raw.get("resources", [])))),
-        raw.get("promise-duration"),
-        tuple(_list(raw.get("release-on-grant", []))))
-    _check_request(req, seen_rids)
-    return req
-
-
-def _resource_from_doc(raw) -> tuple:
-    _object(raw, _RESOURCE_FIELDS, "resource reference")
-    return (raw.get("resource-type"), raw.get("key"))
+def _request_from_doc(raw) -> PromiseRequestMsg:
+    if type(raw) is not dict:
+        raise ValueError("promise-request must be an object")
+    rid = raw.get("request-identifier")
+    if type(rid) is not str or not rid:
+        raise ValueError("request needs a non-empty request-identifier")
+    duration = raw.get("promise-duration")
+    if type(duration) is not int or duration < 1:
+        raise ValueError("promise-duration must be a positive integer")
+    refs = raw.get("resources")
+    docs = raw.get("predicates")
+    if type(refs) is not list or type(docs) is not list or not docs:
+        raise ValueError("a promise request needs a list of resources and a non-empty list "
+                         "of predicates")
+    # the four members read above are present: a fifth must be release-on-grant
+    release = ()
+    if len(raw) != 4:
+        if len(raw) != 5 or "release-on-grant" not in raw:
+            raise _bad_members(raw, _REQUEST_FIELDS, "promise-request")
+        release = raw["release-on-grant"]
+        _require_release(_list(release))
+        release = tuple(release)
+    covered, resources = set(), []
+    for ref in refs:
+        rt = ref.get("resource-type") if type(ref) is dict else None
+        if type(rt) is not str or not rt:
+            raise ValueError("resource reference must be an object with a non-empty resource-type")
+        covered.add(rt)
+        if len(ref) == 1:
+            resources.append((rt, None))
+            continue
+        key = ref.get("key")
+        if type(key) is not str or not key or len(ref) != 2:
+            raise _bad_members(ref, _RESOURCE_FIELDS, "resource reference",
+                               "key must be a non-empty string")
+        ref = (rt, key)
+        covered.add(ref)
+        resources.append(ref)
+    predicates = []
+    for doc in docs:
+        p = predicate_from_wire(doc)
+        if (p.instance if type(p) is Named else p.resource_type) not in covered:
+            raise _uncovered(p)
+        predicates.append(p)
+    return PromiseRequestMsg(rid, tuple(predicates), tuple(resources), duration, release)
 
 
 def _response_from_doc(raw) -> PromiseResponseMsg:
-    _object(raw, _RESPONSE_FIELDS, "promise-response")
-    resp = PromiseResponseMsg(_optional(raw, "promise-identifier"), raw.get("promise-result"),
-                              raw.get("promise-duration"), raw.get("promise-correlation"))
-    _check_response(resp)
-    return resp
+    if type(raw) is not dict:
+        raise ValueError("promise-response must be an object")
+    duration = raw.get("promise-duration")
+    if type(duration) is not int or duration < 0:
+        raise ValueError("promise-duration must be a non-negative integer")
+    correlation = raw.get("promise-correlation")
+    if type(correlation) is not str or not correlation:
+        raise ValueError("response needs a non-empty promise-correlation")
+    result = raw.get("promise-result")
+    pid = None
+    if result == RESULT_ACCEPTED:
+        pid = raw.get("promise-identifier")
+        if type(pid) is not str or not pid:
+            raise ValueError("an accepted response needs a non-empty promise-identifier")
+    elif result != RESULT_REJECTED:
+        raise ValueError(f"unknown promise-result {result!r}")
+    if len(raw) != (4 if pid else 3):
+        raise _bad_members(raw, _RESPONSE_FIELDS, "promise-response",
+                           "carries a promise-identifier exactly when accepted")
+    return PromiseResponseMsg(pid, result, duration, correlation)
 
 
-def _object(raw, fields: frozenset, what: str) -> dict:
-    """`raw` if it is a JSON object whose member names all lie in `fields`."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"{what} must be an object")
-    if not fields.issuperset(raw):
-        raise ValueError(f"unknown {what} fields {sorted(set(raw) - fields)}")
-    return raw
+def _action_from_doc(raw) -> ActionMsg:
+    if type(raw) is not dict:
+        raise ValueError("action must be an object")
+    name = payload = status = None
+    for member, value in raw.items():
+        if member == "action-name":
+            name = value
+        elif member == "payload":
+            payload = value
+        elif member == "status":
+            if value not in ACTION_STATUSES:
+                raise ValueError(f"unknown action status {value!r}")
+            status = value
+        else:
+            raise _bad_members(raw, _ACTION_FIELDS, "action")
+    if type(name) is not str or not name:
+        raise ValueError("action needs a non-empty name")
+    return ActionMsg(name, payload, status)
 
 
-def _optional(raw: dict, name: str):
-    """raw[name], or None when it is absent; an explicit null is malformed."""
-    value = raw.get(name)
-    if value is None and name in raw:
-        raise ValueError(f"{name} must not be null")
-    return value
+def _environment_from_doc(raw) -> EnvironmentMsg:
+    if type(raw) is not dict:
+        raise ValueError("environment must be an object")
+    ids = options = ()
+    for member, value in raw.items():
+        if member == "promise-identifiers":
+            ids = _list(value)
+        elif member == "release-options":
+            options = _list(value)
+        else:
+            raise _bad_members(raw, _ENVIRONMENT_FIELDS, "environment")
+    _require_environment(ids, options)
+    return EnvironmentMsg(tuple(ids), tuple(options))
 
 
 def _list(value) -> list:
-    if not isinstance(value, list):
+    if type(value) is not list:
         raise ValueError("expected a list")
     return value
+
+
+def _bad_members(raw: dict, fields: frozenset, what: str,
+                 otherwise: str = "must not hold a null member") -> ValueError:
+    """The error for an object whose member count is off: it names the
+    unknown members, or, when there are none, says what `otherwise` says."""
+    unknown = set(raw) - fields
+    if unknown:
+        return ValueError(f"unknown {what} fields {sorted(unknown)}")
+    return ValueError(f"{what} {otherwise}")
 
 
 # --- framing ---

@@ -10,7 +10,9 @@ with a savepoint taken first, so:
     releases, with the engine counters they moved, while grants made
     earlier in the same envelope stand;
   - any unexpected exception rolls back the whole envelope, promise table
-    and counters included, leaving the exact pre-call state.
+    and counters included, leaving the exact pre-call state. A handler
+    result that JSON cannot write is one: the reply is part of the
+    envelope, so it is encoded while the unit is still open.
 
 Release options are honored literally: release-after-success releases a
 promise iff the action result is succeeded; retain never releases.
@@ -55,6 +57,7 @@ from .protocol import (
     PromiseResponseMsg,
     decode,
     encode,
+    encode_payload,
     recv_frame,
     send_frame,
 )
@@ -156,12 +159,27 @@ class PromiseManager:
         with self._lock:
             return self._handle_locked(envelope)
 
-    def handle_bytes(self, data: bytes) -> bytes:
+    def handle_bytes(self, data: bytes, seen_request_ids: Optional[set] = None) -> bytes:
+        """Decode, handle and encode one body; the reply to any body, whatever
+        its bytes. `seen_request_ids` is one connection's memory of request
+        identifiers: with it, a request identifier seen before is answered
+        duplicate-request-identifier and the envelope is not handled."""
         try:
             envelope = decode(data)
         except MalformedMessage:
             return encode(Envelope(error="malformed-message"))
-        return encode(self.handle(envelope))
+        try:
+            if seen_request_ids is not None and envelope.promise_part is not None:
+                rids = [r.request_id for r in envelope.promise_part.requests]
+                if not seen_request_ids.isdisjoint(rids):
+                    return encode(Envelope(error="duplicate-request-identifier"))
+                seen_request_ids.update(rids)
+            return encode(self.handle(envelope))
+        except Exception:
+            # the pipeline rolls back what fails inside it; this answers
+            # what fails around it, so that no body goes unanswered
+            log.exception("envelope failed outside the pipeline")
+            return encode(Envelope(error="internal-failure"))
 
     def _handle_locked(self, envelope: Envelope) -> Envelope:
         requests = envelope.promise_part.requests if envelope.promise_part else ()
@@ -246,6 +264,8 @@ class PromiseManager:
                        if opt == OPTION_RELEASE_AFTER_SUCCESS] if env else []
         try:
             payload = handler(action.payload, unit, self.catalog)
+            # raises InvariantViolation, which rolls the whole envelope back
+            payload_json = encode_payload(payload)
             if release_ids:
                 self.engine.release(release_ids, unit)
             self._stage("post-check")
@@ -254,7 +274,7 @@ class PromiseManager:
                 if self.catalog.savepoint(unit) > mark else ()
             if not cut or self.engine.post_action_check(
                     release_ids, self.catalog.snapshot_availability(unit), cut):
-                return ActionMsg(name, payload, ACTION_SUCCEEDED)
+                return ActionMsg(name, payload, ACTION_SUCCEEDED, payload_json)
             self.counters["violations-rolled-back"] += 1
             status, reason = ACTION_REJECTED_BY_PROMISE_VIOLATION, \
                 "outcome would violate an active promise"
@@ -352,23 +372,11 @@ class Server:
                     return
                 except OSError:
                     return
-                reply = self._dispatch(body, seen_request_ids)
+                reply = self.manager.handle_bytes(body, seen_request_ids)
                 try:
                     send_frame(conn, reply)
                 except OSError:
                     return
-
-    def _dispatch(self, body: bytes, seen_request_ids: set[str]) -> bytes:
-        try:
-            envelope = decode(body)
-        except MalformedMessage:
-            return encode(Envelope(error="malformed-message"))
-        rids = [r.request_id for r in envelope.promise_part.requests] \
-            if envelope.promise_part else []
-        if any(rid in seen_request_ids for rid in rids):
-            return encode(Envelope(error="duplicate-request-identifier"))
-        seen_request_ids.update(rids)
-        return encode(self.manager.handle(envelope))
 
     def stop(self) -> None:
         """Graceful: in-flight requests finish before threads exit."""

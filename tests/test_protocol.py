@@ -394,6 +394,75 @@ def test_a_payload_json_cannot_write_is_an_invariant_violation(payload):
         encode(Envelope(action=ActionMsg("go", payload)))
 
 
+def _request_envelope(**fields) -> Envelope:
+    """An envelope with one valid request whose `fields` are replaced."""
+    req = make_request("r1", [Quantity("w", 1)], 5)
+    for name, value in fields.items():
+        setattr(req, name, value)
+    return Envelope(promise_part=PromisePart(requests=(req,)))
+
+
+def _response_envelope(**fields) -> Envelope:
+    """As _request_envelope, for one accepted response."""
+    resp = PromiseResponseMsg("p-1", "accepted", 5, "r1")
+    for name, value in fields.items():
+        setattr(resp, name, value)
+    return Envelope(promise_part=PromisePart(responses=(resp,)))
+
+
+def _environment_envelope(ids, options) -> Envelope:
+    return Envelope(environment=EnvironmentMsg(ids, options), action=ActionMsg("go"))
+
+
+_R1 = make_request("r1", [Quantity("w", 1)], 5)
+
+
+@pytest.mark.parametrize("envelope", [
+    # the envelope
+    Envelope(),
+    Envelope(promise_part=PromisePart()),
+    Envelope(environment=EnvironmentMsg(("p-1",), ("retain",)), promise_part=PromisePart(requests=(_R1,))),
+    Envelope(error=""),
+    Envelope(error=7),
+    # promise responses
+    _response_envelope(result="maybe"),
+    _response_envelope(promise_id=None),            # accepted needs an id
+    _response_envelope(promise_id=""),
+    _response_envelope(promise_id=5),
+    _response_envelope(result="rejected"),          # rejected carries none
+    _response_envelope(granted_duration=-1),
+    _response_envelope(granted_duration=True),
+    _response_envelope(granted_duration=2.5),
+    _response_envelope(correlation=""),
+    # the action
+    Envelope(action=ActionMsg("")),
+    Envelope(action=ActionMsg(7)),
+    Envelope(action=ActionMsg("go", None, "sideways")),
+    # the environment
+    _environment_envelope(("p-1",), ()),
+    _environment_envelope(("p-1",), ("keep",)),
+    _environment_envelope(("",), ("retain",)),
+    _environment_envelope((5,), ("retain",)),
+    # promise requests
+    _request_envelope(duration=0),
+    _request_envelope(duration=True),
+    _request_envelope(request_id=""),
+    Envelope(promise_part=PromisePart(requests=(_R1, make_request("r1", [Quantity("v", 1)], 5)))),
+    _request_envelope(release_on_grant=("p-1", "p-1")),
+    _request_envelope(release_on_grant=("",)),
+    _request_envelope(resources=()),
+    _request_envelope(resources=(("v", None),)),
+    _request_envelope(resources=(("", None),)),
+    _request_envelope(resources=(("w", ""),)),
+    _request_envelope(predicates=(Named(InstanceId("w", "k1")),), resources=(("w", "k2"),)),
+    _request_envelope(predicates=()),
+    _request_envelope(predicates=("w",), resources=(("w", None),)),
+])
+def test_structurally_bad_envelopes_are_invariant_violations(envelope):
+    with pytest.raises(InvariantViolation):
+        encode(envelope)
+
+
 def test_duplicate_request_identifiers_in_one_envelope():
     r1 = make_request("r-1", [Quantity("w", 1)], 5)
     e = Envelope(promise_part=PromisePart(requests=(r1, r1)))

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from promisekit import cli
-from promisekit.catalog import load_catalog
+from promisekit.catalog import DecrementPool, load_catalog
 from promisekit.clock import LogicalClock
 from promisekit.engine import PromiseEngine
 from promisekit.harness import register_standard_handlers
@@ -578,6 +578,31 @@ def test_handle_bytes_is_handle_between_decode_and_encode():
     assert mgr.state_digest() == twin.state_digest()
 
 
+def _with_unwritable_cut(mgr):
+    """`mgr` with a "cut" handler that takes 3 widgets, then returns a
+    payload that JSON cannot write."""
+    def cut(payload, unit, catalog):
+        catalog.apply_mutation(unit, DecrementPool("pink-widget", 3))
+        return {"x": object()}
+
+    mgr.register_handler("cut", cut)
+    return mgr
+
+
+_CUT_WITH_A_GRANT = Envelope(
+    promise_part=PromisePart(requests=(make_request("r-cut", [Quantity("pink-widget", 2)], 30),)),
+    action=ActionMsg("cut"))
+
+
+def test_an_unwritable_reply_rolls_the_envelope_back():
+    mgr = _with_unwritable_cut(widget_manager(10))
+    before = mgr.state_digest()
+    reply = decode(mgr.handle_bytes(encode(_CUT_WITH_A_GRANT)))
+    assert reply.error == "internal-failure"
+    assert mgr.state_digest() == before
+    assert mgr.catalog.quantity_on_hand("pink-widget") == 10
+
+
 # --- wire endpoint ---
 
 class WireClient:
@@ -695,6 +720,19 @@ def test_malformed_body_gets_an_error_and_the_connection_survives(server):
         reply = decode(recv_frame(client.sock))
         assert reply.error == "malformed-message"
         assert first_response(client.roundtrip(grant_envelope(1))).result == "accepted"
+    finally:
+        client.close()
+
+
+def test_an_unwritable_reply_is_answered_and_the_connection_survives(server):
+    mgr, srv = server
+    _with_unwritable_cut(mgr)
+    before = mgr.state_digest()
+    client = WireClient(srv.address)
+    try:
+        assert client.roundtrip(_CUT_WITH_A_GRANT).error == "internal-failure"
+        assert client.roundtrip(Envelope(action=ActionMsg("no-op"))).action.status == "succeeded"
+        assert mgr.state_digest() == before
     finally:
         client.close()
 
