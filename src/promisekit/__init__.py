@@ -27,6 +27,7 @@ from .engine import (
     PromiseEngine,
     PromiseRecord,
     Rejection,
+    UncertifiedAnswer,
     UnknownPromiseId,
     build_feasibility_problem,
     check_satisfiable,

@@ -57,21 +57,20 @@ The kept assignment is a hint that needs no journal: rolling an
 envelope back leaves at worst dirty demands, pairs that hold more than
 the restored amounts, and taken moves the next check drains.
 
-A type's first check has no assignment to repair. It still builds a cold
-problem (`build_feasibility_problem`) and solves it
-(`solve_feasibility`), because the benchmark's per-layer metrics wrap
-those two functions; the kept assignment starts empty, and the next
-check fills it. The cold problem merges nodes: untaken instances that
-satisfy the same Property demands are interchangeable and become one
-supply node of capacity k, and `satisfies` runs once per Property demand
-and distinct value of the properties the type's demands constrain. An
-instance a Named demand picks stays a node of its own, with edges from
-every Quantity and Property demand it can also serve. The solve expands
-each node into its units and places demand units with the repair's
-search (`_augment`). The one invariant checker, `problems`, always takes
-this path for its whole-state check, so it decides every type
-independently of the kept assignments and catches anything that breaks
-the invariant instead of relying on it.
+A type's first check runs the same search from an empty assignment:
+`build_feasibility_problem` gathers the type's merged demands, its
+untaken instances and each demand's eligible positions from the value
+buckets, `solve_feasibility` fills the assignment, fewest eligible
+first, and the engine keeps the solved problem as the type's state.
+
+Every answer of `check_satisfiable` is checked by `_certifies`, which
+reads only the instance records and `satisfies`. A feasible answer's
+certificate is its assignment; an infeasible one's is a Hall violator,
+the demands the failing search reached, which want more units than there
+are untaken instances eligible for any of them. The one invariant
+checker, `problems`, decides every type this way and checks each current
+kept assignment with `_certifies` too, so a wrong eligibility or search
+shows at any size, not only where the exhaustive oracle fits.
 
 The promise table keeps per-envelope work independent of history:
 
@@ -100,7 +99,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from itertools import accumulate, islice
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .catalog import (
@@ -166,27 +164,51 @@ class Problem(NamedTuple):
 
 # --- feasibility problem ---
 
-@dataclass(frozen=True)
-class DemandNode:
-    predicate: Predicate
-    amount: int
+class UncertifiedAnswer(Exception):
+    """A feasibility answer whose certificate does not check out against
+    the instance records: the engine's eligibility or its search is wrong."""
 
 
-@dataclass(frozen=True)
-class SupplyNode:
-    key: str       # "inst:<type>/<key>" or "class:<type>/<key>+<k-1>"
-    capacity: int  # for a class: k interchangeable instances, named by the first
-
-
-@dataclass(frozen=True)
 class FeasibilityProblem:
-    demands: tuple[DemandNode, ...]
-    supplies: tuple[SupplyNode, ...]
-    edges: tuple[tuple[int, ...], ...]  # per demand, indices into supplies
+    """One resource type's demands and an assignment of their units to the
+    type's instances, each named by its position in the view's
+    `instances_of`, which is fixed at load.
+
+    `build_feasibility_problem` makes one with an empty assignment and
+    `solve_feasibility` fills it; a failed solve leaves a Hall violator in
+    `violator`. The engine keeps one per resource type, with `demands` its
+    index of the active promises' demands and `total` their running sum.
+    Once an instance-backed type has been decided, `pairs`, `held`, `free`
+    and `dirty` describe the kept assignment; every change to one of them
+    keeps the others in step.
+    """
+
+    __slots__ = ("demands", "total", "position", "pairs", "held", "free", "dirty",
+                 "eligible", "buckets", "eligible_at", "violator")
+
+    def __init__(self, demands: Optional[dict] = None, free: Optional[set] = None,
+                 records: Sequence[InstanceRecord] = ()):
+        # _demand_key -> [first predicate, merged amount]
+        self.demands = {} if demands is None else demands
+        self.total = 0
+        self.position = {r.id: pos for pos, r in enumerate(records)}
+        # the assignment, instance position -> demand key; None for a type
+        # the engine has not decided yet
+        self.pairs: Optional[dict] = None if free is None else {}
+        self.held: dict = {}      # demand key -> the positions `pairs` gives it
+        self.free = set() if free is None else free  # untaken positions `pairs` leaves unused
+        self.dirty: set = set()   # demand keys whose held count may differ from their amount
+        # demand key -> (eligible positions in order, a container to test
+        # membership in), computed when first needed and kept while held
+        self.eligible: dict = {}
+        self.buckets: dict = {}   # property name -> {scalar_key(value): positions in order}
+        self.eligible_at = -1     # the catalog property version the pairs were checked at
+        self.violator: Optional[set] = None
 
     @property
-    def total_demand(self) -> int:
-        return sum(d.amount for d in self.demands)
+    def edges(self) -> tuple:
+        """Per demand, its eligible positions."""
+        return tuple(self.eligible[key][0] for key in self.demands)
 
 
 def _demand_key(p: Predicate):
@@ -200,96 +222,81 @@ def _demand_key(p: Predicate):
     return ("quantity", p.resource_type)
 
 
-def _group_by_values(instances: Sequence[InstanceRecord],
-                    names: tuple[str, ...]) -> dict[tuple, list[int]]:
-    """Positions in `instances` grouped by their values (as `scalar_key`)
-    of the properties `names`, groups in order of first appearance.
-
-    Instances in one group meet exactly the same Property demands that
-    constrain only those properties, so `satisfies` need run once per group.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for pos, r in enumerate(instances):
-        groups.setdefault(tuple(scalar_key(r.properties.get(n)) for n in names), []).append(pos)
-    return groups
-
-
 def build_feasibility_problem(predicates: Sequence[Predicate],
                               view: AvailabilityView) -> FeasibilityProblem:
-    """Cold problem for `predicates` over the untaken instances of the types they name.
-
-    Instance-backed types only: `check_satisfiable` decides a pool-backed
-    type by a sum, so a pool contributes no supply here.
+    """What a check of one instance-backed type starts from: the demands of
+    `predicates`, all of that type, merged by `_demand_key`; an empty
+    assignment over its untaken instances; and each demand's eligible
+    positions, read from the value buckets a warm check reads.
     """
-    merged: dict = {}
+    demands: dict = {}
     for p in predicates:
-        slot = merged.setdefault(_demand_key(p), [p, 0])
+        slot = demands.setdefault(_demand_key(p), [p, 0])
         slot[1] += amount_of(p)
-    demands = tuple(DemandNode(p, n) for p, n in merged.values())
-    named = {d.predicate.instance: j for j, d in enumerate(demands)
-             if isinstance(d.predicate, Named)}
-    of_type: dict[str, list[int]] = {}
-    for j, d in enumerate(demands):
-        of_type.setdefault(resource_type_of(d.predicate), []).append(j)
-    usable = {rt: [r for r in view.instances_of(rt) if r.status != STATUS_TAKEN]
-              for rt in of_type}
-
-    supplies: list[SupplyNode] = []
-    fans: list[list[int]] = [[] for _ in demands]
-    for rt in sorted(of_type):
-        nodes = []
-        props = [(j, demands[j].predicate) for j in of_type[rt]
-                 if isinstance(demands[j].predicate, Property)]
-        watched = tuple(sorted({c.property_name for _, p in props for c in p.constraints}))
-        rs = usable[rt]
-        met = [()] * len(rs)  # per instance, indices of the Property demands it meets
-        for members in _group_by_values(rs, watched).values():
-            sig = tuple(j for j, p in props if satisfies(rs[members[0]], p, view.schema))
-            for pos in members:
-                met[pos] = sig
-        # instance id or signature -> [first instance, count, signature]. The
-        # two kinds of key cannot collide: an InstanceId is a tuple of two
-        # strings and a signature a tuple of demand indices, which are ints.
-        groups: dict = {}
-        for r, sig in zip(rs, met):
-            group = groups.setdefault(r.id if r.id in named else sig, [r, 0, sig])
-            group[1] += 1
-        for first, count, sig in groups.values():
-            i = len(supplies)
-            key = f"inst:{first.id}" if count == 1 else f"class:{first.id}+{count - 1}"
-            supplies.append(SupplyNode(key, count))
-            nodes.append(i)
-            for j in sig:
-                fans[j].append(i)
-            if first.id in named:
-                fans[named[first.id]].append(i)
-        for j in of_type[rt]:
-            if isinstance(demands[j].predicate, Quantity):
-                fans[j] = nodes
-    return FeasibilityProblem(demands, tuple(supplies), tuple(tuple(f) for f in fans))
+    records = view.instances_of(resource_type_of(predicates[0])) if predicates else ()
+    problem = FeasibilityProblem(demands, free={pos for pos, r in enumerate(records)
+                                                if r.status != STATUS_TAKEN}, records=records)
+    for key in demands:
+        _eligible(problem, key, {}, records, view.schema)
+    return problem
 
 
 def solve_feasibility(problem: FeasibilityProblem) -> bool:
-    """True iff every demand unit can be placed on its own supply unit.
+    """Fill `problem`'s assignment; True iff every demand unit is placed.
 
-    Each supply node is expanded into `capacity` units. Starting from an
-    empty assignment, each demand takes the free units it can in one pass
-    (`_take_free`), and `_augment` places the rest one by one.
-    Demands with the fewest eligible units go first, so a nested
-    `at-least-in-order` chain needs no re-routing.
+    Each demand, fewest eligible positions first, takes the free ones it
+    can in one pass (`_take_free`), and `_augment` places the rest one by
+    one, so a nested `at-least-in-order` chain needs no re-routing. On
+    False, `problem.violator` holds the demand keys of a Hall violator:
+    the demands the failing search reached, or every demand when no
+    position was free.
     """
-    starts = [0, *accumulate(sup.capacity for sup in problem.supplies)]
-    eligible: dict = {}
-    for j, fan in enumerate(problem.edges):
-        order = [u for i in fan for u in range(starts[i], starts[i + 1])]
-        eligible[j] = (order, frozenset(order))
-    pairs, held, free = {}, {}, set(range(starts[-1]))
-    for j in sorted(eligible, key=lambda j: len(eligible[j][0])):
-        amount = problem.demands[j].amount
-        for _ in range(amount - _take_free(pairs, held, free, eligible[j], j, amount)):
-            if not _augment(pairs, held, free, eligible, j):
+    pairs, held, free, eligible = problem.pairs, problem.held, problem.free, problem.eligible
+    for key in sorted(problem.demands, key=lambda key: len(eligible[key][0])):
+        amount = problem.demands[key][1]
+        for _ in range(amount - _take_free(pairs, held, free, eligible[key], key, amount)):
+            reached = _augment(pairs, held, free, eligible, key)
+            if reached is not None:
+                problem.violator = set(reached or problem.demands)
                 return False
     return True
+
+
+def _certifies(problem: FeasibilityProblem, records: Sequence[InstanceRecord], schema,
+               violator: Optional[Collection] = None) -> bool:
+    """Whether a certificate proves an answer for `problem`, read from
+    `records`, the type's instances by position, and `satisfies` alone,
+    not from any eligibility the engine derived:
+
+      - with no `violator`, the certificate of a feasible answer is the
+        problem's assignment: it must put every demand unit on a distinct
+        untaken instance that meets its demand;
+      - a `violator` (demand keys) is the certificate of an infeasible
+        answer: its demands must want more units than there are untaken
+        instances meeting any of them, which no assignment can give (Hall).
+    """
+    demands = problem.demands
+    if violator is None:
+        held: dict = {}
+        for pos, key in problem.pairs.items():
+            slot = demands.get(key)
+            if slot is None or not 0 <= pos < len(records) \
+                    or not _meets(records[pos], slot[0], schema):
+                return False
+            held[key] = held.get(key, 0) + 1
+        return held == {key: n for key, (_, n) in demands.items() if n}
+    wanted = [demands[key] for key in violator if key in demands]
+    supply = sum(1 for r in records if any(_meets(r, p, schema) for p, _ in wanted))
+    return sum(n for _, n in wanted) > supply
+
+
+def _meets(record: InstanceRecord, p: Predicate, schema) -> bool:
+    """Whether an instance can serve one unit of demand `p` now."""
+    if record.status == STATUS_TAKEN:
+        return False
+    if isinstance(p, Quantity):
+        return record.id.resource_type == p.resource_type
+    return satisfies(record, p, schema)
 
 
 def check_satisfiable(predicates: Sequence[Predicate], view: AvailabilityView,
@@ -297,7 +304,9 @@ def check_satisfiable(predicates: Sequence[Predicate], view: AvailabilityView,
     """True iff every predicate can draw its full amount from disjoint supply.
 
     With `types`, only the predicates of those resource types are
-    decided; callers that pass it rely on the others being feasible.
+    decided; callers that pass it rely on the others being feasible. Each
+    instance-backed type's answer is checked against its certificate
+    (`_certifies`); one that does not check out raises UncertifiedAnswer.
     """
     by_type: dict[str, list[Predicate]] = {}
     for p in predicates:
@@ -311,40 +320,18 @@ def check_satisfiable(predicates: Sequence[Predicate], view: AvailabilityView,
                 return False
             if sum(amount_of(p) for p in group) > view.pools[rt]:
                 return False
-        elif not solve_feasibility(build_feasibility_problem(group, view)):
+            continue
+        problem = build_feasibility_problem(group, view)
+        feasible = solve_feasibility(problem)
+        if not _certifies(problem, view.instances_of(rt), view.schema, problem.violator):
+            raise UncertifiedAnswer(f"the {'feasible' if feasible else 'infeasible'} answer "
+                                    f"for {rt!r} does not check out against the catalog")
+        if not feasible:
             return False
     return True
 
 
 # --- the engine ---
-
-class _TypeState:
-    """What the engine keeps about one resource type's active promises.
-
-    An instance-backed type's instances are named by their position in
-    the view's `instances_of`, which is fixed at load. Once the type has
-    been decided, `pairs`, `held`, `free` and `dirty` describe the kept
-    assignment; every change to one of them keeps the others in step.
-    """
-
-    __slots__ = ("demands", "total", "position", "pairs", "held", "free", "dirty",
-                 "eligible", "buckets", "eligible_at")
-
-    def __init__(self):
-        self.demands: dict = {}  # _demand_key -> [first predicate, merged amount]
-        self.total = 0           # the sum of the merged amounts
-        self.position: dict[InstanceId, int] = {}  # the type's instances, by id
-        # the kept assignment, instance position -> demand key; None until
-        # the type is first decided
-        self.pairs: Optional[dict] = None
-        self.held: dict = {}      # demand key -> the positions `pairs` gives it
-        self.free: set = set()    # untaken positions that `pairs` leaves unused
-        self.dirty: set = set()   # demand keys whose held count may differ from their amount
-        # demand key -> (eligible positions in order, a container to test
-        # membership in), computed when first needed and kept while held
-        self.eligible: dict = {}
-        self.buckets: dict = {}   # property name -> {scalar_key(value): positions in order}
-        self.eligible_at = -1     # the catalog property version the pairs were checked at
 
 class PromiseEngine:
     """Promise table plus grant/release/exchange/expiry over a catalog.
@@ -365,7 +352,7 @@ class PromiseEngine:
         self.active: dict[str, PromiseRecord] = {}
         self._expiry: list[tuple] = []  # heap of _expiry_entry; may hold ids no longer active
         self._journal: list[tuple[str, Optional[PromiseRecord]]] = []  # (id, previous record)
-        self._types: dict[str, _TypeState] = {}
+        self._types: dict[str, FeasibilityProblem] = {}
         self._issued = 0
         self.counters = {"grants": 0, "rejections": 0, "releases": 0, "expiries": 0}
 
@@ -412,8 +399,9 @@ class PromiseEngine:
             the catalog. A kept assignment counts as current, and must then
             be complete, once no demand is dirty, no taken move is unread
             and no property changed since its pairs were checked;
-          - "feasibility": the table's active predicates, decided cold over
-            every type, are not satisfiable;
+          - "feasibility": the table's active predicates, decided over every
+            type from an empty assignment, are not satisfiable, or the
+            answer for a type does not check out against its certificate;
           - "pool-additivity": a pool's count is negative or below what is
             promised on it;
           - "named-exclusivity": active promises name an instance twice.
@@ -438,10 +426,13 @@ class PromiseEngine:
                       for key, slot in st.demands.items()}:
             index.append("demand index disagrees with the table")
         for rt in sorted(self._types):
-            index.extend(self._type_problems(rt, self._types[rt]))
+            index.extend(self._type_problems(rt, self._types[rt], view))
         found = [Problem("index", message) for message in index]
-        if not check_satisfiable([p for r in in_table.values() for p in r.predicates], view):
-            found.append(Problem("feasibility", "active set is not satisfiable"))
+        try:
+            if not check_satisfiable([p for r in in_table.values() for p in r.predicates], view):
+                found.append(Problem("feasibility", "active set is not satisfiable"))
+        except UncertifiedAnswer as exc:
+            found.append(Problem("feasibility", str(exc)))
         for rt, on_hand in sorted(view.pools.items()):
             promised = self._types[rt].total if rt in self._types else 0
             if on_hand < 0:
@@ -455,7 +446,7 @@ class PromiseEngine:
                              "by active promises") for iid, n in named)
         return found
 
-    def _type_problems(self, rt: str, st: _TypeState) -> list[str]:
+    def _type_problems(self, rt: str, st: FeasibilityProblem, view: AvailabilityView) -> list[str]:
         problems = []
         if st.total != sum(slot[1] for slot in st.demands.values()):
             problems.append(f"running total of {rt!r} disagrees with its demands")
@@ -478,7 +469,7 @@ class PromiseEngine:
             problems.append(f"free instances of {rt!r} disagree with the catalog")
         current = not st.dirty and not moved \
             and st.eligible_at == self.catalog.property_version(rt)
-        if current and not self._is_certificate(st):
+        if current and not _certifies(st, view.instances_of(rt), view.schema):
             problems.append(f"kept assignment of {rt!r} is marked current but is "
                             "not a complete assignment")
         return problems
@@ -587,10 +578,10 @@ class PromiseEngine:
 
     # --- feasibility by type ---
 
-    def _state(self, rt: str) -> _TypeState:
+    def _state(self, rt: str) -> FeasibilityProblem:
         st = self._types.get(rt)
         if st is None:
-            st = self._types[rt] = _TypeState()
+            st = self._types[rt] = FeasibilityProblem()
         return st
 
     def _wanted(self, predicates: Iterable[Predicate],
@@ -648,9 +639,9 @@ class PromiseEngine:
         gives them) over its demand index, and leave its kept assignment as
         complete as the demands allow.
 
-        The first decision of a type builds and solves its cold problem and
-        starts the assignment empty. Every later one repairs the assignment
-        where it may have gone wrong since the last decision:
+        The first decision of a type fills the assignment from empty
+        (`_seed`). Every later one repairs it where it may have gone wrong
+        since the last decision:
           - it drops the pairs on instances that became taken, which the
             catalog reports (a moved property version re-checks every pair);
           - it trims each changed or dirty demand down to its amount;
@@ -663,7 +654,7 @@ class PromiseEngine:
         records = view.instances_of(rt)
         pairs = st.pairs
         if pairs is None:
-            return self._seed(rt, st, changes, records, view)
+            return self._seed(rt, st, changes, view)
         version = self.catalog.property_version(rt)
         if st.eligible_at != version:
             self._revalidate(st, changes, records, version)
@@ -683,33 +674,28 @@ class PromiseEngine:
                 slot = demands.get(key)
                 _trim(st, key, slot[1] if slot else 0, deficits)
         for key, n in deficits:
-            found = self._eligible(st, key, changes, records)
+            found = _eligible(st, key, changes, records, self.catalog.schema)
             for _ in range(n - _take_free(pairs, st.held, st.free, found, key, n)):
-                if not _augment(pairs, st.held, st.free, eligible, key):
-                    st.dirty.update(changes)
-                    return False
-        # every demand looked at now holds what `changes` gives it
-        st.dirty.clear()
-        for key, (_, n) in changes.items():
-            now = demands.get(key)
-            if n != (now[1] if now else 0):
-                st.dirty.add(key)
-        return True
+                if _augment(pairs, st.held, st.free, eligible, key) is not None:
+                    return _settle(st, changes, False)
+        return _settle(st, changes, True)
 
-    def _seed(self, rt: str, st: _TypeState, changes: dict, records, view) -> bool:
-        """A type's first decision: solve its cold problem, and start the
-        kept assignment empty for the next decision to fill."""
-        st.position = {r.id: pos for pos, r in enumerate(records)}
-        st.pairs, st.held = {}, {}
-        st.free = {pos for pos, r in enumerate(records) if r.status != STATUS_TAKEN}
-        st.dirty = set(st.demands)
-        st.eligible_at = self.catalog.property_version(rt)
+    def _seed(self, rt: str, st: FeasibilityProblem, changes: dict, view) -> bool:
+        """A type's first decision: solve it from an empty assignment, and
+        keep the solved problem, over the type's demand index, as its state."""
         merged = dict(st.demands)
         merged.update(changes)
-        return solve_feasibility(build_feasibility_problem(
-            _expand(slot for slot in merged.values() if slot[1]), view))
+        predicates = _expand(slot for slot in merged.values() if slot[1])
+        if not predicates:
+            return True  # nothing to assign; the next decision seeds the type
+        problem = build_feasibility_problem(predicates, view)
+        feasible = solve_feasibility(problem)
+        problem.demands, problem.total, problem.dirty = st.demands, st.total, set(st.demands)
+        problem.eligible_at = self.catalog.property_version(rt)
+        self._types[rt] = problem
+        return _settle(problem, changes, feasible)
 
-    def _revalidate(self, st: _TypeState, changes: dict, records, version: int) -> None:
+    def _revalidate(self, st: FeasibilityProblem, changes: dict, records, version: int) -> None:
         """After a property of the type changed: forget what was derived
         from the properties and drop every pair that is no longer valid."""
         st.eligible.clear()
@@ -719,7 +705,7 @@ class PromiseEngine:
         held: dict = {}
         for pos, key in list(pairs.items()):
             if (key in changes or key in st.demands) and records[pos].status != STATUS_TAKEN \
-                    and pos in self._eligible(st, key, changes, records)[1]:
+                    and pos in _eligible(st, key, changes, records, self.catalog.schema)[1]:
                 held.setdefault(key, set()).add(pos)
             else:
                 del pairs[pos]
@@ -727,49 +713,6 @@ class PromiseEngine:
         st.held = held
         st.free = {pos for pos, r in enumerate(records)
                    if r.status != STATUS_TAKEN and pos not in pairs}
-
-    def _eligible(self, st: _TypeState, key, changes: dict, records) -> tuple:
-        """The positions of the instances, taken or not, that can serve
-        demand `key`: in order, and as a container to test membership in.
-
-        Cached per demand key until a property of the type's instances
-        changes. A Property demand reads the per-property value buckets:
-        for `at-least-in-order`, the buckets of the wanted rank and above.
-        """
-        found = st.eligible.get(key)
-        if found is not None:
-            return found
-        p = (changes.get(key) or st.demands[key])[0]
-        if isinstance(p, Quantity):
-            every = range(len(records))
-            found = (every, every)
-        elif isinstance(p, Named):
-            pos = st.position.get(p.instance)
-            found = ((), ()) if pos is None else ((pos,), (pos,))
-        else:
-            found = _matching(st, p, records, self.catalog.schema)
-        st.eligible[key] = found
-        return found
-
-    def _is_certificate(self, st: _TypeState) -> bool:
-        """Whether the kept assignment puts every active demand unit on a
-        distinct untaken instance that meets the demand, read from the
-        catalog itself rather than the engine's caches."""
-        ids = list(st.position)
-        held: dict = {}
-        for pos, key in st.pairs.items():
-            slot = st.demands.get(key)
-            inst = self.catalog.instance(ids[pos])
-            if slot is None or inst is None or inst.status == STATUS_TAKEN:
-                return False
-            p = slot[0]
-            if isinstance(p, Quantity):
-                if inst.id.resource_type != p.resource_type:
-                    return False
-            elif not satisfies(inst, p, self.catalog.schema):
-                return False
-            held[key] = held.get(key, 0) + 1
-        return held == {key: slot[1] for key, slot in st.demands.items()}
 
     # --- internals ---
 
@@ -855,7 +798,7 @@ class PromiseEngine:
         return self.catalog.snapshot_availability(unit)
 
 
-def _read_moves(st: _TypeState, moved, records) -> None:
+def _read_moves(st: FeasibilityProblem, moved, records) -> None:
     """Bring `free` and the pairs up to date with instances whose status
     moved to or from taken: a pair on a taken instance is dropped and its
     demand marked dirty; an untaken instance no demand holds is free."""
@@ -876,7 +819,7 @@ def _read_moves(st: _TypeState, moved, records) -> None:
             st.dirty.add(key)
 
 
-def _trim(st: _TypeState, key, want: int, deficits: list) -> None:
+def _trim(st: FeasibilityProblem, key, want: int, deficits: list) -> None:
     """Drop the units demand `key` holds beyond `want`; note a shortfall."""
     have = st.held.get(key)
     n = len(have) if have else 0
@@ -890,6 +833,47 @@ def _trim(st: _TypeState, key, want: int, deficits: list) -> None:
             del st.held[key]
     elif n < want:
         deficits.append((key, want - n))
+
+
+def _settle(st: FeasibilityProblem, changes: dict, feasible: bool) -> bool:
+    """End a decision that gave every demand it looked at what `changes`
+    gives it (`feasible`), or that failed: mark dirty each demand whose
+    held count may now differ from its amount in the demand index."""
+    if not feasible:
+        st.dirty.update(changes)
+        return False
+    st.dirty.clear()
+    demands = st.demands
+    for key, (_, n) in changes.items():
+        now = demands.get(key)
+        if n != (now[1] if now else 0):
+            st.dirty.add(key)
+    return True
+
+
+def _eligible(st: FeasibilityProblem, key, changes: dict, records, schema) -> tuple:
+    """The positions of the instances, taken or not, that can serve demand
+    `key` (its predicate read from `changes`, else from `st.demands`): in
+    order, and as a container to test membership in.
+
+    Cached in `st.eligible` until a property of the type's instances
+    changes. A Property demand reads the per-property value buckets: for
+    `at-least-in-order`, the buckets of the wanted rank and above.
+    """
+    found = st.eligible.get(key)
+    if found is not None:
+        return found
+    p = (changes.get(key) or st.demands[key])[0]
+    if isinstance(p, Quantity):
+        every = range(len(records))
+        found = (every, every)
+    elif isinstance(p, Named):
+        pos = st.position.get(p.instance)
+        found = ((), ()) if pos is None else ((pos,), (pos,))
+    else:
+        found = _matching(st, p, records, schema)
+    st.eligible[key] = found
+    return found
 
 
 def _take_free(pairs: dict, held: dict, free: set, found: tuple, key, n: int) -> int:
@@ -915,7 +899,7 @@ def _take_free(pairs: dict, held: dict, free: set, found: tuple, key, n: int) ->
     return len(mine)
 
 
-def _augment(pairs: dict, held: dict, free: set, eligible: dict, start) -> bool:
+def _augment(pairs: dict, held: dict, free: set, eligible: dict, start):
     """Give demand `start` one more unit along a shortest augmenting path.
 
     `pairs` maps each assigned unit to the demand holding it, `held` each
@@ -924,12 +908,14 @@ def _augment(pairs: dict, held: dict, free: set, eligible: dict, start) -> bool:
     order and as a container to test membership in. Breadth-first over
     demands: a demand may take an eligible free unit, or one that another
     demand holds if that demand can in turn be given another. On success the
-    units along the path move one step and `start` holds one more; on
-    failure nothing changes, and no assignment places this unit and every
-    unit placed so far (Berge).
+    units along the path move one step, `start` holds one more and the
+    result is None. On failure nothing changes, and no assignment places
+    this unit and every unit placed so far (Berge). The result is then the
+    demands the search reached, which hold every untaken unit eligible for
+    any of them and want one more; or (), when no unit is free.
     """
     if not free:
-        return False
+        return ()
     parent: dict = {start: None}  # demand -> (demand that wants its unit, that unit)
     queue = [start]
     for key in queue:
@@ -948,14 +934,14 @@ def _augment(pairs: dict, held: dict, free: set, eligible: dict, start) -> bool:
                 mine.add(pos)
                 step = parent[key]
                 if step is None:
-                    return True
+                    return None
                 key, pos = step
         for pos in order:
             owner = pairs.get(pos)
             if owner is not None and owner not in parent:
                 parent[owner] = (key, pos)
                 queue.append(owner)
-    return False
+    return parent
 
 
 def _first_free(order, members, free: set):
@@ -971,9 +957,10 @@ def _first_free(order, members, free: set):
     return None
 
 
-def _matching(st: _TypeState, p: Property, records, schema) -> tuple:
-    """Eligibility of a Property demand, from the value buckets of the
-    properties it constrains; the same instances `satisfies` accepts."""
+def _matching(st: FeasibilityProblem, p: Property, records, schema) -> tuple:
+    """Eligibility of a Property demand, from the value buckets (kept in
+    `st.buckets`) of the properties it constrains; the same instances
+    `satisfies` accepts."""
     hits = []
     for c in p.constraints:
         buckets = st.buckets.get(c.property_name)

@@ -157,14 +157,18 @@ else:
 
 def encode_payload(payload) -> Optional[str]:
     """The canonical JSON text of an action payload, None for no payload;
-    raises InvariantViolation when JSON cannot write it."""
+    raises InvariantViolation when JSON cannot write it, or when the text
+    alone is longer than a frame body may be."""
     if payload is None:
         return None
     try:
-        return _json(payload)
+        text = _json(payload)
     except (TypeError, ValueError, RecursionError) as exc:
         # RecursionError: a payload that contains itself, or nests too deep
         raise InvariantViolation(f"payload is not JSON-serializable: {exc}") from exc
+    if len(text) > MAX_FRAME_BODY:  # ASCII only, so one byte per character
+        raise InvariantViolation(f"payload of {len(text)} bytes exceeds {MAX_FRAME_BODY}")
+    return text
 
 
 def encode(envelope: Envelope) -> bytes:

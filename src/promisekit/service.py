@@ -45,6 +45,7 @@ from .protocol import (
     ACTION_SUCCEEDED,
     ACTION_UNKNOWN_ACTION,
     ACTION_UNKNOWN_PROMISE_ID,
+    MAX_FRAME_BODY,
     OPTION_RELEASE_AFTER_SUCCESS,
     RESULT_ACCEPTED,
     RESULT_REJECTED,
@@ -373,6 +374,10 @@ class Server:
                 except OSError:
                     return
                 reply = self.manager.handle_bytes(body, seen_request_ids)
+                if len(reply) > MAX_FRAME_BODY:
+                    # the envelope committed, but its reply cannot be framed
+                    log.error("a reply of %d bytes exceeds the frame limit", len(reply))
+                    reply = encode(Envelope(error="internal-failure"))
                 try:
                     send_frame(conn, reply)
                 except OSError:

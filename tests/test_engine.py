@@ -1,7 +1,6 @@
 import inspect
 import random
 import sys
-from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,12 +21,11 @@ from promisekit.catalog import (
 )
 from promisekit.clock import LogicalClock
 from promisekit.engine import (
-    DemandNode,
     FeasibilityProblem,
     Problem,
     PromiseEngine,
     Rejection,
-    SupplyNode,
+    UncertifiedAnswer,
     UnknownPromiseId,
     build_feasibility_problem,
     check_satisfiable,
@@ -99,17 +97,23 @@ def test_named_predicate_for_missing_instance_is_infeasible(seat_catalog):
 
 def test_problem_shape(hotel_catalog):
     floor5 = Property("room", (PropertyConstraint("floor", EQUALS, 5),), 1)
-    prob = build_feasibility_problem(
-        [Named(InstanceId("room", "512")), floor5, Quantity("room", 1)],
-        view_of(hotel_catalog))
-    assert [s.key for s in prob.supplies] == ["inst:room/512", "inst:room/610"]
-    assert prob.edges[0] == (0,)        # named: exactly one edge
-    assert prob.edges[1] == (0,)        # only 512 is on floor 5
-    assert prob.edges[2] == (0, 1)      # quantity over the instance-backed type
-    assert prob.total_demand == 3
+    named = Named(InstanceId("room", "512"))
+    prob = build_feasibility_problem([named, floor5, Quantity("room", 1)],
+                                     view_of(hotel_catalog))
+    assert list(prob.position) == [InstanceId("room", "512"), InstanceId("room", "610")]
+    assert [n for _, n in prob.demands.values()] == [1, 1, 1]
+    assert [tuple(edge) for edge in prob.edges] == [
+        (0,),       # named: exactly its own instance
+        (0,),       # only 512 is on floor 5
+        (0, 1),     # quantity over the instance-backed type
+    ]
+    assert prob.pairs == {} and prob.free == {0, 1}  # the search starts from empty
+    # 512 cannot serve both the named pick and the floor-5 demand
+    assert not solve_feasibility(prob)
+    assert prob.violator == {engine._demand_key(named), engine._demand_key(floor5)}
 
 
-def test_interchangeable_instances_merge_and_named_picks_keep_their_edges(monkeypatch):
+def test_identical_predicates_are_one_demand_with_their_amounts_summed(monkeypatch):
     cat = load_catalog({"resource-types": [{
         "name": "seat",
         "properties": [{"name": "class", "order": ["economy", "business", "first"]}],
@@ -126,17 +130,8 @@ def test_interchangeable_instances_merge_and_named_picks_keep_their_edges(monkey
         [Named(InstanceId("seat", "24G")), business, economy, Quantity("seat", 1),
          business, Quantity("seat", 1)],
         view_of(cat))
-    # identical predicates are one demand with the amounts summed
-    assert [d.amount for d in prob.demands] == [1, 2, 1, 2]
-    # 24H and 24J meet the same demands; the named 24G stays apart
-    assert [(s.key, s.capacity) for s in prob.supplies] == [
-        ("inst:seat/24G", 1), ("class:seat/24H+1", 2), ("inst:seat/2A", 1)]
-    assert prob.edges[0] == (0,)
-    assert prob.edges[1] == (2,)
-    assert prob.edges[2] == (0, 1, 2)   # the named pick still serves Property...
-    assert prob.edges[3] == (0, 1, 2)   # ...and Quantity demands
-    # one evaluation per Property demand and distinct class value
-    assert len(calls) == 2 * 2
+    assert [n for _, n in prob.demands.values()] == [1, 2, 1, 2]
+    assert calls == []  # eligibility comes from the value buckets
 
 
 def test_long_augmenting_path_needs_no_recursion():
@@ -152,64 +147,74 @@ def test_long_augmenting_path_needs_no_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 50)
     try:
-        assert engine._augment(pairs, held, free, eligible, "new")
+        assert engine._augment(pairs, held, free, eligible, "new") is None
     finally:
         sys.setrecursionlimit(limit)
     assert held == {"new": {0}, **{j: {j + 1} for j in range(n)}}
     assert pairs == {0: "new", **{j + 1: j for j in range(n)}}
     assert free == set()
-    # The same staircase as a cold problem, crowded by one demand more than
-    # it has slots: the search runs across the whole chain and fails.
-    index = [n - 1 - pos for pos in range(n)]
-    supplies = tuple(SupplyNode(f"inst:slot/{n - 1 - i}", 1) for i in range(n))
-    edges = tuple((index[j], index[j + 1]) if j + 1 < n else (index[j],) for j in range(n))
-    demands = tuple(DemandNode(Quantity("slot", 1), 1) for _ in range(n))
-    assert solve_feasibility(FeasibilityProblem(demands, supplies, edges))
-    crowded = FeasibilityProblem(demands + (DemandNode(Quantity("slot", 1), 1),),
-                                 supplies, edges + ((index[0],),))
-    assert not solve_feasibility(crowded)
+    # The same staircase solved from empty, crowded by one demand more than
+    # it has slots: the demand that fits only slot 0 goes first, so the
+    # search for the last slot runs across the whole chain and fails, and
+    # every demand is in the violator it leaves.
+    assert solve_feasibility(_unit_problem([(j, j + 1) if j + 1 < n else (j,)
+                                            for j in range(n)]))
+    crowded = _unit_problem([(j, j + 1) if j + 1 < n else (j,) for j in range(n)] + [(0,)])
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        assert not solve_feasibility(crowded)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert crowded.violator == set(range(n + 1))
+
+
+def _unit_problem(fans):
+    """A problem of unit demands over unit slots: demand j may take the
+    slots in `fans[j]`, and no slot is taken."""
+    problem = FeasibilityProblem({j: [Quantity("slot", 1), 1] for j in range(len(fans))},
+                                 {pos for fan in fans for pos in fan})
+    problem.eligible.update((j, (tuple(fan), frozenset(fan))) for j, fan in enumerate(fans))
+    return problem
 
 
 def test_a_warm_fill_takes_free_units_without_searching(monkeypatch):
-    # the first grant leaves the kept assignment empty, so the second one
-    # has a deficit of 20,001 units, all of which are free
+    # the first grant fills 20,000 units from empty and the second repairs
+    # a deficit of 5,000 units; every unit either takes is free
     eng = PromiseEngine(load_catalog({"resource-types": [{
         "name": "slot", "instances": [{"key": f"s{i}"} for i in range(30000)]}]}))
-    assert not isinstance(eng.grant([Quantity("slot", 20000)], 30, 0), Rejection)
     calls = []
     real = engine._augment
     monkeypatch.setattr(engine, "_augment", lambda *a: calls.append(a) or real(*a))
-    assert not isinstance(eng.grant([Quantity("slot", 1)], 30, 0), Rejection)
+    assert not isinstance(eng.grant([Quantity("slot", 20000)], 30, 0), Rejection)
+    assert not isinstance(eng.grant([Quantity("slot", 5000)], 30, 0), Rejection)
     assert calls == []
     assert eng.problems() == []
 
 
 def _planted_matching(n, extra, rng):
-    """n unit supplies and n unit demands: demand j meets its own supply
-    (a shuffled one) and `extra` random others, so a perfect matching exists."""
+    """The slots each of n unit demands over n unit slots may take: demand
+    j its own slot (a shuffled one) and `extra` random others, so a
+    perfect matching exists."""
     own = list(range(n))
     rng.shuffle(own)
-    supplies = tuple(SupplyNode(f"inst:slot/{i}", 1) for i in range(n))
-    edges = tuple(tuple(sorted({own[j]} | {rng.randrange(n) for _ in range(extra)}))
-                  for j in range(n))
-    demands = tuple(DemandNode(Quantity("slot", 1), 1) for _ in range(n))
-    return FeasibilityProblem(demands, supplies, edges)
+    return [sorted({own[j]} | {rng.randrange(n) for _ in range(extra)}) for j in range(n)]
 
 
 def test_a_planted_perfect_matching_is_feasible():
-    assert solve_feasibility(_planted_matching(3000, 3, random.Random(7)))
+    assert solve_feasibility(_unit_problem(_planted_matching(3000, 3, random.Random(7))))
 
 
 def test_a_planted_matching_with_one_demand_over_the_supply_is_infeasible():
     rng = random.Random(7)
-    prob = _planted_matching(3000, 3, rng)
-    more = FeasibilityProblem(prob.demands + (DemandNode(Quantity("slot", 1), 1),),
-                              prob.supplies,
-                              prob.edges + (tuple(sorted({rng.randrange(3000) for _ in range(3)})),))
+    fans = _planted_matching(3000, 3, rng)
+    more = _unit_problem(fans + [sorted({rng.randrange(3000) for _ in range(3)})])
     assert not solve_feasibility(more)
+    # a Hall violator: its demands can reach fewer slots than they want
+    reach = {pos for j in more.violator for pos in more.eligible[j][0]}
+    assert len(more.violator) > len(reach)
 
 
-def test_a_long_at_least_in_order_chain_stays_feasible():
+def test_a_long_at_least_in_order_chain_stays_feasible(monkeypatch):
     # level k is met by the instances of level k and above, so the 600
     # grants, made in a shuffled order, fit only as one instance per level
     levels = [f"l{k}" for k in range(600)]
@@ -225,9 +230,76 @@ def test_a_long_at_least_in_order_chain_stays_feasible():
         reply = mgr.handle(Envelope(promise_part=PromisePart(
             requests=(make_request(f"q{k}", [pred], 100),))))
         assert reply.promise_part.responses[0].result == "accepted"
+    calls = []
+    real = engine.satisfies
+    monkeypatch.setattr(engine, "satisfies", lambda *a: calls.append(a) or real(*a))
     assert mgr.engine.problems() == []
+    # one call per pair of the kept assignment and one per pair of the
+    # answer solved from empty; no eligibility is derived with `satisfies`
+    assert len(calls) == 2 * 600
     top = Property("room", (PropertyConstraint("level", AT_LEAST_IN_ORDER, "l0"),), 1)
     assert isinstance(mgr.engine.grant([top], 100, 0), Rejection)
+
+
+# --- certificates and the first check ---
+
+_FLOOR5 = Property("room", (PropertyConstraint("floor", EQUALS, 5),), 1)
+
+
+def _floor5_rooms():
+    """Nine floor-5 rooms and three floor-6 ones, with each floor-5 room
+    promised by its own grant: nine predicates, more than the oracle takes."""
+    eng = PromiseEngine(load_catalog({"resource-types": [{
+        "name": "room", "properties": [{"name": "floor", "domain": [5, 6]}],
+        "instances": [{"key": f"r{i:02}", "properties": {"floor": 5 if i < 9 else 6}}
+                      for i in range(12)]}]}))
+    for _ in range(9):
+        assert not isinstance(eng.grant([_FLOOR5], 30, 0), Rejection)
+    assert eng.problems() == []
+    return eng
+
+
+def _plant(monkeypatch, fault):
+    """Make `_matching` return what `fault` makes of its eligible positions."""
+    real = engine._matching
+
+    def planted(st, p, records, schema):
+        order = fault(real(st, p, records, schema)[0], records)
+        return order, frozenset(order)
+
+    monkeypatch.setattr(engine, "_matching", planted)
+
+
+def test_an_ineligible_position_in_the_eligibility_is_caught(monkeypatch):
+    eng = _floor5_rooms()
+    _plant(monkeypatch, lambda order, records: (
+        next(pos for pos, r in enumerate(records) if r.properties["floor"] != 5),) + order)
+    assert eng.problems() == [Problem(
+        "feasibility", "the feasible answer for 'room' does not check out against the catalog")]
+    with pytest.raises(UncertifiedAnswer):
+        check_satisfiable(eng.active_predicates(), view_of(eng.catalog))
+
+
+def test_a_dropped_eligible_position_is_caught(monkeypatch):
+    eng = _floor5_rooms()
+    _plant(monkeypatch, lambda order, records: order[1:])
+    assert eng.problems() == [Problem(
+        "feasibility", "the infeasible answer for 'room' does not check out against the catalog")]
+    with pytest.raises(UncertifiedAnswer):
+        check_satisfiable(eng.active_predicates(), view_of(eng.catalog))
+
+
+def test_a_first_grant_keeps_the_assignment_it_solved(hotel_catalog, builds):
+    eng = PromiseEngine(hotel_catalog)
+    floor5 = Property("room", (PropertyConstraint("floor", EQUALS, 5),), 1)
+    assert not isinstance(eng.grant([floor5, Quantity("room", 1)], 30, 0), Rejection)
+    rooms = eng._types["room"]
+    key5, key1 = engine._demand_key(floor5), engine._demand_key(Quantity("room", 1))
+    assert rooms.pairs == {0: key5, 1: key1}  # 512 is the only floor-5 room
+    assert rooms.held == {key5: {0}, key1: {1}}
+    assert rooms.free == set() and rooms.dirty == set()
+    assert builds == [{"room"}]
+    assert eng.problems() == []
 
 
 # --- per-type decomposition ---
@@ -755,15 +827,13 @@ def test_table_stays_feasible_after_random_operations():
 
 
 def _take_only(problem):
-    """The cold solve without re-routing: demands with the fewest eligible
-    units first, each takes the free units it can and moves no other's."""
-    starts = [0, *accumulate(sup.capacity for sup in problem.supplies)]
-    orders = [[u for i in fan for u in range(starts[i], starts[i + 1])]
-              for fan in problem.edges]
-    free = set(range(starts[-1]))
-    for j in sorted(range(len(orders)), key=lambda j: len(orders[j])):
-        amount = problem.demands[j].amount
-        mine = [u for u in orders[j] if u in free][:amount]
+    """The solve from empty without re-routing: demands with the fewest
+    eligible positions first, each takes the free ones it can and moves
+    no other's."""
+    free = set(problem.free)
+    for key in sorted(problem.demands, key=lambda key: len(problem.eligible[key][0])):
+        amount = problem.demands[key][1]
+        mine = [pos for pos in problem.eligible[key][0] if pos in free][:amount]
         if len(mine) < amount:
             return False
         free -= set(mine)

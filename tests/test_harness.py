@@ -212,6 +212,14 @@ def test_fuzz_smoke_seed_zero():
     assert report.ok, report.to_document()
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_a_200_step_fuzz_holds_every_invariant(seed):
+    # the check after each step verifies every feasibility answer against
+    # its certificate, whatever the number of active predicates
+    report = fuzz(seed, n_steps=200)
+    assert report.ok, report.to_document()
+
+
 def test_fuzz_is_deterministic():
     assert fuzz(5, n_steps=40).digest == fuzz(5, n_steps=40).digest
 

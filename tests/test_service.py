@@ -16,6 +16,7 @@ from promisekit.predicates import (
     Quantity,
 )
 from promisekit.protocol import (
+    MAX_FRAME_BODY,
     ActionMsg,
     Envelope,
     EnvironmentMsg,
@@ -638,6 +639,43 @@ def test_wire_result_matches_in_process_result(server):
             assert client.roundtrip(envelope) == twin.handle(envelope)
     finally:
         client.close()
+
+
+def _with_oversized_cut(mgr, length):
+    """`mgr` with a "cut" handler that takes 3 widgets, then returns a
+    string of `length` characters."""
+    def cut(payload, unit, catalog):
+        catalog.apply_mutation(unit, DecrementPool("pink-widget", 3))
+        return "x" * length
+
+    mgr.register_handler("cut", cut)
+    return mgr
+
+
+def test_a_payload_over_the_frame_limit_rolls_the_envelope_back():
+    mgr = _with_oversized_cut(widget_manager(10), MAX_FRAME_BODY)
+    srv = Server(mgr)
+    client = WireClient(srv.address)
+    try:
+        assert client.roundtrip(Envelope(action=ActionMsg("cut"))).error == "internal-failure"
+        assert mgr.catalog.quantity_on_hand("pink-widget") == 10
+        assert client.roundtrip(Envelope(action=ActionMsg("no-op"))).action.status == "succeeded"
+    finally:
+        client.close()
+        srv.stop()
+
+
+def test_a_committed_reply_over_the_frame_limit_is_answered_on_an_open_connection():
+    # the payload fits alone, but not with the response beside it
+    mgr = _with_oversized_cut(widget_manager(10), MAX_FRAME_BODY - 100)
+    srv = Server(mgr)
+    client = WireClient(srv.address)
+    try:
+        assert client.roundtrip(_CUT_WITH_A_GRANT).error == "internal-failure"
+        assert client.roundtrip(Envelope(action=ActionMsg("no-op"))).action.status == "succeeded"
+    finally:
+        client.close()
+        srv.stop()
 
 
 def test_two_clients_race_for_the_last_widget():
