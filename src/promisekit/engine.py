@@ -57,11 +57,12 @@ The kept assignment is a hint that needs no journal: rolling an
 envelope back leaves at worst dirty demands, pairs that hold more than
 the restored amounts, and taken moves the next check drains.
 
-A type's first check runs the same search from an empty assignment:
-`build_feasibility_problem` gathers the type's merged demands, its
-untaken instances and each demand's eligible positions from the value
-buckets, `solve_feasibility` fills the assignment, fewest eligible
-first, and the engine keeps the solved problem as the type's state.
+Every instance-backed type's kept state exists from the engine's start:
+`build_feasibility_problem` makes it as an empty assignment over the
+type's untaken instances, so a type's first decision is one in which
+every demand is short. Every decision fills its deficits through one
+loop, `solve_feasibility`, fewest eligible first; `check_satisfiable`
+builds a problem from one type's merged demands and fills them all.
 
 Every answer of `check_satisfiable` is checked by `_certifies`, which
 reads only the instance records and `satisfies`. A feasible answer's
@@ -98,7 +99,7 @@ live, so it is read under the same serialization.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .catalog import (
@@ -175,35 +176,33 @@ class FeasibilityProblem:
     `instances_of`, which is fixed at load.
 
     `build_feasibility_problem` makes one with an empty assignment and
-    `solve_feasibility` fills it; a failed solve leaves a Hall violator in
-    `violator`. The engine keeps one per resource type, with `demands` its
-    index of the active promises' demands and `total` their running sum.
-    Once an instance-backed type has been decided, `pairs`, `held`, `free`
-    and `dirty` describe the kept assignment; every change to one of them
-    keeps the others in step.
+    `solve_feasibility` fills its deficits. The engine keeps one per
+    resource type from its start, with `demands` its index of the active
+    promises' demands and `total` their running sum; for an
+    instance-backed type, `pairs`, `held`, `free` and `dirty` describe the
+    kept assignment, and every change to one of them keeps the others in
+    step. A pool-backed type's state has no instances and uses only the
+    demand index.
     """
 
     __slots__ = ("demands", "total", "position", "pairs", "held", "free", "dirty",
-                 "eligible", "buckets", "eligible_at", "violator")
+                 "eligible", "buckets", "eligible_at")
 
-    def __init__(self, demands: Optional[dict] = None, free: Optional[set] = None,
-                 records: Sequence[InstanceRecord] = ()):
+    def __init__(self, records: Sequence[InstanceRecord] = (), demands: Optional[dict] = None):
         # _demand_key -> [first predicate, merged amount]
         self.demands = {} if demands is None else demands
         self.total = 0
         self.position = {r.id: pos for pos, r in enumerate(records)}
-        # the assignment, instance position -> demand key; None for a type
-        # the engine has not decided yet
-        self.pairs: Optional[dict] = None if free is None else {}
+        self.pairs: dict = {}     # the assignment, instance position -> demand key
         self.held: dict = {}      # demand key -> the positions `pairs` gives it
-        self.free = set() if free is None else free  # untaken positions `pairs` leaves unused
+        # untaken positions `pairs` leaves unused
+        self.free = {pos for pos, r in enumerate(records) if r.status != STATUS_TAKEN}
         self.dirty: set = set()   # demand keys whose held count may differ from their amount
         # demand key -> (eligible positions in order, a container to test
         # membership in), computed when first needed and kept while held
         self.eligible: dict = {}
         self.buckets: dict = {}   # property name -> {scalar_key(value): positions in order}
         self.eligible_at = -1     # the catalog property version the pairs were checked at
-        self.violator: Optional[set] = None
 
     @property
     def edges(self) -> tuple:
@@ -222,44 +221,40 @@ def _demand_key(p: Predicate):
     return ("quantity", p.resource_type)
 
 
-def build_feasibility_problem(predicates: Sequence[Predicate],
+def build_feasibility_problem(rt: str, demands: dict,
                               view: AvailabilityView) -> FeasibilityProblem:
-    """What a check of one instance-backed type starts from: the demands of
-    `predicates`, all of that type, merged by `_demand_key`; an empty
-    assignment over its untaken instances; and each demand's eligible
-    positions, read from the value buckets a warm check reads.
+    """What a decision of type `rt` starts from: its `demands`, merged by
+    `_demand_key` (demand key -> [predicate, amount]); an empty assignment
+    over its untaken instances, of which a pool has none; and each demand's
+    eligible positions, read from the value buckets every decision reads.
     """
-    demands: dict = {}
-    for p in predicates:
-        slot = demands.setdefault(_demand_key(p), [p, 0])
-        slot[1] += amount_of(p)
-    records = view.instances_of(resource_type_of(predicates[0])) if predicates else ()
-    problem = FeasibilityProblem(demands, free={pos for pos, r in enumerate(records)
-                                                if r.status != STATUS_TAKEN}, records=records)
+    records = view.instances_of(rt)
+    problem = FeasibilityProblem(records, demands)
     for key in demands:
         _eligible(problem, key, {}, records, view.schema)
     return problem
 
 
-def solve_feasibility(problem: FeasibilityProblem) -> bool:
-    """Fill `problem`'s assignment; True iff every demand unit is placed.
+def solve_feasibility(problem: FeasibilityProblem, deficits: Sequence[tuple]) -> Optional[set]:
+    """Place in `problem`'s assignment the units `deficits` lack, given as
+    (demand key, units short) pairs whose eligibility is already known.
+    Returns None when every unit is placed, else the demand keys of a Hall
+    violator: the demands the failing search reached, or every demand when
+    no position was free.
 
     Each demand, fewest eligible positions first, takes the free ones it
     can in one pass (`_take_free`), and `_augment` places the rest one by
-    one, so a nested `at-least-in-order` chain needs no re-routing. On
-    False, `problem.violator` holds the demand keys of a Hall violator:
-    the demands the failing search reached, or every demand when no
-    position was free.
+    one, so a nested `at-least-in-order` chain needs no re-routing.
     """
     pairs, held, free, eligible = problem.pairs, problem.held, problem.free, problem.eligible
-    for key in sorted(problem.demands, key=lambda key: len(eligible[key][0])):
-        amount = problem.demands[key][1]
-        for _ in range(amount - _take_free(pairs, held, free, eligible[key], key, amount)):
+    if len(deficits) > 1:  # most decisions have one deficit or none
+        deficits = sorted(deficits, key=lambda deficit: len(eligible[deficit[0]][0]))
+    for key, n in deficits:
+        for _ in range(n - _take_free(pairs, held, free, eligible[key], key, n)):
             reached = _augment(pairs, held, free, eligible, key)
             if reached is not None:
-                problem.violator = set(reached or problem.demands)
-                return False
-    return True
+                return set(reached or problem.demands)
+    return None
 
 
 def _certifies(problem: FeasibilityProblem, records: Sequence[InstanceRecord], schema,
@@ -308,27 +303,36 @@ def check_satisfiable(predicates: Sequence[Predicate], view: AvailabilityView,
     instance-backed type's answer is checked against its certificate
     (`_certifies`); one that does not check out raises UncertifiedAnswer.
     """
-    by_type: dict[str, list[Predicate]] = {}
+    for rt, demands in _merge(predicates, types).items():
+        if rt in view.pools:
+            # a pool has no instances for a Named or Property demand to draw on
+            if any(key[0] != "quantity" and n for key, (_, n) in demands.items()):
+                return False
+            if sum(n for _, n in demands.values()) > view.pools[rt]:
+                return False
+            continue
+        problem = build_feasibility_problem(rt, demands, view)
+        violator = solve_feasibility(problem, [(key, n) for key, (_, n) in demands.items() if n])
+        if not _certifies(problem, view.instances_of(rt), view.schema, violator):
+            answer = "feasible" if violator is None else "infeasible"
+            raise UncertifiedAnswer(f"the {answer} answer for {rt!r} does not check out "
+                                    "against the catalog")
+        if violator is not None:
+            return False
+    return True
+
+
+def _merge(predicates: Iterable[Predicate],
+           types: Optional[Collection[str]] = None) -> dict[str, dict]:
+    """Per resource type (of `types`, if given), the demands of
+    `predicates` merged by `_demand_key`: demand key -> [predicate, amount]."""
+    by_type: dict[str, dict] = {}
     for p in predicates:
         rt = resource_type_of(p)
         if types is None or rt in types:
-            by_type.setdefault(rt, []).append(p)
-    for rt, group in by_type.items():
-        if rt in view.pools:
-            # a pool has no instances for a Named or Property demand to draw on
-            if any(not isinstance(p, Quantity) and amount_of(p) > 0 for p in group):
-                return False
-            if sum(amount_of(p) for p in group) > view.pools[rt]:
-                return False
-            continue
-        problem = build_feasibility_problem(group, view)
-        feasible = solve_feasibility(problem)
-        if not _certifies(problem, view.instances_of(rt), view.schema, problem.violator):
-            raise UncertifiedAnswer(f"the {'feasible' if feasible else 'infeasible'} answer "
-                                    f"for {rt!r} does not check out against the catalog")
-        if not feasible:
-            return False
-    return True
+            slot = by_type.setdefault(rt, {}).setdefault(_demand_key(p), [p, 0])
+            slot[1] += amount_of(p)
+    return by_type
 
 
 # --- the engine ---
@@ -352,7 +356,13 @@ class PromiseEngine:
         self.active: dict[str, PromiseRecord] = {}
         self._expiry: list[tuple] = []  # heap of _expiry_entry; may hold ids no longer active
         self._journal: list[tuple[str, Optional[PromiseRecord]]] = []  # (id, previous record)
+        # every declared type's state, an empty assignment over its untaken
+        # instances; a pool has none, and uses its demand index alone
+        view = catalog.snapshot_availability()
         self._types: dict[str, FeasibilityProblem] = {}
+        for rt in catalog.schema.types:
+            st = self._types[rt] = build_feasibility_problem(rt, {}, view)
+            st.eligible_at = catalog.property_version(rt)
         self._issued = 0
         self.counters = {"grants": 0, "rejections": 0, "releases": 0, "expiries": 0}
 
@@ -376,11 +386,13 @@ class PromiseEngine:
         return len(self._journal)
 
     def restore(self, mark: int) -> None:
-        """Undo the journaled table writes made since `snapshot` returned `mark`."""
+        """Undo the journaled table writes made since `snapshot` returned
+        `mark`. An undone insert gives its id back to the next grant."""
         while len(self._journal) > mark:
             pid, previous = self._journal.pop()
             if previous is None:
                 del self.table[pid]
+                self._issued -= 1
                 gone = self.active.pop(pid, None)
                 if gone is not None:
                     self._count(gone, -1)
@@ -415,26 +427,25 @@ class PromiseEngine:
         in_table = {pid: r for pid, r in self.table.items() if r.status == PROMISE_ACTIVE}
         if self.active != in_table:
             index.append("active index disagrees with the table")
-        if not self.active.keys() <= {pid for _, _, pid in self._expiry}:
+        if not {(r.expires_at, pid) for pid, r in self.active.items()} \
+                <= {(at, pid) for at, _, pid in self._expiry}:
             index.append("an active promise has no expiry entry")
-        merged: dict = {}
-        for rec in in_table.values():
-            for p in rec.predicates:
-                key = (resource_type_of(p), _demand_key(p))
-                merged[key] = merged.get(key, 0) + amount_of(p)
-        if merged != {(rt, key): slot[1] for rt, st in self._types.items()
-                      for key, slot in st.demands.items()}:
+        predicates = [p for r in in_table.values() for p in r.predicates]
+        merged = {(rt, key): n for rt, demands in _merge(predicates).items()
+                  for key, (_, n) in demands.items()}
+        if merged != {(rt, key): n for rt, st in self._types.items()
+                      for key, (_, n) in st.demands.items()}:
             index.append("demand index disagrees with the table")
         for rt in sorted(self._types):
             index.extend(self._type_problems(rt, self._types[rt], view))
         found = [Problem("index", message) for message in index]
         try:
-            if not check_satisfiable([p for r in in_table.values() for p in r.predicates], view):
+            if not check_satisfiable(predicates, view):
                 found.append(Problem("feasibility", "active set is not satisfiable"))
         except UncertifiedAnswer as exc:
             found.append(Problem("feasibility", str(exc)))
         for rt, on_hand in sorted(view.pools.items()):
-            promised = self._types[rt].total if rt in self._types else 0
+            promised = self._types[rt].total
             if on_hand < 0:
                 found.append(Problem("pool-additivity", f"pool {rt!r} holds {on_hand}"))
             elif promised > on_hand:
@@ -450,8 +461,8 @@ class PromiseEngine:
         problems = []
         if st.total != sum(slot[1] for slot in st.demands.values()):
             problems.append(f"running total of {rt!r} disagrees with its demands")
-        if st.pairs is None:
-            return problems
+        if not st.position:
+            return problems  # a pool, or a type with no instances, keeps no assignment
         by_key: dict = {}
         for pos, key in st.pairs.items():
             by_key.setdefault(key, set()).add(pos)
@@ -537,9 +548,10 @@ class PromiseEngine:
             return []
         expired = []
         while self._expiry and self._expiry[0][0] <= now:
-            rec = self.active.get(heapq.heappop(self._expiry)[2])
-            if rec is None:
-                continue  # released or expired already
+            expires_at, _, pid = heapq.heappop(self._expiry)
+            rec = self.active.get(pid)
+            if rec is None or rec.expires_at != expires_at:
+                continue  # released or expired already, or a rolled-back record's entry
             self._put(PromiseRecord(rec.id, rec.predicates, rec.granted_at, rec.expires_at,
                                    PROMISE_EXPIRED), unit)
             self._clear_tags(rec, unit)
@@ -639,32 +651,24 @@ class PromiseEngine:
         gives them) over its demand index, and leave its kept assignment as
         complete as the demands allow.
 
-        The first decision of a type fills the assignment from empty
-        (`_seed`). Every later one repairs it where it may have gone wrong
-        since the last decision:
+        It repairs the assignment where it may have gone wrong since the
+        last decision, or since the engine's start built it empty:
           - it drops the pairs on instances that became taken, which the
             catalog reports (a moved property version re-checks every pair);
           - it trims each changed or dirty demand down to its amount;
-          - it gives each deficit the free eligible units it can in one
-            pass, and fills the rest one unit at a time by an augmenting path.
-        If some unit has none, no complete assignment exists (Berge).
+          - it fills the deficits with `solve_feasibility`.
         """
         st = self._state(rt)
         moved = self.catalog.drain_taken_moves(rt)
         records = view.instances_of(rt)
-        pairs = st.pairs
-        if pairs is None:
-            return self._seed(rt, st, changes, view)
         version = self.catalog.property_version(rt)
         if st.eligible_at != version:
             self._revalidate(st, changes, records, version)
         elif moved:
             _read_moves(st, moved, records)
-        eligible = st.eligible
-        if len(eligible) > 2 * len(st.demands) + 64:
+        if len(st.eligible) > 2 * len(st.demands) + 64:
             # the keys of long-gone promises would pile up; a search reads the held ones
-            st.eligible = eligible = {key: found for key, found in eligible.items()
-                                      if key in st.held}
+            st.eligible = {key: found for key, found in st.eligible.items() if key in st.held}
         deficits: list = []
         for key, slot in changes.items():
             _trim(st, key, slot[1], deficits)
@@ -673,27 +677,9 @@ class PromiseEngine:
             if key not in changes:
                 slot = demands.get(key)
                 _trim(st, key, slot[1] if slot else 0, deficits)
-        for key, n in deficits:
-            found = _eligible(st, key, changes, records, self.catalog.schema)
-            for _ in range(n - _take_free(pairs, st.held, st.free, found, key, n)):
-                if _augment(pairs, st.held, st.free, eligible, key) is not None:
-                    return _settle(st, changes, False)
-        return _settle(st, changes, True)
-
-    def _seed(self, rt: str, st: FeasibilityProblem, changes: dict, view) -> bool:
-        """A type's first decision: solve it from an empty assignment, and
-        keep the solved problem, over the type's demand index, as its state."""
-        merged = dict(st.demands)
-        merged.update(changes)
-        predicates = _expand(slot for slot in merged.values() if slot[1])
-        if not predicates:
-            return True  # nothing to assign; the next decision seeds the type
-        problem = build_feasibility_problem(predicates, view)
-        feasible = solve_feasibility(problem)
-        problem.demands, problem.total, problem.dirty = st.demands, st.total, set(st.demands)
-        problem.eligible_at = self.catalog.property_version(rt)
-        self._types[rt] = problem
-        return _settle(problem, changes, feasible)
+        for key, _ in deficits:
+            _eligible(st, key, changes, records, self.catalog.schema)
+        return _settle(st, changes, solve_feasibility(st, deficits) is None)
 
     def _revalidate(self, st: FeasibilityProblem, changes: dict, records, version: int) -> None:
         """After a property of the type changed: forget what was derived
@@ -755,8 +741,8 @@ class PromiseEngine:
 
     def _count(self, rec: PromiseRecord, sign: int) -> None:
         """Add (sign 1) or take out (-1) an active record's demands in the
-        index, and mark each demand dirty or clean by whether the kept
-        assignment holds its new amount."""
+        index, and mark each demand of a type with instances dirty or clean
+        by whether the kept assignment holds its new amount."""
         for p in rec.predicates:
             st = self._state(resource_type_of(p))
             key = _demand_key(p)
@@ -768,7 +754,7 @@ class PromiseEngine:
             slot[1] += n
             if not slot[1]:
                 del st.demands[key]
-            if st.pairs is not None:
+            if st.position:
                 have = st.held.get(key)
                 if (len(have) if have else 0) == slot[1]:
                     st.dirty.discard(key)
@@ -982,17 +968,6 @@ def _matching(st: FeasibilityProblem, p: Property, records, schema) -> tuple:
         others = [frozenset(h) for h in hits[1:]]
         found = tuple(pos for pos in found if all(pos in o for o in others))
     return (found, frozenset(found))
-
-
-def _expand(slots: Iterable[list]) -> list[Predicate]:
-    """Predicates with the merged amounts of `slots` ([predicate, amount] pairs)."""
-    preds: list[Predicate] = []
-    for p, n in slots:
-        if isinstance(p, Named):
-            preds.extend([p] * n)
-        else:
-            preds.append(replace(p, amount=n))
-    return preds
 
 
 def _expiry_entry(rec: PromiseRecord) -> tuple:

@@ -56,27 +56,9 @@ def widget_catalog():
 
 
 @pytest.fixture
-def builds(monkeypatch):
-    """Resource types of every flow problem built while the test runs."""
-    from promisekit import engine
-    from promisekit.predicates import resource_type_of
-
-    seen = []
-    real = engine.build_feasibility_problem
-
-    def spy(predicates, view):
-        seen.append({resource_type_of(p) for p in predicates})
-        return real(predicates, view)
-
-    monkeypatch.setattr(engine, "build_feasibility_problem", spy)
-    return seen
-
-
-@pytest.fixture
 def decisions(monkeypatch):
     """The instance-backed type of every feasibility decision made while the
-    test runs, as a one-element set, whether it builds a flow problem or
-    repairs the type's kept assignment."""
+    test runs, as a one-element set."""
     from promisekit.engine import PromiseEngine
 
     seen = []

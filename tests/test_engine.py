@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +18,8 @@ from promisekit.catalog import (
     InstanceRecord,
     PropertyDecl,
     ResourceTypeDecl,
+    SetInstanceStatus,
+    SetProperty,
     load_catalog,
 )
 from promisekit.clock import LogicalClock
@@ -53,6 +56,17 @@ def balance_catalog(amount):
 
 def view_of(catalog):
     return catalog.snapshot_availability()
+
+
+def _problem(predicates, view):
+    """The problem `check_satisfiable` builds for `predicates`, all of one type."""
+    (rt, demands), = engine._merge(predicates).items()
+    return build_feasibility_problem(rt, demands, view)
+
+
+def _solve(problem):
+    """Fill `problem`'s every demand from empty; the violator, or None."""
+    return solve_feasibility(problem, [(key, n) for key, (_, n) in problem.demands.items()])
 
 
 # --- check_satisfiable ---
@@ -98,8 +112,7 @@ def test_named_predicate_for_missing_instance_is_infeasible(seat_catalog):
 def test_problem_shape(hotel_catalog):
     floor5 = Property("room", (PropertyConstraint("floor", EQUALS, 5),), 1)
     named = Named(InstanceId("room", "512"))
-    prob = build_feasibility_problem([named, floor5, Quantity("room", 1)],
-                                     view_of(hotel_catalog))
+    prob = _problem([named, floor5, Quantity("room", 1)], view_of(hotel_catalog))
     assert list(prob.position) == [InstanceId("room", "512"), InstanceId("room", "610")]
     assert [n for _, n in prob.demands.values()] == [1, 1, 1]
     assert [tuple(edge) for edge in prob.edges] == [
@@ -109,8 +122,7 @@ def test_problem_shape(hotel_catalog):
     ]
     assert prob.pairs == {} and prob.free == {0, 1}  # the search starts from empty
     # 512 cannot serve both the named pick and the floor-5 demand
-    assert not solve_feasibility(prob)
-    assert prob.violator == {engine._demand_key(named), engine._demand_key(floor5)}
+    assert _solve(prob) == {engine._demand_key(named), engine._demand_key(floor5)}
 
 
 def test_identical_predicates_are_one_demand_with_their_amounts_summed(monkeypatch):
@@ -126,7 +138,7 @@ def test_identical_predicates_are_one_demand_with_their_amounts_summed(monkeypat
     monkeypatch.setattr(engine, "satisfies", lambda *a: calls.append(a) or real(*a))
     business = Property("seat", (PropertyConstraint("class", AT_LEAST_IN_ORDER, "business"),), 1)
     economy = Property("seat", (PropertyConstraint("class", AT_LEAST_IN_ORDER, "economy"),), 1)
-    prob = build_feasibility_problem(
+    prob = _problem(
         [Named(InstanceId("seat", "24G")), business, economy, Quantity("seat", 1),
          business, Quantity("seat", 1)],
         view_of(cat))
@@ -157,22 +169,21 @@ def test_long_augmenting_path_needs_no_recursion():
     # it has slots: the demand that fits only slot 0 goes first, so the
     # search for the last slot runs across the whole chain and fails, and
     # every demand is in the violator it leaves.
-    assert solve_feasibility(_unit_problem([(j, j + 1) if j + 1 < n else (j,)
-                                            for j in range(n)]))
+    assert _solve(_unit_problem([(j, j + 1) if j + 1 < n else (j,) for j in range(n)])) is None
     crowded = _unit_problem([(j, j + 1) if j + 1 < n else (j,) for j in range(n)] + [(0,)])
     sys.setrecursionlimit(len(inspect.stack(0)) + 50)
     try:
-        assert not solve_feasibility(crowded)
+        violator = _solve(crowded)
     finally:
         sys.setrecursionlimit(limit)
-    assert crowded.violator == set(range(n + 1))
+    assert violator == set(range(n + 1))
 
 
 def _unit_problem(fans):
     """A problem of unit demands over unit slots: demand j may take the
     slots in `fans[j]`, and no slot is taken."""
-    problem = FeasibilityProblem({j: [Quantity("slot", 1), 1] for j in range(len(fans))},
-                                 {pos for fan in fans for pos in fan})
+    problem = FeasibilityProblem(demands={j: [Quantity("slot", 1), 1] for j in range(len(fans))})
+    problem.free = {pos for fan in fans for pos in fan}
     problem.eligible.update((j, (tuple(fan), frozenset(fan))) for j, fan in enumerate(fans))
     return problem
 
@@ -201,17 +212,17 @@ def _planted_matching(n, extra, rng):
 
 
 def test_a_planted_perfect_matching_is_feasible():
-    assert solve_feasibility(_unit_problem(_planted_matching(3000, 3, random.Random(7))))
+    assert _solve(_unit_problem(_planted_matching(3000, 3, random.Random(7)))) is None
 
 
 def test_a_planted_matching_with_one_demand_over_the_supply_is_infeasible():
     rng = random.Random(7)
     fans = _planted_matching(3000, 3, rng)
     more = _unit_problem(fans + [sorted({rng.randrange(3000) for _ in range(3)})])
-    assert not solve_feasibility(more)
+    violator = _solve(more)
     # a Hall violator: its demands can reach fewer slots than they want
-    reach = {pos for j in more.violator for pos in more.eligible[j][0]}
-    assert len(more.violator) > len(reach)
+    reach = {pos for j in violator for pos in more.eligible[j][0]}
+    assert len(violator) > len(reach)
 
 
 def test_a_long_at_least_in_order_chain_stays_feasible(monkeypatch):
@@ -289,7 +300,7 @@ def test_a_dropped_eligible_position_is_caught(monkeypatch):
         check_satisfiable(eng.active_predicates(), view_of(eng.catalog))
 
 
-def test_a_first_grant_keeps_the_assignment_it_solved(hotel_catalog, builds):
+def test_a_first_grant_keeps_the_assignment_it_solved(hotel_catalog, decisions):
     eng = PromiseEngine(hotel_catalog)
     floor5 = Property("room", (PropertyConstraint("floor", EQUALS, 5),), 1)
     assert not isinstance(eng.grant([floor5, Quantity("room", 1)], 30, 0), Rejection)
@@ -298,7 +309,7 @@ def test_a_first_grant_keeps_the_assignment_it_solved(hotel_catalog, builds):
     assert rooms.pairs == {0: key5, 1: key1}  # 512 is the only floor-5 room
     assert rooms.held == {key5: {0}, key1: {1}}
     assert rooms.free == set() and rooms.dirty == set()
-    assert builds == [{"room"}]
+    assert decisions == [{"room"}]
     assert eng.problems() == []
 
 
@@ -372,47 +383,96 @@ def test_decomposed_check_agrees_with_the_oracle(case):
             assert check_satisfiable(preds, view, [rt]) == full
 
 
-def _two_type_engine():
-    return PromiseEngine(load_catalog({"resource-types": [
+def _two_type_catalog():
+    return load_catalog({"resource-types": [
         {"name": "bulk", "pool": 5}, HOTEL_DOC["resource-types"][0],
-        SEAT_DOC["resource-types"][0]]}))
+        SEAT_DOC["resource-types"][0]]})
 
 
-def test_grant_builds_only_the_types_it_names(decisions, builds):
+def _two_type_engine():
+    return PromiseEngine(_two_type_catalog())
+
+
+def test_grant_decides_only_the_types_it_names(decisions):
     eng = _two_type_engine()
     first = Property("seat", (PropertyConstraint("class", AT_LEAST_IN_ORDER, "first"),), 1)
     assert not isinstance(eng.grant([first], 30, 0), Rejection)
     floor5 = Property("room", (PropertyConstraint("floor", EQUALS, 5),), 1)
     assert not isinstance(eng.grant([floor5], 30, 0), Rejection)
-    assert not isinstance(eng.exchange([Named(InstanceId("room", "610"))], 30, [], 0),
-                          Rejection)
-    assert decisions == [{"seat"}, {"room"}, {"room"}]
-    assert builds == [{"seat"}, {"room"}]  # the exchange repairs the room assignment
-
-
-def test_grant_on_a_type_with_a_kept_assignment_builds_nothing(builds):
-    eng = _two_type_engine()
-    floor5 = Property("room", (PropertyConstraint("floor", EQUALS, 5),), 1)
-    assert not isinstance(eng.grant([floor5], 30, 0), Rejection)
-    assert builds == [{"room"}]
-    builds.clear()
     assert not isinstance(eng.grant([Quantity("room", 1)], 30, 0), Rejection)
-    assert builds == []
     assert eng.problems() == []  # the repaired assignment is complete
-    builds.clear()  # the checker's cold reference builds its own problem
-    assert isinstance(eng.grant([Named(InstanceId("room", "512"))], 30, 0), Rejection)
-    assert builds == []
+    assert isinstance(eng.exchange([Named(InstanceId("room", "512"))], 30, [], 0), Rejection)
+    assert decisions == [{"seat"}, {"room"}, {"room"}, {"room"}]
 
 
-def test_pool_grants_build_no_flow_problem(builds, decisions):
+def test_pool_grants_decide_no_instance_type(decisions):
     eng = _two_type_engine()
     eng.grant([Named(InstanceId("seat", "2A"))], 30, 0)
-    builds.clear()
     decisions.clear()
     assert not isinstance(eng.grant([Quantity("bulk", 3)], 30, 0), Rejection)
     assert isinstance(eng.grant([Quantity("bulk", 3)], 30, 0), Rejection)
     assert decisions == []
-    assert builds == []
+
+
+def test_only_the_engines_start_builds_a_problem(monkeypatch):
+    built = []
+    real = engine.build_feasibility_problem
+
+    def spy(rt, demands, view):
+        built.append((rt, dict(demands)))
+        return real(rt, demands, view)
+
+    monkeypatch.setattr(engine, "build_feasibility_problem", spy)
+    cat = _two_type_catalog()
+    eng = PromiseEngine(cat)
+    assert built == [("bulk", {}), ("room", {}), ("seat", {})]
+    built.clear()
+    floor5 = Property("room", (PropertyConstraint("floor", EQUALS, 5),), 1)
+    first = Property("seat", (PropertyConstraint("class", AT_LEAST_IN_ORDER, "first"),), 1)
+    held = eng.grant([floor5, Quantity("bulk", 2)], 5, 0)
+    assert not isinstance(eng.grant([first, Quantity("room", 1)], 30, 0), Rejection)
+    swapped = eng.exchange([Named(InstanceId("room", "610"))], 5, [held.id], 1)
+    assert not isinstance(swapped, Rejection)
+    unit = cat.begin_unit()
+    cat.apply_mutation(unit, SetInstanceStatus(InstanceId("room", "512"), STATUS_TAKEN))
+    assert not eng.post_action_check([], cat.snapshot_availability(unit), {"room"})
+    cat.rollback_unit(unit)
+    assert eng.expire_sweep(6) == [swapped.id]
+    assert not isinstance(eng.grant([Named(InstanceId("seat", "24G"))], 30, 6), Rejection)
+    assert built == []
+    assert eng.problems() == []
+
+
+@pytest.mark.parametrize("set_property", [True, False])
+def test_a_state_built_before_the_first_decision_follows_the_catalog(set_property):
+    # before any promise on the type: one room taken, one moved off floor
+    # 5 (which re-checks every pair; without it the first decision reads
+    # the taken moves), and a take rolled back; grants then answer as the
+    # checker does
+    cat = load_catalog({"resource-types": [{
+        "name": "room", "properties": [{"name": "floor", "domain": [5, 6]}],
+        "instances": [{"key": f"r{i}", "properties": {"floor": 5}} for i in range(6)]}]})
+    eng = PromiseEngine(cat)
+    for mutation, commit in ((SetInstanceStatus(InstanceId("room", "r0"), STATUS_TAKEN), True),
+                             (SetProperty(InstanceId("room", "r1"), "floor", 6), True),
+                             (SetInstanceStatus(InstanceId("room", "r2"), STATUS_TAKEN), False)):
+        if isinstance(mutation, SetProperty) and not set_property:
+            continue
+        unit = cat.begin_unit()
+        cat.apply_mutation(unit, mutation)
+        (cat.commit_unit if commit else cat.rollback_unit)(unit)
+    assert eng.problems() == []
+    floor5 = Property("room", (PropertyConstraint("floor", EQUALS, 5),), 1)
+    answers = []
+    for request in ([replace(floor5, amount=2)], [Named(InstanceId("room", "r0"))],
+                    [Named(InstanceId("room", "r1"))], [floor5], [Quantity("room", 1)],
+                    [Named(InstanceId("room", "r2"))], [Quantity("room", 1)]):
+        expected = check_satisfiable(eng.active_predicates() + request, view_of(cat))
+        answers.append(not isinstance(eng.grant(request, 30, 0), Rejection))
+        assert answers[-1] == expected
+        assert eng.problems() == []
+    # five untaken rooms: r0 is taken, and then every room is promised
+    assert answers == [True, False, True, True, True, False, False]
 
 
 # --- grant ---
@@ -857,7 +917,7 @@ def _rerouting_cases(rng, count):
                 constraints.append(PropertyConstraint("color", EQUALS, rng.choice(_COLORS)))
             preds.append(Property("gadget", tuple(constraints), rng.randint(1, 2)))
         if brute_force_satisfiable(preds, view) \
-                and not _take_only(build_feasibility_problem(preds, view)):
+                and not _take_only(_problem(preds, view)):
             found.append((preds, view))
     return found
 

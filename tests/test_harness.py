@@ -406,7 +406,7 @@ def test_wall_clock_clients_count_every_step_they_send():
 PINNED_SCENARIO_DIGESTS = {
     "banking": "e9a4b720c18eb02b", "gallery": "7f8d878ec7b7b39a", "hotel": "245873b6072075ae",
     "merchant": "5d344217a2d5f11f", "travel": "cd3dbcc3a6b93e7d"}
-PINNED_FUZZ_DIGESTS = ["6c5ab68e20cd123a", "c9299d2db10147b9", "a99fc1c3169be1a3",
+PINNED_FUZZ_DIGESTS = ["aa9c123454eedb9e", "77e6ccb44726bb93", "a99fc1c3169be1a3",
                        "af2c674c3377bca6", "7f794825487f2350", "13b2990801530e26"]
 
 

@@ -297,18 +297,16 @@ def hold(mgr, predicate, rid):
 FIRST_CLASS = Property("seat", (PropertyConstraint("class", AT_LEAST_IN_ORDER, "first"),), 1)
 
 
-def test_no_op_with_release_checks_nothing(builds, decisions):
+def test_no_op_with_release_checks_nothing(decisions):
     mgr = seats_and_rooms_manager()
     pid = hold(mgr, FIRST_CLASS, "r-1")
     hold(mgr, Quantity("room", 1), "r-2")  # stays held: a check of every type would decide it
-    builds.clear()
     decisions.clear()
     reply = mgr.handle(Envelope(action=ActionMsg("no-op"),
                                 environment=EnvironmentMsg((pid,), ("release-after-success",))))
     assert reply.action.status == "succeeded"
     assert mgr.engine.record(pid).status == "released"
     assert decisions == []
-    assert builds == []
 
 
 def test_action_is_checked_on_the_type_it_changes_only(decisions):
@@ -551,6 +549,28 @@ def test_a_whole_envelope_rollback_restores_the_counters():
     mgr.fault_hook = None
     assert mgr.counters == {**service_before, "internal-failures": 2}
     assert mgr.engine.counters == engine_before
+
+
+def test_a_rolled_back_grant_gives_its_id_back():
+    mgr = widget_manager(10)
+    assert first_response(mgr.handle(grant_envelope(1))).promise_id == "p-1"
+    mgr.fault_hook = _fault_at("commit")
+    assert mgr.handle(grant_envelope(1, rid="r-2")).error == "internal-failure"
+    mgr.fault_hook = None
+    assert first_response(mgr.handle(grant_envelope(1, rid="r-3"))).promise_id == "p-2"
+
+
+def test_a_reissued_id_expires_at_its_own_time():
+    mgr = widget_manager(10)
+    mgr.fault_hook = _fault_at("commit")
+    assert mgr.handle(grant_envelope(1, duration=2)).error == "internal-failure"
+    mgr.fault_hook = None
+    pid = first_response(mgr.handle(grant_envelope(1, rid="r-2", duration=10))).promise_id
+    assert pid == "p-1"
+    mgr.clock.advance(3)  # past the rolled-back record's expiry, not the reissue's
+    assert mgr.handle(Envelope(action=ActionMsg("no-op"))).action.status == "succeeded"
+    assert mgr.engine.record(pid).status == "active"
+    assert mgr.engine.problems() == []
 
 
 def test_an_action_rolled_back_for_a_violation_restores_the_release_count():
