@@ -73,23 +73,28 @@ checker, `problems`, decides every type this way and checks each current
 kept assignment with `_certifies` too, so a wrong eligibility or search
 shows at any size, not only where the exhaustive oracle fits.
 
-The promise table keeps per-envelope work independent of history:
+The promise table keeps both per-envelope work and memory independent of
+history:
 
-  - `table` holds every record ever issued, released and expired ones
-    included, because `dump`, `record()` and the digests report them.
-    A record is an immutable tuple: a release or an expiry writes a new
-    one, so the table, `active`, the journal and the heap share records;
-  - `active` indexes the active records by id, and every check, conflict
-    count and overcommit test reads it or the demand index alone;
-  - a heap of (expires_at, issue order, id) lets the sweep pop only the
+  - the table, `active`, holds the active records by id, and nothing
+    else. A record is an immutable tuple that carries its issue number,
+    the N of its id `p-N`, so the table, the journal and the heap share
+    records, and ordering them needs no parse of the id;
+  - ids are issued in sequence, and `_history` keeps one status byte per
+    issued id, at index N - 1: active, released or expired. A release or
+    an expiry deletes the record and writes its final status there, so a
+    retired promise costs one byte, and `status()` tells a retired id
+    from one never issued;
+  - a heap of (expires_at, issue number, id) lets the sweep pop only the
     due records. A record that leaves early keeps its entry until the
-    sweep pops it or the heap, grown past twice the active set, is
-    rebuilt from `active`;
+    sweep pops it or the heap, grown past twice the table, is rebuilt
+    from it;
   - every table write made under a catalog unit is journaled as (id,
-    previous record). `snapshot` is the journal's length and `restore`
-    undoes the writes after it, so rolling back costs what the envelope
-    changed, not the table's size. The pipeline clears the journal
-    (`commit`) once the unit commits.
+    previous record), None for an insert. `snapshot` is the journal's
+    length and `restore` undoes the writes after it, so rolling back
+    costs what the envelope changed, not the table's size. An undone
+    insert gives its id back and drops its status byte. The pipeline
+    clears the journal (`commit`) once the unit commits.
 
 The engine assumes external serialization (it runs inside the manager
 pipeline). `check_satisfiable` is pure; the catalog's view it reads is
@@ -129,6 +134,9 @@ from .predicates import (
 PROMISE_ACTIVE = "active"
 PROMISE_RELEASED = "released"
 PROMISE_EXPIRED = "expired"
+# the status bytes of `PromiseEngine._history`
+_ACTIVE, _RELEASED, _EXPIRED = b"are"
+_STATUS = {_ACTIVE: PROMISE_ACTIVE, _RELEASED: PROMISE_RELEASED, _EXPIRED: PROMISE_EXPIRED}
 
 
 class UnknownPromiseId(Exception):
@@ -145,14 +153,14 @@ class Rejection:
 
 
 class PromiseRecord(NamedTuple):
-    """One promise as issued, released or expired. Immutable, because the
-    table, the active index, the journal and the expiry heap share it."""
+    """One active promise. Immutable, because the table, the journal and
+    the expiry heap share it. `issue` is the N of its id `p-N`."""
 
     id: str
     predicates: tuple[Predicate, ...]
     granted_at: int
     expires_at: int
-    status: str = PROMISE_ACTIVE
+    issue: int
 
 
 class Problem(NamedTuple):
@@ -352,8 +360,10 @@ class PromiseEngine:
 
     def __init__(self, catalog: ResourceCatalog):
         self.catalog = catalog
-        self.table: dict[str, PromiseRecord] = {}
-        self.active: dict[str, PromiseRecord] = {}
+        self.active: dict[str, PromiseRecord] = {}  # the promise table
+        # the status byte of each issued id p-N at index N - 1; its length
+        # is the issue counter
+        self._history = bytearray()
         self._expiry: list[tuple] = []  # heap of _expiry_entry; may hold ids no longer active
         self._journal: list[tuple[str, Optional[PromiseRecord]]] = []  # (id, previous record)
         # every declared type's state, an empty assignment over its untaken
@@ -363,13 +373,25 @@ class PromiseEngine:
         for rt in catalog.schema.types:
             st = self._types[rt] = build_feasibility_problem(rt, {}, view)
             st.eligible_at = catalog.property_version(rt)
-        self._issued = 0
         self.counters = {"grants": 0, "rejections": 0, "releases": 0, "expiries": 0}
 
     # --- queries ---
 
-    def record(self, promise_id: str) -> Optional[PromiseRecord]:
-        return self.table.get(promise_id)
+    def status(self, promise_id: str) -> Optional[str]:
+        """`active`, `released` or `expired` for an issued id, None for any
+        other string. An issued id has the canonical form `p-N`, with
+        1 <= N <= the issue counter and no leading zero."""
+        digits = promise_id[2:]
+        if not promise_id.startswith("p-") or not digits.isascii() or not digits.isdigit() \
+                or digits[0] == "0" or len(digits) > len(str(len(self._history))):
+            return None  # the length check keeps int() to digits it will convert
+        n = int(digits)
+        return _STATUS[self._history[n - 1]] if n <= len(self._history) else None
+
+    def history(self) -> str:
+        """The status byte of every issued id, in issue order, as text:
+        `a` active, `r` released, `e` expired."""
+        return self._history.decode("ascii")
 
     def active_records(self, exclude: Iterable[str] = ()) -> list[PromiseRecord]:
         skip = set(exclude)
@@ -387,17 +409,17 @@ class PromiseEngine:
 
     def restore(self, mark: int) -> None:
         """Undo the journaled table writes made since `snapshot` returned
-        `mark`. An undone insert gives its id back to the next grant."""
+        `mark`. An undone insert gives its id back to the next grant, and
+        an undone retirement puts the record back."""
         while len(self._journal) > mark:
             pid, previous = self._journal.pop()
             if previous is None:
-                del self.table[pid]
-                self._issued -= 1
-                gone = self.active.pop(pid, None)
-                if gone is not None:
-                    self._count(gone, -1)
+                # the last id issued: a later retirement of it was undone first
+                self._count(self.active.pop(pid), -1)
+                del self._history[-1]
             else:
-                self._index(previous)
+                self._history[previous.issue - 1] = _ACTIVE
+                self._admit(previous)
 
     def commit(self) -> None:
         """Forget the journal: the writes it holds are final."""
@@ -406,14 +428,14 @@ class PromiseEngine:
     def problems(self, unit: Optional[UnitToken] = None) -> list[Problem]:
         """Every way the state breaks an invariant, by name:
 
-          - "index": `active`, the expiry heap, the demand index or a type's
-            kept assignment and its bookkeeping disagree with the table and
-            the catalog. A kept assignment counts as current, and must then
-            be complete, once no demand is dirty, no taken move is unread
-            and no property changed since its pairs were checked;
-          - "feasibility": the table's active predicates, decided over every
-            type from an empty assignment, are not satisfiable, or the
-            answer for a type does not check out against its certificate;
+          - "index": the status bytes, the expiry heap, the demand index or
+            a type's kept assignment and its bookkeeping disagree with the
+            table and the catalog. A kept assignment counts as current, and
+            must then be complete, once no demand is dirty, no taken move is
+            unread and no property changed since its pairs were checked;
+          - "feasibility": the table's predicates, decided over every type
+            from an empty assignment, are not satisfiable, or the answer for
+            a type does not check out against its certificate;
           - "pool-additivity": a pool's count is negative or below what is
             promised on it;
           - "named-exclusivity": active promises name an instance twice.
@@ -424,13 +446,14 @@ class PromiseEngine:
         """
         view = self.catalog.snapshot_availability(unit)
         index = []
-        in_table = {pid: r for pid, r in self.table.items() if r.status == PROMISE_ACTIVE}
-        if self.active != in_table:
-            index.append("active index disagrees with the table")
+        if any(pid != f"p-{r.issue}" or self.status(pid) != PROMISE_ACTIVE
+               for pid, r in self.active.items()) \
+                or self._history.count(_ACTIVE) != len(self.active):
+            index.append("status bytes disagree with the table")
         if not {(r.expires_at, pid) for pid, r in self.active.items()} \
                 <= {(at, pid) for at, _, pid in self._expiry}:
             index.append("an active promise has no expiry entry")
-        predicates = [p for r in in_table.values() for p in r.predicates]
+        predicates = [p for r in self.active.values() for p in r.predicates]
         merged = {(rt, key): n for rt, demands in _merge(predicates).items()
                   for key, (_, n) in demands.items()}
         if merged != {(rt, key): n for rt, st in self._types.items()
@@ -502,18 +525,17 @@ class PromiseEngine:
         return self._insert(tuple(predicates), duration, now, unit)
 
     def release(self, ids: Sequence[str], unit: Optional[UnitToken] = None) -> None:
-        """Mark records released; released/expired ids are a no-op."""
+        """Retire active records as released; released/expired ids are a
+        no-op, and an id never issued raises UnknownPromiseId."""
         records = []
         for pid in dict.fromkeys(ids):
-            rec = self.table.get(pid)
-            if rec is None:
+            rec = self.active.get(pid)
+            if rec is not None:
+                records.append(rec)
+            elif self.status(pid) is None:
                 raise UnknownPromiseId(pid)
-            records.append(rec)
         for rec in records:
-            if rec.status != PROMISE_ACTIVE:
-                continue
-            self._put(PromiseRecord(rec.id, rec.predicates, rec.granted_at, rec.expires_at,
-                                   PROMISE_RELEASED), unit)
+            self._retire(rec, _RELEASED, unit)
             self._clear_tags(rec, unit)
             self.counters["releases"] += 1
 
@@ -548,16 +570,16 @@ class PromiseEngine:
             return []
         expired = []
         while self._expiry and self._expiry[0][0] <= now:
-            expires_at, _, pid = heapq.heappop(self._expiry)
+            expires_at, issue, pid = heapq.heappop(self._expiry)
             rec = self.active.get(pid)
             if rec is None or rec.expires_at != expires_at:
                 continue  # released or expired already, or a rolled-back record's entry
-            self._put(PromiseRecord(rec.id, rec.predicates, rec.granted_at, rec.expires_at,
-                                   PROMISE_EXPIRED), unit)
+            self._retire(rec, _EXPIRED, unit)
             self._clear_tags(rec, unit)
             self.counters["expiries"] += 1
-            expired.append(rec.id)
-        return sorted(expired, key=_id_sort_key)
+            expired.append((issue, pid))
+        expired.sort()
+        return [pid for _, pid in expired]
 
     def post_action_check(self, released_ids: Sequence[str], view: AvailabilityView,
                           types: Optional[Collection[str]] = None) -> bool:
@@ -575,13 +597,13 @@ class PromiseEngine:
                                if st.demands and (types is None or rt in types)}, view)
 
     def dump(self) -> dict:
-        """Diagnostic promise-table dump, deterministic field order."""
+        """Diagnostic promise-table dump: the active records in issue
+        order, deterministic field order, and the counters."""
         rows = []
-        for pid in sorted(self.table, key=_id_sort_key):
-            rec = self.table[pid]
+        for rec in sorted(self.active.values(), key=lambda rec: rec.issue):
             rows.append({
                 "promise-identifier": rec.id,
-                "status": rec.status,
+                "status": PROMISE_ACTIVE,
                 "granted-at": rec.granted_at,
                 "expires-at": rec.expires_at,
                 "predicates": [predicate_to_wire(p) for p in rec.predicates],
@@ -704,9 +726,12 @@ class PromiseEngine:
 
     def _insert(self, predicates: tuple[Predicate, ...], duration: int, now: int,
                 unit: Optional[UnitToken]) -> PromiseRecord:
-        self._issued += 1
-        rec = PromiseRecord(f"p-{self._issued}", predicates, now, now + duration)
-        self._put(rec, unit)
+        self._history.append(_ACTIVE)
+        issue = len(self._history)
+        rec = PromiseRecord(f"p-{issue}", predicates, now, now + duration, issue)
+        if unit is not None:
+            self._journal.append((rec.id, None))
+        self._admit(rec)
         # allocated tag: named instances get marked while the promise lives
         for p in predicates:
             if isinstance(p, Named):
@@ -716,24 +741,20 @@ class PromiseEngine:
         self.counters["grants"] += 1
         return rec
 
-    def _put(self, rec: PromiseRecord, unit: Optional[UnitToken]) -> None:
-        """The one way records enter or change in the table."""
-        if unit is not None:
-            self._journal.append((rec.id, self.table.get(rec.id)))
-        self._index(rec)
+    def _admit(self, rec: PromiseRecord) -> None:
+        """Put an active record in the table, the demand index and the heap."""
+        self.active[rec.id] = rec
+        self._count(rec, 1)
+        heapq.heappush(self._expiry, _expiry_entry(rec))
 
-    def _index(self, rec: PromiseRecord) -> None:
-        self.table[rec.id] = rec
-        was = self.active.get(rec.id)
-        if rec.status == PROMISE_ACTIVE:
-            if was is None:
-                self._count(rec, 1)
-            self.active[rec.id] = rec
-            heapq.heappush(self._expiry, _expiry_entry(rec))
-            return
-        if was is not None:
-            del self.active[rec.id]
-            self._count(was, -1)
+    def _retire(self, rec: PromiseRecord, status: int, unit: Optional[UnitToken]) -> None:
+        """Take an active record out of the table, leaving its final status
+        byte (`_RELEASED` or `_EXPIRED`) behind."""
+        if unit is not None:
+            self._journal.append((rec.id, rec))
+        del self.active[rec.id]
+        self._history[rec.issue - 1] = status
+        self._count(rec, -1)
         # entries of records that left before expiring would otherwise pile up
         if len(self._expiry) > 2 * len(self.active) + 1:
             self._expiry[:] = [_expiry_entry(r) for r in self.active.values()]
@@ -971,9 +992,4 @@ def _matching(st: FeasibilityProblem, p: Property, records, schema) -> tuple:
 
 
 def _expiry_entry(rec: PromiseRecord) -> tuple:
-    return (rec.expires_at, _id_sort_key(rec.id), rec.id)
-
-
-def _id_sort_key(pid: str):
-    head, _, tail = pid.partition("-")
-    return (head, int(tail)) if tail.isdigit() else (pid, 0)
+    return (rec.expires_at, rec.issue, rec.id)

@@ -656,8 +656,7 @@ class _ScriptRun:
             client_name, _, var = ref.partition(".")
             client = by_name.get(client_name)
             pid = client.vars.get(var) if client else None
-            rec = self.manager.engine.record(pid) if pid else None
-            actual = rec.status if rec else "missing"
+            actual = (self.manager.engine.status(pid) if pid else None) or "missing"
             if actual != status:
                 problems.append(f"promise {ref}: expected {status}, got {actual}")
         for ref, status in want.get("instance-status", {}).items():

@@ -32,7 +32,6 @@ from typing import Callable, Optional
 from .catalog import CatalogError, ResourceCatalog, load_catalog_file
 from .clock import WallClock
 from .engine import (
-    PROMISE_ACTIVE,
     PromiseEngine,
     Rejection,
     UnknownPromiseId,
@@ -252,11 +251,10 @@ class PromiseManager:
         env = envelope.environment
         env_ids = env.promise_ids if env else ()
         for pid in env_ids:
-            rec = self.engine.record(pid)
-            if rec is None:
-                return ActionMsg(name, {"promise-identifier": pid}, ACTION_UNKNOWN_PROMISE_ID)
-            if rec.status != PROMISE_ACTIVE:
-                return ActionMsg(name, {"promise-identifier": pid}, ACTION_PROMISE_EXPIRED)
+            if pid not in self.engine.active:
+                status = ACTION_UNKNOWN_PROMISE_ID if self.engine.status(pid) is None \
+                    else ACTION_PROMISE_EXPIRED
+                return ActionMsg(name, {"promise-identifier": pid}, status)
 
         mark = self.catalog.savepoint(unit)
         table_mark = self.engine.snapshot()
@@ -301,11 +299,13 @@ class PromiseManager:
         return doc
 
     def state_digest(self) -> str:
-        """Hash of committed catalog state plus promise table records."""
+        """Hash of committed catalog state, the promise table's records and
+        the status of every issued id."""
         from .catalog import digest_document
 
         table = self.engine.dump()["promises"]
-        return digest_document({"catalog": self.catalog.dump_state(), "promises": table})
+        return digest_document({"catalog": self.catalog.dump_state(), "promises": table,
+                                "history": self.engine.history()})
 
     def _run_self_check(self, now: int) -> None:
         problems = [p.message for p in self.engine.problems()]

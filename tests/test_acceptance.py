@@ -56,10 +56,11 @@ def test_criterion_2_merchant_scenario_reproduction():
         "carol": ["request 1: rejected"],
     }
     # stock dropped by exactly the purchased amount and the released
-    # predicate no longer constrains anything
+    # predicate no longer constrains anything: the final table holds the
+    # active promise alone, and `expect-final` read p-1 as released
     table = {row["promise-identifier"]: row for row in report.final["promise-table"]}
-    assert table["p-1"]["status"] == "released"
-    assert table["p-2"]["status"] == "active"
+    assert list(table) == ["p-2"] and table["p-2"]["status"] == "active"
+    assert {"name": "final-state", "ok": True, "detail": ""} in report.invariants
     _ok(2, "bundled merchant script reproduces accept/reject/purchase+release exactly")
 
 
@@ -92,7 +93,7 @@ def test_criterion_3_atomicity_triad():
         environment=EnvironmentMsg((pid,), ("release-after-success",))))
     assert reply.action.status == "failed"
     assert gallery.state_digest() == before
-    assert gallery.engine.record(pid).status == "active"
+    assert gallery.engine.status(pid) == "active"
 
     # (c) exchange keeps the old set on rejection, swaps exactly on grant
     eng = _pool_engine(150)
@@ -103,14 +104,12 @@ def test_criterion_3_atomicity_triad():
 
     new = eng.exchange([Quantity("balance", 50)], 50, [old.id], 0)
     expected = [
-        {"promise-identifier": "p-1", "status": "released",
-         "granted-at": 0, "expires-at": 50,
-         "predicates": [{"form": "quantity", "resource-type": "balance", "amount": 100}]},
         {"promise-identifier": "p-2", "status": "active",
          "granted-at": 0, "expires-at": 50,
          "predicates": [{"form": "quantity", "resource-type": "balance", "amount": 50}]},
     ]
     assert digest_document(eng.dump()["promises"]) == digest_document(expected)
+    assert eng.status(old.id) == "released"
     assert [r.id for r in eng.active_records()] == [new.id]
     _ok(3, "grant bundles, action+release units and exchanges are each atomic")
 

@@ -480,24 +480,24 @@ def test_a_state_built_before_the_first_decision_follows_the_catalog(set_propert
 def test_grant_with_enough_stock():
     eng = PromiseEngine(load_catalog(widget_doc(10)))
     rec = eng.grant([Quantity("pink-widget", 5)], 30, 0)
-    assert rec.status == "active" and rec.expires_at == 30
-    assert eng.record(rec.id) is rec
+    assert eng.status(rec.id) == "active" and rec.expires_at == 30
+    assert eng.active[rec.id] is rec
 
 
 def test_a_record_is_immutable():
-    # the table, the active index, the journal and the expiry heap share it
+    # the table, the journal and the expiry heap share it
     eng = PromiseEngine(load_catalog(widget_doc(10)))
     rec = eng.grant([Quantity("pink-widget", 5)], 30, 0)
     with pytest.raises(AttributeError):
-        rec.status = "released"
-    assert eng.record(rec.id).status == "active"
+        rec.expires_at = 0
+    assert eng.active[rec.id].expires_at == 30
 
 
 def test_grant_rejected_when_short_and_table_unchanged():
     eng = PromiseEngine(load_catalog(widget_doc(3)))
-    before = dict(eng.table)
+    before = dict(eng.active), eng.history()
     assert isinstance(eng.grant([Quantity("pink-widget", 5)], 30, 0), Rejection)
-    assert eng.table == before
+    assert (eng.active, eng.history()) == before
 
 
 def test_multi_predicate_grant_is_all_or_nothing():
@@ -509,7 +509,7 @@ def test_multi_predicate_grant_is_all_or_nothing():
     eng = PromiseEngine(cat)
     bundle = [Quantity("flight-seat", 1), Quantity("rental-car", 1), Quantity("hotel-room", 1)]
     assert isinstance(eng.grant(bundle, 60, 0), Rejection)
-    assert eng.table == {}
+    assert eng.active == {} and eng.history() == ""
     assert not isinstance(eng.grant(bundle[::2], 60, 0), Rejection)
 
 
@@ -544,7 +544,7 @@ def test_release_is_idempotent():
     rec = eng.grant([Quantity("pink-widget", 1)], 30, 0)
     eng.release([rec.id])
     eng.release([rec.id])
-    assert eng.record(rec.id).status == "released"
+    assert eng.status(rec.id) == "released"
 
 
 def test_release_unknown_id():
@@ -558,7 +558,7 @@ def test_release_checks_all_ids_before_mutating():
     rec = eng.grant([Quantity("pink-widget", 1)], 30, 0)
     with pytest.raises(UnknownPromiseId):
         eng.release([rec.id, "p-404"])
-    assert eng.record(rec.id).status == "active"
+    assert eng.status(rec.id) == "active"
 
 
 def test_an_id_listed_twice_is_released_and_journaled_once():
@@ -582,7 +582,7 @@ def test_exchange_to_a_stronger_promise_is_rejected_and_old_retained():
     old = eng.grant([Quantity("balance", 100)], 50, 0)
     outcome = eng.exchange([Quantity("balance", 200)], 50, [old.id], 0)
     assert isinstance(outcome, Rejection)
-    assert eng.record(old.id).status == "active"
+    assert eng.status(old.id) == "active"
 
 
 def test_exchange_to_a_weaker_promise():
@@ -590,7 +590,7 @@ def test_exchange_to_a_weaker_promise():
     old = eng.grant([Quantity("balance", 100)], 50, 0)
     new = eng.exchange([Quantity("balance", 50)], 50, [old.id], 0)
     assert not isinstance(new, Rejection) and new is not None
-    assert eng.record(old.id).status == "released"
+    assert eng.status(old.id) == "released"
     assert [r.predicates for r in eng.active_records()] == [(Quantity("balance", 50),)]
 
 
@@ -598,7 +598,7 @@ def test_exchange_with_no_new_predicates_is_a_release():
     eng = PromiseEngine(balance_catalog(150))
     old = eng.grant([Quantity("balance", 100)], 50, 0)
     assert eng.exchange([], 1, [old.id], 0) is None
-    assert eng.record(old.id).status == "released"
+    assert eng.status(old.id) == "released"
 
 
 def test_exchange_of_inactive_or_unknown_id():
@@ -616,7 +616,7 @@ def test_exchange_may_reuse_capacity_it_releases():
     old = eng.grant([Quantity("balance", 100)], 50, 0)
     new = eng.exchange([Quantity("balance", 100)], 50, [old.id], 5)
     assert not isinstance(new, Rejection)
-    assert eng.record(old.id).status == "released"
+    assert eng.status(old.id) == "released"
 
 
 # --- expiry ---
@@ -626,7 +626,7 @@ def test_sweep_expires_at_the_boundary():
     rec = eng.grant([Quantity("pink-widget", 1)], 10, 0)
     assert eng.expire_sweep(9) == []
     assert eng.expire_sweep(10) == [rec.id]
-    assert eng.record(rec.id).status == "expired"
+    assert eng.status(rec.id) == "expired"
 
 
 def test_conflicting_grant_succeeds_after_expiry():
@@ -642,7 +642,7 @@ def test_releasing_an_expired_promise_is_a_no_op():
     rec = eng.grant([Quantity("pink-widget", 1)], 10, 0)
     eng.expire_sweep(10)
     eng.release([rec.id])
-    assert eng.record(rec.id).status == "expired"
+    assert eng.status(rec.id) == "expired"
 
 
 def test_sweep_returns_ids_in_issue_order():
@@ -657,10 +657,6 @@ def test_promises_that_leave_early_leave_no_pile_of_expiry_entries():
     for _ in range(1000):
         eng.release([eng.grant([Quantity("pink-widget", 1)], 10**6, 0).id])
     assert len(eng._expiry) <= 2
-
-
-def _active_in_table(eng):
-    return {pid: r for pid, r in eng.table.items() if r.status == "active"}
 
 
 def test_active_index_sweep_and_journal_agree_with_the_table():
@@ -686,9 +682,10 @@ def test_active_index_sweep_and_journal_agree_with_the_table():
             eng.exchange([Quantity("bulk", 1)], rng.randint(1, 12), [rng.choice(held)], now, unit)
         else:
             now += rng.randint(0, 3)
-            due = [pid for pid, r in _active_in_table(eng).items() if r.expires_at <= now]
+            due = [pid for pid, r in eng.active.items() if r.expires_at <= now]
             assert eng.expire_sweep(now, unit) == sorted(due, key=lambda pid: int(pid[2:]))
-        assert eng.active == _active_in_table(eng)
+            assert all(eng.status(pid) == "expired" for pid in due)
+        assert eng.history().count("a") == len(eng.active)
         assert eng.problems(unit) == []
 
     for _ in range(200):
@@ -696,12 +693,12 @@ def test_active_index_sweep_and_journal_agree_with_the_table():
         step(unit)
         if rng.random() < 0.3:
             mark, cat_mark = eng.snapshot(), cat.savepoint(unit)
-            table, active = dict(eng.table), dict(eng.active)
+            history, active = eng.history(), dict(eng.active)
             for _ in range(rng.randint(1, 6)):
                 step(unit)
             eng.restore(mark)
             cat.rollback_to(unit, cat_mark)
-            assert eng.table == table and eng.active == active
+            assert eng.history() == history and eng.active == active
             assert eng.problems(unit) == []
         cat.commit_unit(unit)
         eng.commit()
@@ -942,3 +939,10 @@ def test_dump_is_deterministic_and_ordered():
     ids = [row["promise-identifier"] for row in dump["promises"]]
     assert ids == ["p-1", "p-2", "p-3"]
     assert dump["counters"]["grants"] == 3
+    unit = eng.catalog.begin_unit()
+    mark = eng.snapshot()
+    eng.release(["p-1"], unit)
+    eng.restore(mark)  # p-1 re-enters the table after p-3, and is listed first
+    eng.catalog.rollback_unit(unit)
+    eng.release(["p-2"])
+    assert [row["promise-identifier"] for row in eng.dump()["promises"]] == ["p-1", "p-3"]

@@ -1,13 +1,14 @@
 import copy
 import socket
 import threading
+import tracemalloc
 
 import pytest
 
 from promisekit import cli
 from promisekit.catalog import DecrementPool, load_catalog
 from promisekit.clock import LogicalClock
-from promisekit.engine import PromiseEngine
+from promisekit.engine import PromiseEngine, UnknownPromiseId
 from promisekit.harness import register_standard_handlers
 from promisekit.predicates import (
     AT_LEAST_IN_ORDER,
@@ -72,7 +73,7 @@ def test_order_process_flow():
     reply = mgr.handle(purchase_envelope(5, (resp.promise_id,), ("release-after-success",)))
     assert reply.action.status == "succeeded"
     assert mgr.catalog.quantity_on_hand("pink-widget") == 5
-    assert mgr.engine.record(resp.promise_id).status == "released"
+    assert mgr.engine.status(resp.promise_id) == "released"
 
 
 def test_reject_when_stock_is_short():
@@ -91,7 +92,7 @@ def test_failed_action_keeps_the_promise():
         environment=env))
     assert reply.action.status == "failed"
     assert reply.action.payload == {"reason": "no shipper available"}
-    assert mgr.engine.record(resp.promise_id).status == "active"
+    assert mgr.engine.status(resp.promise_id) == "active"
     assert mgr.state_digest() == before
 
 
@@ -104,7 +105,7 @@ def test_action_under_an_expired_promise():
     assert reply.action.status == "promise-expired"
     # table changed (record is now expired) but resources did not
     assert mgr.catalog.quantity_on_hand("pink-widget") == 10
-    assert mgr.engine.record(resp.promise_id).status == "expired"
+    assert mgr.engine.status(resp.promise_id) == "expired"
     assert mgr.state_digest() != before
 
 
@@ -123,13 +124,13 @@ def test_retain_option_keeps_the_promise_on_success():
     reply = mgr.handle(purchase_envelope(4, (resp.promise_id,), ("retain",)))
     # consuming the last units while retaining the guarantee violates it
     assert reply.action.status == "rejected-by-promise-violation"
-    assert mgr.engine.record(resp.promise_id).status == "active"
+    assert mgr.engine.status(resp.promise_id) == "active"
     assert mgr.catalog.quantity_on_hand("pink-widget") == 4
 
     reply = mgr.handle(Envelope(action=ActionMsg("no-op"),
                                 environment=EnvironmentMsg((resp.promise_id,), ("retain",))))
     assert reply.action.status == "succeeded"
-    assert mgr.engine.record(resp.promise_id).status == "active"
+    assert mgr.engine.status(resp.promise_id) == "active"
 
 
 def test_release_only_happens_on_success():
@@ -138,10 +139,10 @@ def test_release_only_happens_on_success():
     env = EnvironmentMsg((resp.promise_id,), ("release-after-success",))
     reply = mgr.handle(Envelope(action=ActionMsg("fail"), environment=env))
     assert reply.action.status == "failed"
-    assert mgr.engine.record(resp.promise_id).status == "active"
+    assert mgr.engine.status(resp.promise_id) == "active"
     reply = mgr.handle(Envelope(action=ActionMsg("no-op"), environment=env))
     assert reply.action.status == "succeeded"
-    assert mgr.engine.record(resp.promise_id).status == "released"
+    assert mgr.engine.status(resp.promise_id) == "released"
 
 
 def test_grants_from_the_same_envelope_stand_when_the_action_fails():
@@ -152,7 +153,7 @@ def test_grants_from_the_same_envelope_stand_when_the_action_fails():
     resp = first_response(reply)
     assert resp.result == "accepted"
     assert reply.action.status == "failed"
-    assert mgr.engine.record(resp.promise_id).status == "active"
+    assert mgr.engine.status(resp.promise_id) == "active"
 
 
 def test_unknown_action_still_processes_promise_requests():
@@ -184,11 +185,11 @@ def test_exchange_via_release_on_grant():
     stronger = first_response(mgr.handle(
         grant_envelope(11, rid="b", release=(resp.promise_id,))))
     assert stronger.result == "rejected"
-    assert mgr.engine.record(resp.promise_id).status == "active"
+    assert mgr.engine.status(resp.promise_id) == "active"
     weaker = first_response(mgr.handle(
         grant_envelope(3, rid="c", release=(resp.promise_id,))))
     assert weaker.result == "accepted"
-    assert mgr.engine.record(resp.promise_id).status == "released"
+    assert mgr.engine.status(resp.promise_id) == "released"
 
 
 def test_invalid_predicate_is_rejected_not_crashed():
@@ -225,7 +226,7 @@ def test_handle_leaves_the_envelope_it_is_given_unchanged():
         before = copy.deepcopy(envelope)
         reply = mgr.handle(envelope)
         assert reply.error is None and envelope == before
-    assert mgr.engine.record(p2).status == "released"
+    assert mgr.engine.status(p2) == "released"
 
 
 def test_duration_cap_shortens_the_guarantee():
@@ -305,7 +306,7 @@ def test_no_op_with_release_checks_nothing(decisions):
     reply = mgr.handle(Envelope(action=ActionMsg("no-op"),
                                 environment=EnvironmentMsg((pid,), ("release-after-success",))))
     assert reply.action.status == "succeeded"
-    assert mgr.engine.record(pid).status == "released"
+    assert mgr.engine.status(pid) == "released"
     assert decisions == []
 
 
@@ -392,35 +393,34 @@ def test_grants_and_post_checks_copy_no_instances(decisions):
     assert decisions == [{"seat"}, {"room"}, {"room"}]  # two grants and the post-check
 
 
-# --- per-envelope work does not depend on dead history ---
+# --- history: a retired promise costs one status byte ---
 
-class _UnscannableTable(dict):
-    """A promise table that allows lookups and writes but no pass over its records."""
-
-    def _refuse(self, *args, **kwargs):
-        raise AssertionError("the promise table was scanned or copied")
-
-    __iter__ = keys = values = items = copy = _refuse
-
-
-def test_envelopes_never_scan_dead_history():
+def test_memory_and_envelopes_stay_flat_over_a_long_history():
     mgr = seats_and_rooms_manager()
     eng = mgr.engine
-    for _ in range(2500):
-        eng.release([eng.grant([Quantity("pink-widget", 1)], 30, 0).id])
-        eng.grant([Quantity("pink-widget", 1)], 1, 0)
-        eng.expire_sweep(1)
-    assert len(eng.table) == 5000 and not eng.active
-    eng.table = _UnscannableTable(eng.table)
+    traced = []
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            for _ in range(20_000):
+                eng.grant([Quantity("pink-widget", 1)], 1, 0)
+                eng.expire_sweep(1)
+            traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    # 20k, 40k and 60k expired promises: 15 MB more from 20k to 60k with a
+    # record kept for each
+    assert traced[2] - traced[0] < 200_000, traced
+    assert eng.history() == "e" * 60_000 and not eng.active
     mgr.clock.advance(1)
 
     held = hold(mgr, Quantity("pink-widget", 2), "r-grant")
     swap = make_request("r-swap", [Quantity("pink-widget", 1)], 30, (held,))
     swapped = first_response(mgr.handle(Envelope(promise_part=PromisePart(requests=(swap,)))))
-    assert swapped.result == "accepted" and eng.record(held).status == "released"
+    assert swapped.result == "accepted" and eng.status(held) == "released"
     reply = mgr.handle(purchase_envelope(1, (swapped.promise_id,), ("release-after-success",)))
     assert reply.action.status == "succeeded"
-    assert eng.record(swapped.promise_id).status == "released"
+    assert eng.status(swapped.promise_id) == "released"
 
     hold(mgr, FIRST_CLASS, "r-seat")
     reply = mgr.handle(Envelope(action=ActionMsg("set-property", {
@@ -430,7 +430,50 @@ def test_envelopes_never_scan_dead_history():
     short = first_response(mgr.handle(grant_envelope(1, rid="r-short", duration=1)))
     mgr.clock.advance(1)
     assert mgr.handle(Envelope(action=ActionMsg("no-op"))).action.status == "succeeded"
-    assert eng.record(short.promise_id).status == "expired"
+    assert eng.status(short.promise_id) == "expired"
+    assert eng.problems() == []
+
+
+def test_the_table_dump_survives_a_long_history():
+    mgr = widget_manager(10)
+    eng = mgr.engine
+    for _ in range(5_000):
+        eng.release([eng.grant([Quantity("pink-widget", 1)], 30, 0).id])
+        eng.grant([Quantity("pink-widget", 1)], 1, 0)
+        eng.expire_sweep(1)
+    mgr.clock.advance(1)
+    live = [first_response(mgr.handle(grant_envelope(2, rid=rid))).promise_id
+            for rid in ("r-1", "r-2")]
+    body = mgr.handle_bytes(encode(Envelope(action=ActionMsg("promise-table-dump"))))
+    reply = decode(body)
+    assert reply.action.status == "succeeded" and len(body) <= MAX_FRAME_BODY
+    assert [(row["promise-identifier"], row["status"]) for row in reply.action.payload["promises"]] \
+        == [(pid, "active") for pid in live] == [("p-10001", "active"), ("p-10002", "active")]
+
+
+def test_retired_and_malformed_ids_in_an_environment():
+    mgr = widget_manager(20)
+    released, expired = (first_response(mgr.handle(grant_envelope(1, rid=rid, duration=5)))
+                         .promise_id for rid in ("r-1", "r-2"))
+    for i in range(8):  # p-7 is issued, so a lenient parse of p-007 or p-\u0667 would find it
+        first_response(mgr.handle(grant_envelope(1, rid=f"r-more-{i}", duration=30)))
+    mgr.handle(Envelope(action=ActionMsg("no-op"),
+                        environment=EnvironmentMsg((released,), ("release-after-success",))))
+    mgr.clock.advance(5)
+
+    def answer(pid):
+        return mgr.handle(purchase_envelope(1, (pid,), ("retain",))).action.status
+
+    for pid in ("p-0", "p-007", "p-1x", "q-1", "p-" + "9" * 5000, "p-\u0667", "p-", "p-11"):
+        assert answer(pid) == "unknown-promise-id", pid
+    assert answer(released) == answer(expired) == "promise-expired"
+    assert (mgr.engine.status(released), mgr.engine.status(expired)) == ("released", "expired")
+
+    before, counters = mgr.state_digest(), dict(mgr.engine.counters)
+    mgr.engine.release([released, expired])
+    assert mgr.state_digest() == before and mgr.engine.counters == counters
+    with pytest.raises(UnknownPromiseId):
+        mgr.engine.release(["p-007"])
 
 
 class _UnscannableAssignment(dict):
@@ -482,9 +525,9 @@ def test_self_check_reports_a_stale_active_index():
     mgr = widget_manager(10, self_check=True)
     pid = first_response(mgr.handle(grant_envelope(2))).promise_id
     assert mgr.self_check_failures == []
-    del mgr.engine.active[pid]
+    mgr.engine._history[int(pid[2:]) - 1] = ord("r")  # a status byte that says retired
     mgr.handle(Envelope(action=ActionMsg("no-op")))
-    assert mgr.self_check_failures[-1]["problems"] == ["active index disagrees with the table"]
+    assert mgr.self_check_failures[-1]["problems"] == ["status bytes disagree with the table"]
 
 
 # --- injected faults roll the whole envelope back ---
@@ -525,9 +568,9 @@ def test_fault_rollback_restores_expired_records_for_resweep():
         if stage == "commit" else None
     assert mgr.handle(grant_envelope(1, rid="r-x")).error == "internal-failure"
     mgr.fault_hook = None
-    assert mgr.engine.record(resp.promise_id).status == "active"  # rolled back
+    assert mgr.engine.status(resp.promise_id) == "active"  # rolled back
     mgr.handle(Envelope(action=ActionMsg("no-op")))
-    assert mgr.engine.record(resp.promise_id).status == "expired"  # re-swept
+    assert mgr.engine.status(resp.promise_id) == "expired"  # re-swept
 
 
 def _fault_at(stage):
@@ -569,7 +612,7 @@ def test_a_reissued_id_expires_at_its_own_time():
     assert pid == "p-1"
     mgr.clock.advance(3)  # past the rolled-back record's expiry, not the reissue's
     assert mgr.handle(Envelope(action=ActionMsg("no-op"))).action.status == "succeeded"
-    assert mgr.engine.record(pid).status == "active"
+    assert mgr.engine.status(pid) == "active"
     assert mgr.engine.problems() == []
 
 
@@ -579,7 +622,7 @@ def test_an_action_rolled_back_for_a_violation_restores_the_release_count():
     first_response(mgr.handle(grant_envelope(5, rid="r-2")))
     reply = mgr.handle(purchase_envelope(6, (p1,), ("release-after-success",)))
     assert reply.action.status == "rejected-by-promise-violation"
-    assert mgr.engine.record(p1).status == "active"
+    assert mgr.engine.status(p1) == "active"
     assert mgr.engine.counters["releases"] == 0
     assert mgr.counters["violations-rolled-back"] == 1
 
@@ -588,7 +631,7 @@ def test_handle_bytes_answers_undecodable_bytes_as_malformed():
     mgr = widget_manager(10)
     for body in (b"\xff\xfe", b"{", b"[]", b'{"promise-part": 5}'):
         assert mgr.handle_bytes(body) == encode(Envelope(error="malformed-message"))
-    assert mgr.engine.table == {}
+    assert mgr.engine.active == {} and mgr.engine.history() == ""
 
 
 def test_handle_bytes_is_handle_between_decode_and_encode():

@@ -159,7 +159,7 @@ class WarmEqualsCold(RuleBasedStateMachine):
         old = data.draw(st.sampled_from(sorted(self.mgr.engine.active)))
         expected = reference(self.active(exclude=[old]) + predicates, self.view())
         assert self.request(predicates, duration, release=[old]) == expected
-        assert (self.mgr.engine.record(old).status == "released") == expected
+        assert (self.mgr.engine.status(old) == "released") == expected
 
     @precondition(lambda self: self.mgr.engine.active)
     @rule(data=st.data())
@@ -167,7 +167,7 @@ class WarmEqualsCold(RuleBasedStateMachine):
         pid = data.draw(st.sampled_from(sorted(self.mgr.engine.active)))
         env = EnvironmentMsg((pid,), ("release-after-success",))
         assert self.act("no-op", None, env).status == "succeeded"
-        assert self.mgr.engine.record(pid).status == "released"
+        assert self.mgr.engine.status(pid) == "released"
 
     @rule(by=st.integers(1, 3))
     def expiry(self, by):
