@@ -43,14 +43,14 @@ def main(argv=None) -> int:
             report = fuzz(args.seed, n_steps=args.steps)
         else:
             return _serve_forever(args.config)
+        doc = report.to_document()
+        if args.report:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
     except (CatalogError, ScenarioError, ServiceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    doc = report.to_document()
-    if getattr(args, "report", None):
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
     _print_summary(doc)
     return 0 if report.ok else 1
 

@@ -4,15 +4,17 @@ Drives a promise manager, over the wire or in process, with scripted or
 generated clients, re-checks the system invariants as it goes, and
 produces a deterministic RunReport.
 
-There is one step language, the scenario script's. Scripts, the
-contention load and the fuzzer all send through one client, which builds
-each envelope and counts its reply. Under a logical clock the driver
-interleaves client steps deterministically (round-robin, or a seeded
-shuffle), so a (script, seed) pair always yields the same report digest,
-and after every step it checks the promise-table invariants and the
-engine's feasibility answer against the exhaustive oracle. Under a wall
-clock the clients free-run in threads; an error reply, or an exception
-that ends a client, fails the `client-failures` invariant.
+There is one step language, the scenario script's, and one driver. A
+client's steps are its script list, or are drawn one at a time from what
+the client has bound so far, as the fuzzer and the contention load do.
+Every client builds each envelope, counts its reply and checks the
+paper's guarantee (the `literal-guarantee` invariant). Under a logical
+clock the driver interleaves client steps deterministically (round-robin,
+or a seeded shuffle), so a (script, seed) pair always yields the same
+report digest, and after every step it checks the promise-table
+invariants and the engine's feasibility answer against the exhaustive
+oracle. Under a wall clock the clients free-run in threads; an error
+reply, or an exception that ends a client, fails `client-failures`.
 
 The fuzzer draws a one-client script step by step and runs it in process
 up to the first step that fails the check, then minimizes it by greedy
@@ -51,15 +53,15 @@ from .predicates import (
     EQUALS,
     InstanceId,
     Named,
-    Property,
-    PropertyConstraint,
     Quantity,
     PredicateInvalid,
+    implies,
     predicate_from_wire,
     satisfies,
     validate_predicate,
 )
 from .protocol import (
+    ACTION_FAILED,
     ACTION_REJECTED_BY_PROMISE_VIOLATION,
     ACTION_SUCCEEDED,
     OPTION_RELEASE_AFTER_SUCCESS,
@@ -122,14 +124,18 @@ def _take_named(payload, unit, catalog: ResourceCatalog):
     return {"key": key}
 
 
-def _take_matching(payload, unit, catalog: ResourceCatalog):
+def _matching(payload):
     rt, raw = _fields(payload, "resource-type", "constraints")
     try:
-        pred = predicate_from_wire({"form": "property", "resource-type": rt, "constraints": raw})
+        return predicate_from_wire({"form": "property", "resource-type": rt, "constraints": raw})
     except ValueError as exc:
         raise ActionFailure(f"bad constraints: {exc}") from exc
+
+
+def _take_matching(payload, unit, catalog: ResourceCatalog):
+    pred = _matching(payload)
     view = catalog.snapshot_availability(unit)
-    for rec in view.instances_of(rt):
+    for rec in view.instances_of(pred.resource_type):
         if rec.status == STATUS_AVAILABLE and satisfies(rec, pred, catalog.schema):
             catalog.apply_mutation(unit, SetInstanceStatus(rec.id, "taken"))
             return {"key": rec.id.key}
@@ -186,6 +192,28 @@ def register_standard_handlers(manager: PromiseManager) -> None:
 
 
 KNOWN_ACTIONS = tuple(sorted(STANDARD_HANDLERS)) + (ACTION_NO_OP, ACTION_TABLE_DUMP)
+
+
+# --- what a promise covers (README.md, "Covers") ---
+
+# the predicate a promise must imply to cover each standard action; a
+# no-op is covered by any promise, and every other action by none
+_TAKES = {
+    "purchase-stock": lambda payload: Quantity(*_fields(payload, "resource-type", "amount")),
+    "take-named": lambda payload: Named(InstanceId(*_fields(payload, "resource-type", "key"))),
+    "take-matching": _matching,
+    ACTION_NO_OP: lambda payload: None,
+}
+
+
+def covers(action: str, payload, promised, schema) -> bool:
+    """Whether a promise of the predicates `promised` covers an action, if
+    it is active and the action's environment releases it after success."""
+    try:
+        need = _TAKES[action](payload)
+    except (KeyError, ActionFailure):  # an action that takes nothing a promise holds
+        return False
+    return any(need is None or implies(have, need, schema) for have in promised)
 
 
 # --- run reports ---
@@ -260,18 +288,17 @@ class _Unbound(Exception):
 class _Client:
     """One client of a run. `request` and `act` build an envelope, pass it
     to `send` (a wire round trip, or `PromiseManager.handle` in process)
-    and count the reply in the run's `observed` counters under `lock`."""
+    and count the reply in the run's `observed` counters under its lock."""
 
-    def __init__(self, name: str, send: Callable[[Envelope], Envelope],
-                 observed: dict[str, int], lock: threading.Lock, steps=()):
+    def __init__(self, name: str, send: Callable[[Envelope], Envelope], run: "_ScriptRun"):
         self.name = name
         self.send = send
-        self.observed = observed
-        self.lock = lock
-        self.steps = list(steps)
+        self.run = run
         self.vars: dict[str, str] = {}
+        self.granted: dict[str, tuple] = {}  # the predicates of each promise granted
         self.outcomes: list[str] = []
         self.errors: list[str] = []  # every error reply, and the exception that ended it
+        self.broken: list[str] = []  # every action that failed under a covering promise
         self.rid = self.sent = 0
 
     def _roundtrip(self, envelope: Envelope) -> Envelope:
@@ -288,22 +315,33 @@ class _Client:
         reply = self._roundtrip(Envelope(promise_part=PromisePart(requests=(msg,))))
         resp = reply.promise_part.responses[0] if reply.promise_part else None
         pid = resp.promise_id if resp is not None and resp.result == RESULT_ACCEPTED else None
-        with self.lock:
-            self.observed["observed-rejected" if pid is None else "observed-accepted"] += 1
+        with self.run.lock:
+            self.run.observed["observed-rejected" if pid is None else "observed-accepted"] += 1
+        if pid is not None:
+            self.granted[pid] = tuple(predicates)
         return reply, pid
 
     def act(self, name: str, payload=None, environment=()) -> Envelope:
-        """Run an action under `environment`, pairs of (promise id, release option)."""
+        """Run an action under `environment`, pairs of (promise id, release
+        option), and record it in `broken` if it fails for lack of what an
+        environment promise released after success covers."""
         env = EnvironmentMsg(tuple(pid for pid, _ in environment),
                              tuple(option for _, option in environment)) if environment else None
         reply = self._roundtrip(Envelope(action=ActionMsg(name, payload), environment=env))
         if reply.action is not None:
-            status = reply.action.status
-            with self.lock:
-                self.observed["actions-succeeded" if status == ACTION_SUCCEEDED
-                              else "actions-failed"] += 1
+            status, body = reply.action.status, reply.action.payload
+            with self.run.lock:
+                self.run.observed["actions-succeeded" if status == ACTION_SUCCEEDED
+                                  else "actions-failed"] += 1
                 if status == ACTION_REJECTED_BY_PROMISE_VIOLATION:
-                    self.observed["observed-violations"] += 1
+                    self.run.observed["observed-violations"] += 1
+            reason = body.get("reason") if status == ACTION_FAILED else None
+            if (status == ACTION_REJECTED_BY_PROMISE_VIOLATION or reason in UNAVAILABLE_REASONS) \
+                    and any(option == OPTION_RELEASE_AFTER_SUCCESS and covers(
+                        name, payload, self.granted.get(pid, ()), self.run.manager.catalog.schema)
+                        for pid, option in environment):
+                self.broken.append(f"{self.name}: {name} {json.dumps(payload, sort_keys=True)} "
+                                   f"under a covering promise -> {status} {reason or ''}".rstrip())
         return reply
 
     def resolve(self, ref: str) -> str:
@@ -330,29 +368,6 @@ def _serving(manager: PromiseManager, n_clients: int):
                    for _ in range(n_clients)]
     finally:
         server.stop()
-
-
-def _run_threads(report: RunReport, clients: list[_Client],
-                 body: Callable[[_Client], None]) -> None:
-    """Run `body(client)` for every client in its own thread. Every error
-    reply, and every exception that ends a client, fails the report's
-    `client-failures` invariant instead of dying with its thread."""
-    def guarded(client: _Client) -> None:
-        try:
-            body(client)
-        except Exception as exc:
-            log.exception("client %s died", client.name)
-            client.errors.append(f"{client.name}: died of {type(exc).__name__}: {exc}")
-
-    threads = [threading.Thread(target=guarded, args=(c,)) for c in clients]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    failures = [e for c in clients for e in c.errors]
-    report.add_invariant("client-failures", not failures,
-                         detail=f"{len(failures)} failures: {'; '.join(failures[:5])}"
-                         if failures else "")
 
 
 # --- scripted scenarios ---
@@ -502,26 +517,37 @@ class _ScriptRun:
                  f"{client}: promise references must look like $name, got {ref!r}")
         _require(ref[1:] in bound, f"{client}: {ref} is used before it is bound")
 
-    def run(self, in_process: bool = False) -> RunReport:
-        """Run every client's steps over the wire or, `in_process`, through
-        `PromiseManager.handle`."""
-        report = RunReport(self.script.get("name", "scenario"), self.seed, self.clock_mode)
+    def run(self, in_process: bool = False, draw=None) -> RunReport:
+        """Run every client over the wire or, `in_process`, through
+        `PromiseManager.handle`. Its steps are its script list, or the
+        generator `draw(client)`, which may read its bound `$names`."""
         scripted = self.script["clients"]
         serving = contextlib.nullcontext([self.manager.handle] * len(scripted)) if in_process \
             else _serving(self.manager, len(scripted))
         with serving as sends:
-            clients = [_Client(c["name"], send, self.observed, self.lock, c.get("steps", []))
-                       for c, send in zip(scripted, sends)]
+            clients = [_Client(c["name"], send, self) for c, send in zip(scripted, sends)]
+            sources = [iter(draw(client) if draw else c.get("steps", []))
+                       for c, client in zip(scripted, clients)]
             if self.clock_mode == "logical":
-                self._run_lockstep(clients)
+                self._run_lockstep(clients, sources)
             else:
-                _run_threads(report, clients, self._run_steps)
-        return self.finish(report, clients)
-
-    def finish(self, report: RunReport, clients: list[_Client]) -> RunReport:
+                threads = [threading.Thread(target=self._run_guarded, args=pair)
+                           for pair in zip(clients, sources)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+        report = RunReport(self.script.get("name", "scenario"), self.seed, self.clock_mode)
         report.clients = {c.name: c.outcomes for c in clients}
+        if self.clock_mode == "wall":
+            failures = [e for c in clients for e in c.errors]
+            report.add_invariant("client-failures", not failures,
+                                 detail=f"{len(failures)} failures: {'; '.join(failures[:5])}"
+                                 if failures else "")
         report.add_invariant("expectations", not self.expect_failures,
                              detail="; ".join(self.expect_failures))
+        broken = [b for c in clients for b in c.broken]
+        report.add_invariant("literal-guarantee", not broken, detail="; ".join(broken[:5]))
         if self.clock_mode == "logical":
             failure = self.failure
             report.add_invariant("step-invariants", failure is None, detail="" if failure is None
@@ -530,20 +556,28 @@ class _ScriptRun:
         self._final_expectations(report, clients)
         return report
 
-    def _run_lockstep(self, clients: list[_Client]) -> None:
+    def _run_lockstep(self, clients: list[_Client], sources) -> None:
+        """Each client's next step is drawn once its last one has run, so a
+        seeded schedule picks among the clients that have one."""
         rng = random.Random(self.seed)
-        cursors = [0] * len(clients)
+        heads = [next(steps, None) for steps in sources]
         while True:
-            ready = [i for i, c in enumerate(clients) if cursors[i] < len(c.steps)]
+            ready = [i for i, step in enumerate(heads) if step is not None]
             if not ready:
                 return
             for i in ready if self.schedule == "round-robin" else [rng.choice(ready)]:
-                self._execute(clients[i], clients[i].steps[cursors[i]])
-                cursors[i] += 1
+                self._execute(clients[i], heads[i])
+                heads[i] = next(sources[i], None)
 
-    def _run_steps(self, client: _Client) -> None:
-        for step in client.steps:
-            self._execute(client, step)
+    def _run_guarded(self, client: _Client, steps) -> None:
+        """A wall-clock client's thread; an exception that ends the client
+        fails `client-failures` instead of dying with its thread."""
+        try:
+            for step in steps:
+                self._execute(client, step)
+        except Exception as exc:
+            log.exception("client %s died", client.name)
+            client.errors.append(f"{client.name}: died of {type(exc).__name__}: {exc}")
 
     def _execute(self, client: _Client, step: dict) -> None:
         """Run one step and, under the logical clock, check the whole stack
@@ -646,28 +680,20 @@ class _ScriptRun:
         want = self.script.get("expect-final")
         if not want:
             return
-        problems = []
-        by_name = {c.name: c for c in clients}
-        for rt, count in want.get("pools", {}).items():
-            actual = self.manager.catalog.quantity_on_hand(rt)
-            if actual != count:
-                problems.append(f"pool {rt}: expected {count}, got {actual}")
-        for ref, status in want.get("promise-status", {}).items():
-            client_name, _, var = ref.partition(".")
-            client = by_name.get(client_name)
-            pid = client.vars.get(var) if client else None
-            actual = (self.manager.engine.status(pid) if pid else None) or "missing"
-            if actual != status:
-                problems.append(f"promise {ref}: expected {status}, got {actual}")
+        catalog, engine = self.manager.catalog, self.manager.engine
+        bound = {f"{c.name}.{var}": pid for c in clients for var, pid in c.vars.items()}
+        found = [(f"pool {rt}", count, catalog.quantity_on_hand(rt))
+                 for rt, count in want.get("pools", {}).items()]
+        found += [(f"promise {ref}", status, engine.status(bound.get(ref, "")) or "missing")
+                  for ref, status in want.get("promise-status", {}).items()]
         for ref, status in want.get("instance-status", {}).items():
             rt, _, key = ref.partition("/")
-            rec = self.manager.catalog.instance(InstanceId(rt, key))
-            actual = rec.status if rec else "missing"
-            if actual != status:
-                problems.append(f"instance {ref}: expected {status}, got {actual}")
-        if want.get("distinct-take-keys"):
-            if len(self.take_keys) != len(set(self.take_keys)):
-                problems.append(f"taken keys collide: {self.take_keys}")
+            rec = catalog.instance(InstanceId(rt, key))
+            found.append((f"instance {ref}", status, rec.status if rec else "missing"))
+        problems = [f"{what}: expected {wanted}, got {actual}"
+                    for what, wanted, actual in found if actual != wanted]
+        if want.get("distinct-take-keys") and len(self.take_keys) != len(set(self.take_keys)):
+            problems.append(f"taken keys collide: {self.take_keys}")
         report.add_invariant("final-state", not problems, detail="; ".join(problems))
 
 
@@ -679,73 +705,46 @@ def run_script(source, catalog_override=None) -> RunReport:
 
 def contention_run(n_clients: int = 8, envelopes_each: int = 200,
                    seed: int = 0) -> RunReport:
-    """Concurrent clients hammer one pool and a few named seats.
-
-    Asserts the isolation guarantee directly: an action performed under an
-    active covering promise never fails for lack of resources.
-    """
-    catalog = load_catalog({
+    """A `clock: wall` script whose clients hammer one pool and a few ordered
+    seats, each drawing its steps as it goes, `envelopes_each` envelopes apiece."""
+    script = {"name": "contention", "seed": seed, "clock": "wall", "catalog-inline": {
         "resource-types": [
             {"name": "widget", "pool": 15},
             {"name": "seat",
              "properties": [{"name": "class", "order": ["economy", "business", "first"]}],
-             "instances": [
-                 {"key": f"s{i}", "properties": {"class": cls}}
-                 for i, cls in enumerate(["economy", "economy", "business", "business", "first"])
-             ]},
-        ]
-    })
-    manager = PromiseManager(catalog, clock=WallClock(), self_check=True)
-    register_standard_handlers(manager)
-    observed, lock = dict.fromkeys(OBSERVED_COUNTERS, 0), threading.Lock()
-    unavailable_under_promise: list[str] = []
+             "instances": [{"key": f"s{i}", "properties": {"class": cls}} for i, cls in
+                           enumerate(["economy", "economy", "business", "business", "first"])]},
+        ]}, "clients": [{"name": f"c{i}"} for i in range(n_clients)]}
 
-    def act_under(c: _Client, pid: str, name: str, payload=None) -> None:
-        reply = c.act(name, payload, [(pid, OPTION_RELEASE_AFTER_SUCCESS)])
-        if reply.action is not None:
-            status, body = reply.action.status, reply.action.payload
-            reason = body.get("reason", "") if isinstance(body, dict) else ""
-            if reason in UNAVAILABLE_REASONS or status == ACTION_REJECTED_BY_PROMISE_VIOLATION:
-                with lock:
-                    unavailable_under_promise.append(
-                        f"{c.name}: {name} under promise -> {status} ({reason})")
-
-    def drive(c: _Client) -> None:
-        rng = random.Random(f"{seed}-{c.name}")
-        while c.sent < envelopes_each:
-            left = envelopes_each - c.sent
-            roll = rng.random()
+    def draw(client: _Client):
+        rng = random.Random(f"{seed}-{client.name}")
+        while client.sent < envelopes_each:
+            left, roll, name = envelopes_each - client.sent, rng.random(), f"p{client.sent}"
             if roll < 0.55 and left >= 3:
-                k = rng.randint(1, 3)
-                stock = {"resource-type": "widget", "amount": k}
-                _, pid = c.request((Quantity("widget", k),), 600)
-                if pid is not None:
-                    act_under(c, pid, "purchase-stock", stock)
-                    c.act("restock", stock)
+                stock = {"resource-type": "widget", "amount": rng.randint(1, 3)}
+                yield {"kind": "request", "duration": 600, "save-as": name,
+                       "predicates": [{"form": "quantity", **stock}]}
+                purchase = {"kind": "action", "name": "purchase-stock", "payload": stock}
+                if name in client.vars:
+                    yield {**purchase, "environment": [{"promise": f"${name}"}]}
+                    yield {**purchase, "name": "restock"}
                 else:
-                    # unpromised consumption keeps the post-check busy
-                    c.act("purchase-stock", stock)
+                    yield purchase  # unpromised consumption keeps the post-check busy
             elif left >= 2:
                 if roll < 0.8:
-                    pred = Named(InstanceId("seat", f"s{rng.randrange(5)}"))
+                    pred = {"form": "named", "resource-type": "seat", "key": f"s{rng.randrange(5)}"}
                 else:
-                    level = rng.choice(["economy", "business"])
-                    pred = Property("seat", (PropertyConstraint("class", AT_LEAST_IN_ORDER,
-                                                                level),), 1)
-                _, pid = c.request((pred,), 600)
-                if pid is not None:
-                    act_under(c, pid, ACTION_NO_OP)
+                    pred = {"form": "property", "resource-type": "seat", "amount": 1,
+                            "constraints": [{"property": "class", "comparator": AT_LEAST_IN_ORDER,
+                                             "value": rng.choice(["economy", "business"])}]}
+                yield {"kind": "request", "duration": 600, "save-as": name, "predicates": [pred]}
+                if name in client.vars:
+                    yield {"kind": "action", "name": ACTION_NO_OP,
+                           "environment": [{"promise": f"${name}"}]}
             else:
-                c.act(ACTION_NO_OP)
+                yield {"kind": "action", "name": ACTION_NO_OP}
 
-    report = RunReport("contention", seed, "wall")
-    with _serving(manager, n_clients) as sends:
-        clients = [_Client(f"c{i}", send, observed, lock) for i, send in enumerate(sends)]
-        _run_threads(report, clients, drive)
-    report.clients = {c.name: c.outcomes for c in clients}
-    report.add_invariant("no-unavailability-under-promise", not unavailable_under_promise,
-                         detail="; ".join(unavailable_under_promise[:5]))
-    return _finish_report(report, manager, observed)
+    return _ScriptRun(script).run(draw=draw)
 
 
 # --- fuzzing ---
@@ -885,8 +884,8 @@ def _minimize(script: dict) -> dict:
 
 
 def fuzz(seed: int, n_steps: int = 60) -> RunReport:
-    """Draw a one-client script step by step and run each step in process,
-    up to the first step that fails the stack check."""
+    """Draw a one-client script step by step and run each step in process
+    as it is drawn, up to the first step that fails the stack check."""
     rng = random.Random(seed)
     catalog_doc = _fuzz_catalog_doc(rng)
     n_inst = len(catalog_doc["resource-types"][1]["instances"])
@@ -894,15 +893,16 @@ def fuzz(seed: int, n_steps: int = 60) -> RunReport:
     script = {"name": "fuzz", "seed": seed, "clock": "logical", "catalog-inline": catalog_doc,
               "clients": [{"name": "f", "steps": steps}]}
     run = _ScriptRun(script)
-    client = _Client("f", run.manager.handle, run.observed, run.lock)
-    live: set[str] = set()
-    while len(steps) < n_steps and run.failure is None:
-        step = _draw_step(rng, len(steps), live, n_inst)
-        steps.append(step)
-        run._execute(client, step)
-        if step.get("save-as") in client.vars:
-            live.add(step["save-as"])
-    report = run.finish(RunReport("fuzz", seed, "logical"), [client])
+
+    def draw(client: _Client):
+        live: set[str] = set()
+        while len(steps) < n_steps and run.failure is None:
+            steps.append(_draw_step(rng, len(steps), live, n_inst))
+            yield steps[-1]
+            if steps[-1].get("save-as") in client.vars:
+                live.add(steps[-1]["save-as"])
+
+    report = run.run(in_process=True, draw=draw)
     if run.failure is not None:
         report.trace = _minimize(script)
     return report

@@ -178,6 +178,30 @@ def satisfies(instance, p: Predicate, schema: "CatalogSchema") -> bool:
     return True
 
 
+def implies(have: Predicate, need: Predicate, schema: "CatalogSchema") -> bool:
+    """Whether every state that meets `have` meets `need`, decided from the
+    two predicates and the schema alone: the same Named instance, or a
+    Quantity or Property of at least the amount on the same type, whose
+    constraints, for a Property, imply each of `need`'s. An `equals` is
+    implied only by an `equals` of the same value (`true` is not `1`), an
+    `at-least-in-order` by a promised value ranked at or above it."""
+    if isinstance(need, Named) or type(have) is not type(need) \
+            or have.resource_type != need.resource_type:
+        return have == need
+    return have.amount >= need.amount and (isinstance(need, Quantity) or all(
+        any(_constraint_implies(h, c, schema.property_decl(need.resource_type, c.property_name))
+            for h in have.constraints) for c in need.constraints))
+
+
+def _constraint_implies(have: PropertyConstraint, want: PropertyConstraint, decl) -> bool:
+    if have.property_name != want.property_name:
+        return False
+    if want.comparator == EQUALS:
+        return have.comparator == EQUALS and scalar_eq(have.value, want.value)
+    wanted = decl.rank(want.value) if decl is not None else -1
+    return 0 <= wanted <= decl.rank(have.value)
+
+
 # --- wire form, shared with the protocol module ---
 
 def predicate_to_wire(p: Predicate) -> dict:

@@ -18,10 +18,9 @@ what json.dumps(doc, sort_keys=True, separators=(",", ":")) writes. The
 action payload and the predicates go through one C encoder built at
 import; it keeps no record of the containers it is in, so a payload that
 contains itself, or one nested too deep, ends in RecursionError, which is
-raised as InvariantViolation like any other value JSON cannot write. A
-reply's payload is encoded by encode_payload() while the server can still
-roll the action back (ActionMsg.payload_json), and encode() writes that
-text in place of encoding the payload again.
+raised as InvariantViolation like any other value JSON cannot write. The
+server encodes each reply whole before its envelope commits, and keeps the
+bytes in Envelope.encoded.
 """
 
 from __future__ import annotations
@@ -97,9 +96,6 @@ class ActionMsg:
     action_name: str
     payload: object = None
     status: Optional[str] = None  # set on responses only
-    # the payload's canonical JSON, written as the server builds a reply;
-    # encode() writes it as it stands, whatever the payload has become since
-    payload_json: Optional[str] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True)
@@ -114,6 +110,8 @@ class Envelope:
     environment: Optional[EnvironmentMsg] = None
     action: Optional[ActionMsg] = None
     error: Optional[str] = None
+    # set on a reply the manager builds: its body, encoded before the commit
+    encoded: Optional[bytes] = field(default=None, compare=False, repr=False)
 
 
 def derive_resources(predicates) -> tuple[tuple[str, Optional[str]], ...]:
@@ -155,22 +153,6 @@ else:
         return "".join(_c_encoder(value, 0))
 
 
-def encode_payload(payload) -> Optional[str]:
-    """The canonical JSON text of an action payload, None for no payload;
-    raises InvariantViolation when JSON cannot write it, or when the text
-    alone is longer than a frame body may be."""
-    if payload is None:
-        return None
-    try:
-        text = _json(payload)
-    except (TypeError, ValueError, RecursionError) as exc:
-        # RecursionError: a payload that contains itself, or nests too deep
-        raise InvariantViolation(f"payload is not JSON-serializable: {exc}") from exc
-    if len(text) > MAX_FRAME_BODY:  # ASCII only, so one byte per character
-        raise InvariantViolation(f"payload of {len(text)} bytes exceeds {MAX_FRAME_BODY}")
-    return text
-
-
 def encode(envelope: Envelope) -> bytes:
     """Serialize an envelope to canonical JSON bytes; an envelope that breaks
     a structural rule raises InvariantViolation.
@@ -207,8 +189,7 @@ def _action_json(action: ActionMsg) -> str:
         raise ValueError("action needs a non-empty name")
     out = '"action":{"action-name":' + _quote(action.action_name)
     if action.payload is not None:
-        text = action.payload_json
-        out += ',"payload":' + (text if text is not None else encode_payload(action.payload))
+        out += ',"payload":' + _json(action.payload)
     if action.status is not None:
         if action.status not in ACTION_STATUSES:
             raise ValueError(f"unknown action status {action.status!r}")

@@ -10,9 +10,10 @@ with a savepoint taken first, so:
     releases, with the engine counters they moved, while grants made
     earlier in the same envelope stand;
   - any unexpected exception rolls back the whole envelope, promise table
-    and counters included, leaving the exact pre-call state. A handler
-    result that JSON cannot write is one: the reply is part of the
-    envelope, so it is encoded while the unit is still open.
+    and counters included, leaving the exact pre-call state. A reply that
+    cannot be sent is one: the reply is part of the envelope, so it is
+    encoded whole before the commit, and one that JSON cannot write, or
+    that does not fit one frame, rolls the envelope back.
 
 Release options are honored literally: release-after-success releases a
 promise iff the action result is succeeded; retain never releases.
@@ -51,13 +52,13 @@ from .protocol import (
     ActionMsg,
     ConnectionClosed,
     Envelope,
+    InvariantViolation,
     MalformedMessage,
     PromisePart,
     PromiseRequestMsg,
     PromiseResponseMsg,
     decode,
     encode,
-    encode_payload,
     recv_frame,
     send_frame,
 )
@@ -160,7 +161,7 @@ class PromiseManager:
             return self._handle_locked(envelope)
 
     def handle_bytes(self, data: bytes, seen_request_ids: Optional[set] = None) -> bytes:
-        """Decode, handle and encode one body; the reply to any body, whatever
+        """Decode and handle one body; the encoded reply to any body, whatever
         its bytes. `seen_request_ids` is one connection's memory of request
         identifiers: with it, a request identifier seen before is answered
         duplicate-request-identifier and the envelope is not handled."""
@@ -174,7 +175,7 @@ class PromiseManager:
                 if not seen_request_ids.isdisjoint(rids):
                     return encode(Envelope(error="duplicate-request-identifier"))
                 seen_request_ids.update(rids)
-            return encode(self.handle(envelope))
+            return self.handle(envelope).encoded
         except Exception:
             # the pipeline rolls back what fails inside it; this answers
             # what fails around it, so that no body goes unanswered
@@ -184,7 +185,7 @@ class PromiseManager:
     def _handle_locked(self, envelope: Envelope) -> Envelope:
         requests = envelope.promise_part.requests if envelope.promise_part else ()
         if not requests and envelope.action is None:
-            return Envelope(error="nothing-to-process")
+            return _encoded(Envelope(error="nothing-to-process"))
         now = self.clock.now()
 
         unit = self.catalog.begin_unit()
@@ -200,6 +201,11 @@ class PromiseManager:
             action_result = None
             if envelope.action is not None:
                 action_result = self._run_action(envelope, unit)
+            part = PromisePart(responses=responses) if responses else None
+            reply = _encoded(Envelope(promise_part=part, action=action_result))
+            size = len(reply.encoded)
+            if size > MAX_FRAME_BODY:
+                raise InvariantViolation(f"reply of {size} bytes exceeds {MAX_FRAME_BODY}")
 
             self._stage("commit")
             self.catalog.commit_unit(unit)
@@ -211,12 +217,11 @@ class PromiseManager:
             self.counters.update(counters_before[0])
             self.engine.counters.update(counters_before[1])
             self.counters["internal-failures"] += 1
-            return Envelope(error="internal-failure")
+            return _encoded(Envelope(error="internal-failure"))
 
         if self.self_check:
             self._run_self_check(now)
-        part = PromisePart(responses=responses) if responses else None
-        return Envelope(promise_part=part, action=action_result)
+        return reply
 
     def _process_request(self, req: PromiseRequestMsg, now: int, unit) -> PromiseResponseMsg:
         duration = req.duration
@@ -263,8 +268,6 @@ class PromiseManager:
                        if opt == OPTION_RELEASE_AFTER_SUCCESS] if env else []
         try:
             payload = handler(action.payload, unit, self.catalog)
-            # raises InvariantViolation, which rolls the whole envelope back
-            payload_json = encode_payload(payload)
             if release_ids:
                 self.engine.release(release_ids, unit)
             self._stage("post-check")
@@ -273,7 +276,7 @@ class PromiseManager:
                 if self.catalog.savepoint(unit) > mark else ()
             if not cut or self.engine.post_action_check(
                     release_ids, self.catalog.snapshot_availability(unit), cut):
-                return ActionMsg(name, payload, ACTION_SUCCEEDED, payload_json)
+                return ActionMsg(name, payload, ACTION_SUCCEEDED)
             self.counters["violations-rolled-back"] += 1
             status, reason = ACTION_REJECTED_BY_PROMISE_VIOLATION, \
                 "outcome would violate an active promise"
@@ -312,6 +315,12 @@ class PromiseManager:
         if problems:
             self.self_check_failures.append({"at": now, "problems": problems})
             log.error("self-check failed: %s", problems)
+
+
+def _encoded(reply: Envelope) -> Envelope:
+    """`reply` with its body, which `handle_bytes` sends as it stands."""
+    reply.encoded = encode(reply)
+    return reply
 
 
 # --- network endpoint ---
@@ -374,10 +383,6 @@ class Server:
                 except OSError:
                     return
                 reply = self.manager.handle_bytes(body, seen_request_ids)
-                if len(reply) > MAX_FRAME_BODY:
-                    # the envelope committed, but its reply cannot be framed
-                    log.error("a reply of %d bytes exceeds the frame limit", len(reply))
-                    reply = encode(Envelope(error="internal-failure"))
                 try:
                     send_frame(conn, reply)
                 except OSError:

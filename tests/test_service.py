@@ -728,13 +728,27 @@ def test_a_payload_over_the_frame_limit_rolls_the_envelope_back():
         srv.stop()
 
 
+def test_a_reply_over_the_frame_limit_rolls_the_envelope_back_in_process():
+    # the payload fits alone, but not with the response beside it
+    mgr = _with_oversized_cut(widget_manager(10), MAX_FRAME_BODY - 100)
+    before = mgr.state_digest()
+    reply = decode(mgr.handle_bytes(encode(_CUT_WITH_A_GRANT)))
+    assert reply.error == "internal-failure"
+    assert mgr.catalog.quantity_on_hand("pink-widget") == 10
+    assert mgr.state_digest() == before
+    assert mgr.counters["internal-failures"] == 1
+
+
 def test_a_committed_reply_over_the_frame_limit_is_answered_on_an_open_connection():
     # the payload fits alone, but not with the response beside it
     mgr = _with_oversized_cut(widget_manager(10), MAX_FRAME_BODY - 100)
+    before = mgr.state_digest()
     srv = Server(mgr)
     client = WireClient(srv.address)
     try:
         assert client.roundtrip(_CUT_WITH_A_GRANT).error == "internal-failure"
+        assert mgr.catalog.quantity_on_hand("pink-widget") == 10
+        assert mgr.state_digest() == before
         assert client.roundtrip(Envelope(action=ActionMsg("no-op"))).action.status == "succeeded"
     finally:
         client.close()
