@@ -9,13 +9,19 @@ iff each type's share of it is:
   - an instance-backed type iff its demand units can be assigned to
     distinct untaken instances that each meet the demand they serve.
 
-Identical predicates merge into one demand (`_demand_key`) with their
+Predicates with the same demand key (`key`, which each predicate
+computes once, when it is built) merge into one demand with their
 amounts summed. The engine indexes the merged demands of the active
 promises by type, with a running total of their units, so a check reads
-one type's demands, not the whole active set. A grant or exchange passes
-only the demands whose amount it changes (`_wanted`), laid over that
-index; a pool-backed type is decided from the running total and those
-changes.
+one type's demands, not the whole active set. A request's changes to
+the index are derived once: a grant's are its predicates merged
+(`_merge`), an exchange's those with the released records' demands taken
+out (`_wanted`). Its decision lays them over the index (a pool-backed
+type is decided from the running total plus the changes), and once the
+request is granted the same changes are written into it. A record keeps
+its merged demands, which a release, an expiry and an undone table
+write take out of the index or put back. One writer, `_count`, updates
+the index.
 
 Checks are scoped by one invariant: the committed active set is
 feasible on every type. A grant or exchange then only has to decide the
@@ -124,9 +130,7 @@ from .predicates import (
     Predicate,
     Property,
     Quantity,
-    amount_of,
     predicate_to_wire,
-    resource_type_of,
     satisfies,
     scalar_key,
 )
@@ -154,13 +158,17 @@ class Rejection:
 
 class PromiseRecord(NamedTuple):
     """One active promise. Immutable, because the table, the journal and
-    the expiry heap share it. `issue` is the N of its id `p-N`."""
+    the expiry heap share it. `issue` is the N of its id `p-N`; `demands`
+    are its predicates merged by type and demand key (as `_merge` gives
+    them), what the record adds to the demand index while it is active,
+    and are never written after the record is built."""
 
     id: str
     predicates: tuple[Predicate, ...]
     granted_at: int
     expires_at: int
     issue: int
+    demands: dict
 
 
 class Problem(NamedTuple):
@@ -197,7 +205,7 @@ class FeasibilityProblem:
                  "eligible", "buckets", "eligible_at")
 
     def __init__(self, records: Sequence[InstanceRecord] = (), demands: Optional[dict] = None):
-        # _demand_key -> [first predicate, merged amount]
+        # demand key -> [first predicate, merged amount]
         self.demands = {} if demands is None else demands
         self.total = 0
         self.position = {r.id: pos for pos, r in enumerate(records)}
@@ -218,21 +226,10 @@ class FeasibilityProblem:
         return tuple(self.eligible[key][0] for key in self.demands)
 
 
-def _demand_key(p: Predicate):
-    """Identity of a demand up to its amount; values compare as `scalar_eq` does."""
-    if isinstance(p, Property):
-        return ("property", p.resource_type,
-                frozenset((c.property_name, c.comparator, scalar_key(c.value))
-                          for c in p.constraints))
-    if isinstance(p, Named):
-        return ("named", p.instance)
-    return ("quantity", p.resource_type)
-
-
 def build_feasibility_problem(rt: str, demands: dict,
                               view: AvailabilityView) -> FeasibilityProblem:
     """What a decision of type `rt` starts from: its `demands`, merged by
-    `_demand_key` (demand key -> [predicate, amount]); an empty assignment
+    demand key (demand key -> [predicate, amount]); an empty assignment
     over its untaken instances, of which a pool has none; and each demand's
     eligible positions, read from the value buckets every decision reads.
     """
@@ -277,6 +274,9 @@ def _certifies(problem: FeasibilityProblem, records: Sequence[InstanceRecord], s
       - a `violator` (demand keys) is the certificate of an infeasible
         answer: its demands must want more units than there are untaken
         instances meeting any of them, which no assignment can give (Hall).
+        Each instance is tried first against the violator demand that holds
+        it in the failed assignment, which meets it unless that assignment
+        is wrong, so the count costs about one `satisfies` call per instance.
     """
     demands = problem.demands
     if violator is None:
@@ -288,9 +288,15 @@ def _certifies(problem: FeasibilityProblem, records: Sequence[InstanceRecord], s
                 return False
             held[key] = held.get(key, 0) + 1
         return held == {key: n for key, (_, n) in demands.items() if n}
-    wanted = [demands[key] for key in violator if key in demands]
-    supply = sum(1 for r in records if any(_meets(r, p, schema) for p, _ in wanted))
-    return sum(n for _, n in wanted) > supply
+    wanted = {key: demands[key] for key in violator if key in demands}
+    pairs = problem.pairs
+    supply = 0
+    for pos, r in enumerate(records):
+        holder = wanted.get(pairs.get(pos))
+        if holder is not None and _meets(r, holder[0], schema) \
+                or any(_meets(r, p, schema) for p, _ in wanted.values()):
+            supply += 1
+    return sum(n for _, n in wanted.values()) > supply
 
 
 def _meets(record: InstanceRecord, p: Predicate, schema) -> bool:
@@ -333,14 +339,41 @@ def check_satisfiable(predicates: Sequence[Predicate], view: AvailabilityView,
 def _merge(predicates: Iterable[Predicate],
            types: Optional[Collection[str]] = None) -> dict[str, dict]:
     """Per resource type (of `types`, if given), the demands of
-    `predicates` merged by `_demand_key`: demand key -> [predicate, amount]."""
+    `predicates` merged by demand key: demand key -> [predicate, amount]."""
     by_type: dict[str, dict] = {}
     for p in predicates:
-        rt = resource_type_of(p)
+        rt = p.resource_type
         if types is None or rt in types:
-            slot = by_type.setdefault(rt, {}).setdefault(_demand_key(p), [p, 0])
-            slot[1] += amount_of(p)
+            demands = by_type.get(rt)
+            if demands is None:
+                demands = by_type[rt] = {}
+            slot = demands.get(p.key)
+            if slot is None:
+                demands[p.key] = [p, p.amount]
+            else:
+                slot[1] += p.amount
     return by_type
+
+
+def _wanted(demands: dict[str, dict], leaving: Iterable[PromiseRecord]) -> dict[str, dict]:
+    """The changes to the demand index of granting `demands` (as `_merge`
+    gives them) while the `leaving` records are released: per type that
+    either names, demand key -> [predicate, change in amount]. A grant's
+    changes are its demands; a change may be negative, or 0."""
+    wanted = {rt: {key: [p, n] for key, (p, n) in changes.items()}
+              for rt, changes in demands.items()}
+    for rec in leaving:
+        for rt, gone in rec.demands.items():
+            changes = wanted.get(rt)
+            if changes is None:
+                changes = wanted[rt] = {}
+            for key, (p, n) in gone.items():
+                slot = changes.get(key)
+                if slot is None:
+                    changes[key] = [p, -n]
+                else:
+                    slot[1] -= n
+    return wanted
 
 
 # --- the engine ---
@@ -415,11 +448,12 @@ class PromiseEngine:
             pid, previous = self._journal.pop()
             if previous is None:
                 # the last id issued: a later retirement of it was undone first
-                self._count(self.active.pop(pid), -1)
+                self._count(self.active.pop(pid).demands, -1)
                 del self._history[-1]
             else:
                 self._history[previous.issue - 1] = _ACTIVE
                 self._admit(previous)
+                self._count(previous.demands, 1)
 
     def commit(self) -> None:
         """Forget the journal: the writes it holds are final."""
@@ -459,6 +493,8 @@ class PromiseEngine:
         if merged != {(rt, key): n for rt, st in self._types.items()
                       for key, (_, n) in st.demands.items()}:
             index.append("demand index disagrees with the table")
+        if any(r.demands != _merge(r.predicates) for r in self.active.values()):
+            index.append("a record's demands disagree with its predicates")
         for rt in sorted(self._types):
             index.extend(self._type_problems(rt, self._types[rt], view))
         found = [Problem("index", message) for message in index]
@@ -518,11 +554,11 @@ class PromiseEngine:
             raise ValueError("a promise needs at least one predicate")
         if duration <= 0:
             raise ValueError("duration must be positive")
-        wanted = self._wanted(predicates)
-        if not self._feasible(wanted, self._view(unit)):
+        demands = _merge(predicates)
+        if not self._feasible(demands, self._view(unit)):
             self.counters["rejections"] += 1
             return Rejection()
-        return self._insert(tuple(predicates), duration, now, unit)
+        return self._insert(tuple(predicates), duration, now, unit, demands)
 
     def release(self, ids: Sequence[str], unit: Optional[UnitToken] = None) -> None:
         """Retire active records as released; released/expired ids are a
@@ -536,8 +572,7 @@ class PromiseEngine:
                 raise UnknownPromiseId(pid)
         for rec in records:
             self._retire(rec, _RELEASED, unit)
-            self._clear_tags(rec, unit)
-            self.counters["releases"] += 1
+            self._count(rec.demands, -1)
 
     def exchange(self, predicates: Sequence[Predicate], duration: int,
                  release_ids: Sequence[str], now: int,
@@ -555,14 +590,19 @@ class PromiseEngine:
                 raise UnknownPromiseId(pid)
         if predicates and duration <= 0:
             raise ValueError("duration must be positive")
-        wanted = self._wanted(predicates, [self.active[pid] for pid in release])
-        if not self._feasible(wanted, self._view(unit)):
+        leaving = [self.active[pid] for pid in release]
+        demands = _merge(predicates)
+        wanted = _wanted(demands, leaving)
+        # releasing only removes demand: only the types the request names need deciding
+        if not self._feasible({rt: wanted[rt] for rt in demands}, self._view(unit)):
             self.counters["rejections"] += 1
             return Rejection()
-        self.release(release, unit)
+        for rec in leaving:
+            self._retire(rec, _RELEASED, unit)
         if not predicates:
+            self._count(wanted, 1)
             return None
-        return self._insert(tuple(predicates), duration, now, unit)
+        return self._insert(tuple(predicates), duration, now, unit, demands, wanted)
 
     def expire_sweep(self, now: int, unit: Optional[UnitToken] = None) -> list[str]:
         """Expire every active record with expires_at <= now; returns their ids in issue order."""
@@ -575,8 +615,7 @@ class PromiseEngine:
             if rec is None or rec.expires_at != expires_at:
                 continue  # released or expired already, or a rolled-back record's entry
             self._retire(rec, _EXPIRED, unit)
-            self._clear_tags(rec, unit)
-            self.counters["expiries"] += 1
+            self._count(rec.demands, -1)
             expired.append((issue, pid))
         expired.sort()
         return [pid for _, pid in expired]
@@ -618,50 +657,18 @@ class PromiseEngine:
             st = self._types[rt] = FeasibilityProblem()
         return st
 
-    def _wanted(self, predicates: Iterable[Predicate],
-                leaving: Iterable[PromiseRecord] = ()) -> dict[str, dict]:
-        """For each type `predicates` name, the demands whose amount changes
-        once they are added to the active set and the `leaving` records are
-        taken out of it, as demand key -> [predicate, new amount]; the new
-        amount may be 0. The type's other demands keep the amounts of its
-        demand index."""
-        wanted: dict[str, dict] = {}
-        for p in predicates:
-            rt = resource_type_of(p)
-            changes = wanted.get(rt)
-            if changes is None:
-                changes = wanted[rt] = {}
-            key = _demand_key(p)
-            slot = changes.get(key)
-            if slot is None:
-                now = self._state(rt).demands.get(key)
-                slot = changes[key] = [p, now[1] if now else 0]
-            slot[1] += amount_of(p)
-        for rec in leaving:
-            for p in rec.predicates:
-                rt = resource_type_of(p)
-                changes = wanted.get(rt)
-                if changes is not None:
-                    key = _demand_key(p)
-                    slot = changes.get(key)
-                    if slot is None:
-                        slot = changes[key] = list(self._types[rt].demands[key])
-                    slot[1] -= amount_of(p)
-        return wanted
-
     def _feasible(self, wanted: dict[str, dict], view: AvailabilityView) -> bool:
         """True iff each type in `wanted` can meet its demands with the
-        changes `wanted` gives it."""
+        changes `wanted` (as `_wanted` gives them) makes to its demand index."""
         for rt, changes in wanted.items():
             if rt in view.pools:
-                st = self._types[rt]
-                total = st.total
+                total = self._types[rt].total
                 for key, (_, n) in changes.items():
-                    # a pool has no instances for a Named or Property demand to draw on
-                    if n and key[0] != "quantity":
+                    # a pool has no instances for a Named or Property demand to
+                    # draw on, so its index holds none
+                    if n > 0 and key[0] != "quantity":
                         return False
-                    now = st.demands.get(key)
-                    total += n - (now[1] if now else 0)
+                    total += n
                 if total > view.pools[rt]:
                     return False
             elif not self._decide(rt, changes, view):
@@ -670,8 +677,8 @@ class PromiseEngine:
 
     def _decide(self, rt: str, changes: dict, view: AvailabilityView) -> bool:
         """Decide one instance-backed type, with `changes` (as `_wanted`
-        gives them) over its demand index, and leave its kept assignment as
-        complete as the demands allow.
+        gives them) made to its demand index, and leave its kept assignment
+        as complete as the demands allow.
 
         It repairs the assignment where it may have gone wrong since the
         last decision, or since the engine's start built it empty:
@@ -692,9 +699,10 @@ class PromiseEngine:
             # the keys of long-gone promises would pile up; a search reads the held ones
             st.eligible = {key: found for key, found in st.eligible.items() if key in st.held}
         deficits: list = []
-        for key, slot in changes.items():
-            _trim(st, key, slot[1], deficits)
         demands = st.demands
+        for key, (_, n) in changes.items():
+            now = demands.get(key)
+            _trim(st, key, n + (now[1] if now else 0), deficits)
         for key in st.dirty:
             if key not in changes:
                 slot = demands.get(key)
@@ -725,13 +733,20 @@ class PromiseEngine:
     # --- internals ---
 
     def _insert(self, predicates: tuple[Predicate, ...], duration: int, now: int,
-                unit: Optional[UnitToken]) -> PromiseRecord:
+                unit: Optional[UnitToken], demands: Optional[dict] = None,
+                changes: Optional[dict] = None) -> PromiseRecord:
+        """Issue a record for `predicates`, which keeps their merged
+        `demands` (derived from them if None), and write into the demand
+        index the `changes` its decision checked: by default its demands."""
         self._history.append(_ACTIVE)
         issue = len(self._history)
-        rec = PromiseRecord(f"p-{issue}", predicates, now, now + duration, issue)
+        if demands is None:
+            demands = _merge(predicates)
+        rec = PromiseRecord(f"p-{issue}", predicates, now, now + duration, issue, demands)
         if unit is not None:
             self._journal.append((rec.id, None))
         self._admit(rec)
+        self._count(demands if changes is None else changes, 1)
         # allocated tag: named instances get marked while the promise lives
         for p in predicates:
             if isinstance(p, Named):
@@ -742,52 +757,58 @@ class PromiseEngine:
         return rec
 
     def _admit(self, rec: PromiseRecord) -> None:
-        """Put an active record in the table, the demand index and the heap."""
+        """Put an active record in the table and the heap. The caller adds
+        its demands to the index (`_count`)."""
         self.active[rec.id] = rec
-        self._count(rec, 1)
         heapq.heappush(self._expiry, _expiry_entry(rec))
 
     def _retire(self, rec: PromiseRecord, status: int, unit: Optional[UnitToken]) -> None:
         """Take an active record out of the table, leaving its final status
-        byte (`_RELEASED` or `_EXPIRED`) behind."""
+        byte (`_RELEASED` or `_EXPIRED`) behind, add it to the counters,
+        and clear the allocated tags of its Named instances. The caller
+        takes its demands out of the index (`_count`)."""
         if unit is not None:
             self._journal.append((rec.id, rec))
         del self.active[rec.id]
         self._history[rec.issue - 1] = status
-        self._count(rec, -1)
+        self.counters["releases" if status == _RELEASED else "expiries"] += 1
         # entries of records that left before expiring would otherwise pile up
         if len(self._expiry) > 2 * len(self.active) + 1:
             self._expiry[:] = [_expiry_entry(r) for r in self.active.values()]
             heapq.heapify(self._expiry)
-
-    def _count(self, rec: PromiseRecord, sign: int) -> None:
-        """Add (sign 1) or take out (-1) an active record's demands in the
-        index, and mark each demand of a type with instances dirty or clean
-        by whether the kept assignment holds its new amount."""
-        for p in rec.predicates:
-            st = self._state(resource_type_of(p))
-            key = _demand_key(p)
-            n = sign * amount_of(p)
-            st.total += n
-            slot = st.demands.get(key)
-            if slot is None:
-                slot = st.demands[key] = [p, 0]
-            slot[1] += n
-            if not slot[1]:
-                del st.demands[key]
-            if st.position:
-                have = st.held.get(key)
-                if (len(have) if have else 0) == slot[1]:
-                    st.dirty.discard(key)
-                else:
-                    st.dirty.add(key)
-
-    def _clear_tags(self, rec: PromiseRecord, unit: Optional[UnitToken]) -> None:
         for p in rec.predicates:
             if isinstance(p, Named):
                 inst = self.catalog.instance(p.instance)
                 if inst is not None and inst.status == STATUS_PROMISED:
                     self._set_status(p.instance, STATUS_AVAILABLE, unit)
+
+    def _count(self, changes: dict[str, dict], sign: int) -> None:
+        """Add (sign 1) or take out (-1) `changes` in the demand index and
+        its running totals: per type, demand key -> [predicate, change in
+        amount], as a record's `demands` or `_wanted` give them. Mark each
+        demand of a type with instances dirty or clean by whether the kept
+        assignment holds its new amount. The one writer of the index."""
+        for rt, deltas in changes.items():
+            st = self._types[rt]  # a decision on the type made it, if it was not declared
+            index = st.demands
+            for key, (p, n) in deltas.items():
+                if not n:
+                    continue
+                n *= sign
+                st.total += n
+                slot = index.get(key)
+                if slot is None:
+                    slot = index[key] = [p, n]
+                else:
+                    slot[1] += n
+                    if not slot[1]:
+                        del index[key]
+                if st.position:
+                    have = st.held.get(key)
+                    if (len(have) if have else 0) == slot[1]:
+                        st.dirty.discard(key)
+                    else:
+                        st.dirty.add(key)
 
     def _set_status(self, iid: InstanceId, status: str, unit: Optional[UnitToken]) -> None:
         if unit is not None:
@@ -843,17 +864,15 @@ def _trim(st: FeasibilityProblem, key, want: int, deficits: list) -> None:
 
 
 def _settle(st: FeasibilityProblem, changes: dict, feasible: bool) -> bool:
-    """End a decision that gave every demand it looked at what `changes`
-    gives it (`feasible`), or that failed: mark dirty each demand whose
-    held count may now differ from its amount in the demand index."""
+    """End a decision that gave every demand it looked at its amount with
+    `changes` made (`feasible`), or that failed: mark dirty each demand
+    whose held count may now differ from its amount in the demand index."""
     if not feasible:
         st.dirty.update(changes)
         return False
     st.dirty.clear()
-    demands = st.demands
     for key, (_, n) in changes.items():
-        now = demands.get(key)
-        if n != (now[1] if now else 0):
+        if n:
             st.dirty.add(key)
     return True
 

@@ -7,6 +7,11 @@ Three closed forms cover the supported resource views:
   Property  - N instances matching property constraints; the binding of
               concrete instances is deferred until an action takes them
 
+Each predicate is an immutable value that carries, computed once when
+it is built, what the engine reads of it on every request: its demand
+`key` (`demand_key`), its `resource_type` and its `amount`, which is 1
+for Named. Building one checks nothing.
+
 Validation checks predicate shape against a catalog schema: declared
 resource types, declared properties, comparator legality, positive
 amounts. It deliberately does not check satisfiability; a predicate can
@@ -15,8 +20,8 @@ be well-formed yet impossible to meet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Union
+from operator import itemgetter
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import CatalogSchema
@@ -51,53 +56,101 @@ class InstanceId(NamedTuple):
         return f"{self.resource_type}/{self.key}"
 
 
-@dataclass(frozen=True)
-class PropertyConstraint:
+class PropertyConstraint(NamedTuple):
     property_name: str
     comparator: str
     value: Scalar
 
 
-@dataclass(frozen=True)
-class Quantity:
+def demand_key(form: str, subject, constraints: Optional[tuple] = None) -> tuple:
+    """The identity of a demand up to its amount: its form, its resource
+    type (a Named demand's instance) and a Property demand's constraints as
+    a set, whose values compare as `scalar_eq` does. Predicates with equal
+    keys are met by the same instances and merge into one demand.
+
+    Every predicate calls this once, when it is built, and keeps the key."""
+    if constraints is None:
+        return (form, subject)
+    return (form, subject, frozenset([(c.property_name, c.comparator, scalar_key(c.value))
+                                      for c in constraints]))
+
+
+def _field(index: int) -> property:
+    return property(itemgetter(index))
+
+
+_tuple_new = tuple.__new__
+
+
+# Each form is a tuple of its constructor's arguments followed by what is
+# derived from them: its demand `key` and, for Named, its `resource_type`
+# and `amount`. A tuple is immutable, as the engine's table, journal and
+# expiry heap share predicates, and compares and hashes in C.
+
+class Quantity(tuple):
     """Demand for `amount` interchangeable units of a resource type."""
 
-    resource_type: str
-    amount: int
+    __slots__ = ()
+
+    def __new__(cls, resource_type: str, amount: int):
+        return _tuple_new(cls, (resource_type, amount, demand_key("quantity", resource_type)))
+
+    resource_type = _field(0)
+    amount = _field(1)
+    key = _field(2)
+
+    def __getnewargs__(self):
+        return self[:2]
+
+    def __repr__(self) -> str:
+        return f"Quantity(resource_type={self[0]!r}, amount={self[1]!r})"
 
 
-@dataclass(frozen=True)
-class Named:
-    """Demand for one specific instance."""
+class Named(tuple):
+    """Demand for one specific instance: one unit of its resource type."""
 
-    instance: InstanceId
+    __slots__ = ()
+
+    def __new__(cls, instance: InstanceId):
+        return _tuple_new(cls, (instance, demand_key("named", instance), instance.resource_type, 1))
+
+    instance = _field(0)
+    key = _field(1)
+    resource_type = _field(2)
+    amount = _field(3)
+
+    def __getnewargs__(self):
+        return self[:1]
+
+    def __repr__(self) -> str:
+        return f"Named(instance={self[0]!r})"
 
 
-@dataclass(frozen=True)
-class Property:
-    """Demand for `amount` distinct instances matching every constraint."""
+class Property(tuple):
+    """Demand for `amount` distinct instances matching every constraint.
+    `constraints` may be any iterable of PropertyConstraint; it is kept as
+    a tuple."""
 
-    resource_type: str
-    constraints: tuple[PropertyConstraint, ...]
-    amount: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        # tolerate hand-written list literals
-        if isinstance(self.constraints, list):
-            object.__setattr__(self, "constraints", tuple(self.constraints))
+    def __new__(cls, resource_type: str, constraints, amount: int = 1):
+        constraints = tuple(constraints)
+        return _tuple_new(cls, (resource_type, constraints, amount,
+                                demand_key("property", resource_type, constraints)))
+
+    resource_type = _field(0)
+    constraints = _field(1)
+    amount = _field(2)
+    key = _field(3)
+
+    def __getnewargs__(self):
+        return self[:3]
+
+    def __repr__(self) -> str:
+        return f"Property(resource_type={self[0]!r}, constraints={self[1]!r}, amount={self[2]!r})"
 
 
 Predicate = Union[Quantity, Named, Property]
-
-
-def resource_type_of(p: Predicate) -> str:
-    if isinstance(p, Named):
-        return p.instance.resource_type
-    return p.resource_type
-
-
-def amount_of(p: Predicate) -> int:
-    return 1 if isinstance(p, Named) else p.amount
 
 
 def scalar_eq(a: Scalar, b: Scalar) -> bool:
@@ -118,13 +171,13 @@ def validate_predicate(p: Predicate, schema: "CatalogSchema") -> None:
     Codes: unknown-resource-type, unknown-property, illegal-comparator,
     non-positive-amount, empty-constraints, duplicate-property.
     """
-    rt = resource_type_of(p)
+    rt = p.resource_type
     if not schema.has_type(rt):
         raise PredicateInvalid("unknown-resource-type", f"resource type {rt!r} is not declared")
 
-    if isinstance(p, (Quantity, Property)):
-        if not isinstance(p.amount, int) or isinstance(p.amount, bool) or p.amount < 1:
-            raise PredicateInvalid("non-positive-amount", f"amount must be a positive integer, got {p.amount!r}")
+    amount = p.amount  # always 1 for Named
+    if not isinstance(amount, int) or isinstance(amount, bool) or amount < 1:
+        raise PredicateInvalid("non-positive-amount", f"amount must be a positive integer, got {amount!r}")
 
     if isinstance(p, Property):
         if not p.constraints:
@@ -269,7 +322,7 @@ def predicate_from_wire(doc) -> Predicate:
                     or type(value) not in _SCALAR_TYPES or len(c) != 3:
                 raise _bad_constraint(c)
             constraints.append(PropertyConstraint(name, comparator, value))
-        return Property(rt, tuple(constraints), amount)
+        return Property(rt, constraints, amount)
     raise ValueError(f"unknown predicate form {form!r}")
 
 

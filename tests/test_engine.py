@@ -1,7 +1,6 @@
 import inspect
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -122,7 +121,7 @@ def test_problem_shape(hotel_catalog):
     ]
     assert prob.pairs == {} and prob.free == {0, 1}  # the search starts from empty
     # 512 cannot serve both the named pick and the floor-5 demand
-    assert _solve(prob) == {engine._demand_key(named), engine._demand_key(floor5)}
+    assert _solve(prob) == {named.key, floor5.key}
 
 
 def test_identical_predicates_are_one_demand_with_their_amounts_summed(monkeypatch):
@@ -252,6 +251,25 @@ def test_a_long_at_least_in_order_chain_stays_feasible(monkeypatch):
     assert isinstance(mgr.engine.grant([top], 100, 0), Rejection)
 
 
+def test_an_infeasible_answer_is_certified_with_one_satisfies_call_per_instance(monkeypatch):
+    """A staircase of 1000 one-unit `at-least-in-order` demands, one per
+    level, over 1000 instances, plus a Named demand on the lowest: one unit
+    too many. The violator check tries each instance first against the
+    demand that holds it in the failed assignment, which meets it, so the
+    count does not depend on the order of the violator's set."""
+    levels = list(range(1000))
+    cat = load_catalog({"resource-types": [{
+        "name": "slot", "properties": [{"name": "level", "order": levels}],
+        "instances": [{"key": f"s{k}", "properties": {"level": k}} for k in levels]}]})
+    staircase = [Property("slot", (PropertyConstraint("level", AT_LEAST_IN_ORDER, k),), 1)
+                 for k in levels]
+    calls = []
+    real = engine.satisfies
+    monkeypatch.setattr(engine, "satisfies", lambda *a: calls.append(a) or real(*a))
+    assert not check_satisfiable(staircase + [Named(InstanceId("slot", "s0"))], view_of(cat))
+    assert len(calls) == 1000
+
+
 # --- certificates and the first check ---
 
 _FLOOR5 = Property("room", (PropertyConstraint("floor", EQUALS, 5),), 1)
@@ -305,7 +323,7 @@ def test_a_first_grant_keeps_the_assignment_it_solved(hotel_catalog, decisions):
     floor5 = Property("room", (PropertyConstraint("floor", EQUALS, 5),), 1)
     assert not isinstance(eng.grant([floor5, Quantity("room", 1)], 30, 0), Rejection)
     rooms = eng._types["room"]
-    key5, key1 = engine._demand_key(floor5), engine._demand_key(Quantity("room", 1))
+    key5, key1 = floor5.key, Quantity("room", 1).key
     assert rooms.pairs == {0: key5, 1: key1}  # 512 is the only floor-5 room
     assert rooms.held == {key5: {0}, key1: {1}}
     assert rooms.free == set() and rooms.dirty == set()
@@ -464,7 +482,7 @@ def test_a_state_built_before_the_first_decision_follows_the_catalog(set_propert
     assert eng.problems() == []
     floor5 = Property("room", (PropertyConstraint("floor", EQUALS, 5),), 1)
     answers = []
-    for request in ([replace(floor5, amount=2)], [Named(InstanceId("room", "r0"))],
+    for request in ([Property(floor5.resource_type, floor5.constraints, 2)], [Named(InstanceId("room", "r0"))],
                     [Named(InstanceId("room", "r1"))], [floor5], [Quantity("room", 1)],
                     [Named(InstanceId("room", "r2"))], [Quantity("room", 1)]):
         expected = check_satisfiable(eng.active_predicates() + request, view_of(cat))
@@ -761,6 +779,12 @@ def test_index_problems_reports_wrong_assignment_bookkeeping():
     rooms.free.add(next(iter(rooms.pairs)))
     assert eng.problems() == [
         Problem("index", "free instances of 'room' disagree with the catalog")]
+
+    eng, rooms = _held_rooms()
+    rec = next(iter(eng.active.values()))
+    eng.active[rec.id] = rec._replace(demands={})  # what its release would take out
+    assert eng.problems() == [
+        Problem("index", "a record's demands disagree with its predicates")]
 
 
 # --- allocated tags for named promises ---

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -213,3 +215,82 @@ def test_wire_form_round_trips(pred):
 def test_bad_wire_predicates_raise(doc):
     with pytest.raises(ValueError):
         predicate_from_wire(doc)
+
+
+# --- what a predicate carries from when it is built ---
+
+_FIVE = PropertyConstraint("floor", EQUALS, 5)
+_VIEW = PropertyConstraint("view", EQUALS, True)
+
+
+@pytest.mark.parametrize("pred, code", [
+    (Property("room", (), 1), "empty-constraints"),
+    (Property("room", [PropertyConstraint("floor", "greater-than", 5)], 1), "illegal-comparator"),
+    (Property("room", [_FIVE, PropertyConstraint("floor", EQUALS, 6)], 1), "duplicate-property"),
+    (Property("room", [_FIVE], 0), "non-positive-amount"),
+    (Property("room", [_FIVE], True), "non-positive-amount"),
+    (Quantity("pink-widget", 0), "non-positive-amount"),
+    (Quantity("pink-widget", True), "non-positive-amount"),
+])
+def test_a_predicate_validation_rejects_still_builds(pred, code):
+    """Building checks nothing: each of these builds, with a key, and only
+    validation rejects it."""
+    assert pred.key[0] in ("quantity", "property")
+    with pytest.raises(PredicateInvalid) as exc:
+        validate_predicate(pred, schema())
+    assert exc.value.code == code
+
+
+def test_a_property_keeps_a_list_of_constraints_as_a_tuple():
+    p = Property("room", [_FIVE, _VIEW], 2)
+    assert p.constraints == (_FIVE, _VIEW)
+    assert p == Property("room", (_FIVE, _VIEW), 2)
+    assert (p.resource_type, p.amount) == ("room", 2)
+
+
+def test_named_carries_its_type_and_one_unit():
+    n = Named(InstanceId("room", "512"))
+    assert (n.instance, n.resource_type, n.amount) == (InstanceId("room", "512"), "room", 1)
+
+
+def test_the_same_constraints_in_another_order_share_a_demand_key():
+    assert Property("room", (_FIVE, _VIEW), 1).key == Property("room", (_VIEW, _FIVE), 3).key
+
+
+@pytest.mark.parametrize("a, b", [
+    (PropertyConstraint("view", EQUALS, True), PropertyConstraint("view", EQUALS, 1)),
+    (PropertyConstraint("class", EQUALS, "first"),
+     PropertyConstraint("class", AT_LEAST_IN_ORDER, "first")),
+])
+def test_constraints_that_scalar_eq_tells_apart_have_distinct_keys(a, b):
+    assert Property("seat", (a,), 1).key != Property("seat", (b,), 1).key
+    assert Property("seat", (a,), 1) != Property("seat", (b,), 1)
+
+
+def test_forms_never_share_a_key():
+    keys = {Quantity("room", 1).key, Named(InstanceId("room", "room")).key,
+            Property("room", (_FIVE,), 1).key}
+    assert len(keys) == 3
+
+
+@pytest.mark.parametrize("pred", [
+    Quantity("pink-widget", 5),
+    Named(InstanceId("room", "512")),
+    Property("room", (_FIVE, _VIEW), 2),
+])
+def test_a_decoded_predicate_is_the_hand_built_one(pred):
+    decoded = predicate_from_wire(predicate_to_wire(pred))
+    assert type(decoded) is type(pred)
+    assert decoded == pred and hash(decoded) == hash(pred) and decoded.key == pred.key
+
+
+@pytest.mark.parametrize("pred", [
+    Quantity("pink-widget", 5),
+    Named(InstanceId("room", "512")),
+    Property("room", (_FIVE, _VIEW), 2),
+])
+def test_a_copied_predicate_keeps_its_value_and_key(pred):
+    for copied in (copy.deepcopy(pred), copy.copy(pred)):
+        assert type(copied) is type(pred)
+        assert copied == pred and hash(copied) == hash(pred) and copied.key == pred.key
+    assert repr(pred).startswith(type(pred).__name__ + "(")

@@ -10,8 +10,12 @@ from promisekit.catalog import DecrementPool, load_catalog
 from promisekit.clock import LogicalClock
 from promisekit.engine import PromiseEngine, UnknownPromiseId
 from promisekit.harness import register_standard_handlers
+from promisekit import predicates
 from promisekit.predicates import (
     AT_LEAST_IN_ORDER,
+    EQUALS,
+    InstanceId,
+    Named,
     Property,
     PropertyConstraint,
     Quantity,
@@ -613,6 +617,69 @@ def test_a_reissued_id_expires_at_its_own_time():
     mgr.clock.advance(3)  # past the rolled-back record's expiry, not the reissue's
     assert mgr.handle(Envelope(action=ActionMsg("no-op"))).action.status == "succeeded"
     assert mgr.engine.status(pid) == "active"
+    assert mgr.engine.problems() == []
+
+
+# --- the demand index is written once per grant or exchange ---
+
+_ROOM_512 = Named(InstanceId("room", "512"))
+_FLOOR_5 = Property("room", (PropertyConstraint("floor", EQUALS, 5),), 1)
+
+
+@pytest.mark.parametrize("held, wanted", [
+    ([Quantity("room", 1)], [Quantity("room", 2)]),                 # the shared key rises
+    ([Quantity("room", 2)], [Quantity("room", 1)]),                 # the shared key falls
+    ([Quantity("room", 1), _ROOM_512], [_ROOM_512]),               # one key goes to 0
+    ([_ROOM_512], [_ROOM_512]),                                     # the shared key stays
+    ([_FLOOR_5], [Named(InstanceId("room", "610"))]),              # to 0 on a decided type
+    ([Quantity("pink-widget", 3)], [Quantity("room", 1)]),          # a type the request does not name
+])
+def test_an_exchange_writes_the_index_once_and_a_commit_fault_undoes_it(
+        monkeypatch, held, wanted):
+    mgr = seats_and_rooms_manager()
+    hold(mgr, Quantity("pink-widget", 2), "other")
+    req = make_request("held", held, 30)
+    pid = first_response(mgr.handle(Envelope(promise_part=PromisePart(requests=(req,))))).promise_id
+    exchange = Envelope(promise_part=PromisePart(
+        requests=(make_request("swap", wanted, 30, (pid,)),)))
+    before, index = mgr.state_digest(), copy.deepcopy(mgr.engine._types)
+
+    mgr.fault_hook = _fault_at("commit")
+    assert mgr.handle(exchange).error == "internal-failure"
+    mgr.fault_hook = None
+    assert mgr.state_digest() == before and mgr.engine.problems() == []
+    assert {rt: (st.total, st.demands) for rt, st in mgr.engine._types.items()} \
+        == {rt: (st.total, st.demands) for rt, st in index.items()}
+
+    writes = []
+    real = PromiseEngine._count
+    monkeypatch.setattr(PromiseEngine, "_count",
+                        lambda self, *a: writes.append(a) or real(self, *a))
+    assert first_response(mgr.handle(exchange)).result == "accepted"
+    assert len(writes) == 1
+    assert mgr.engine.problems() == []
+    assert mgr.engine.status(pid) == "released"
+
+
+def test_a_grant_and_an_exchange_build_each_predicate_key_once(monkeypatch):
+    """Through `handle_bytes`, each predicate's demand key is computed once,
+    when the decoder builds it; the engine reads the key it carries."""
+    mgr = seats_and_rooms_manager()
+    grant = encode(Envelope(promise_part=PromisePart(requests=(make_request(
+        "g", [Quantity("pink-widget", 2), _ROOM_512, FIRST_CLASS], 30),))))
+    keys = []
+    real = predicates.demand_key
+    monkeypatch.setattr(predicates, "demand_key", lambda *a: keys.append(a) or real(*a))
+    assert first_response(decode(mgr.handle_bytes(grant))).result == "accepted"
+    assert len(keys) == 3
+
+    monkeypatch.setattr(predicates, "demand_key", real)
+    exchange = encode(Envelope(promise_part=PromisePart(requests=(make_request(
+        "x", [Quantity("pink-widget", 3), _FLOOR_5], 30, ("p-1",)),))))
+    keys.clear()
+    monkeypatch.setattr(predicates, "demand_key", lambda *a: keys.append(a) or real(*a))
+    assert first_response(decode(mgr.handle_bytes(exchange))).result == "accepted"
+    assert len(keys) == 2
     assert mgr.engine.problems() == []
 
 

@@ -32,7 +32,6 @@ from promisekit.predicates import (
     Property,
     PropertyConstraint,
     Quantity,
-    resource_type_of,
     satisfies,
 )
 from promisekit.protocol import ActionMsg, Envelope, EnvironmentMsg, PromisePart, make_request
@@ -208,11 +207,11 @@ class WarmEqualsCold(RuleBasedStateMachine):
         """Buy bulk, by itself or releasing a promise that covers it; one of
         the amounts is one more than the promises leave spare."""
         covering = sorted(pid for pid, rec in self.mgr.engine.active.items()
-                          if any(resource_type_of(p) == "bulk" for p in rec.predicates))
+                          if any(p.resource_type == "bulk" for p in rec.predicates))
         pid = data.draw(st.sampled_from([None] + covering))
         view = self.view()
         spare = view.pools["bulk"] - sum(p.amount for p in self.active()
-                                         if resource_type_of(p) == "bulk")
+                                         if p.resource_type == "bulk")
         amount = data.draw(st.sampled_from(sorted({1, 2, 3, max(1, spare + 1)})))
         env = None if pid is None else EnvironmentMsg((pid,), ("release-after-success",))
         status = self.act("purchase-stock", {"resource-type": "bulk", "amount": amount}, env).status
