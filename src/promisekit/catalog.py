@@ -9,6 +9,9 @@ Design rules:
   - All mutations run inside a unit; one unit may be active at a time. Every
     applied mutation records a raw inverse entry, and rollback replays the
     inverses newest first, restoring the exact prior state.
+  - A unit's token is live exactly while it is the open unit: every unit
+    operation tests that one identity, and refuses a token from a unit
+    that has committed or rolled back, even while a later unit is open.
   - A mutation that fails validation applies nothing and marks the unit
     aborted: committing is refused until the caller rolls back (fully, or to
     a savepoint taken before the failure).
@@ -181,14 +184,18 @@ Mutation = Union[DecrementPool, SetInstanceStatus, SetProperty]
 
 
 class UnitToken:
-    """Handle for one mutation unit. Not reusable after commit/rollback."""
+    """Handle for one mutation unit. Live while it is the catalog's open
+    unit; dead once that unit commits or rolls back."""
 
-    __slots__ = ("log", "active", "aborted")
+    __slots__ = ("log", "aborted")
 
     def __init__(self):
         self.log: list[tuple] = []  # raw inverse entries, append order
-        self.active = True
         self.aborted = False
+
+
+def _dead_token():
+    raise CatalogError("unit-error", "token does not name the active unit")
 
 
 class ResourceCatalog:
@@ -221,27 +228,75 @@ class ResourceCatalog:
         return self._unit
 
     def apply_mutation(self, token: UnitToken, m: Mutation) -> None:
-        self._require_active(token)
+        """Validate `m`, then apply it and log its inverse. A refused
+        mutation applies nothing and marks the unit aborted."""
+        if token is not self._unit:
+            _dead_token()
         if token.aborted:
             raise CatalogError("unit-error", "unit is aborted; roll back before continuing")
         try:
-            self._validate_mutation(m)
+            if isinstance(m, SetInstanceStatus):
+                rec = self._instances.get(m.instance)
+                if rec is None:
+                    raise CatalogError("unknown-resource", f"no instance {m.instance}")
+                old = rec.status
+                if (old, m.status) not in LEGAL_TRANSITIONS:
+                    raise CatalogError("illegal-status-transition",
+                                       f"unknown status {m.status!r}"
+                                       if m.status not in INSTANCE_STATUSES
+                                       else f"{m.instance}: {old} -> {m.status} is not allowed")
+                rec.status = m.status
+                if old == STATUS_TAKEN or m.status == STATUS_TAKEN:
+                    self._note_taken_move(m.instance)
+                token.log.append(("status", m.instance, old))
+            elif isinstance(m, DecrementPool):
+                old = self._pools.get(m.resource_type)
+                if old is None:
+                    raise CatalogError("unknown-resource",
+                                       f"{m.resource_type!r} is not a pool-backed resource type")
+                if old - m.amount < 0:
+                    raise CatalogError("pool-underflow",
+                                       f"{m.resource_type!r}: cannot remove {m.amount} of {old}")
+                self._pools[m.resource_type] = old - m.amount
+                token.log.append(("pool", m.resource_type, old))
+            elif isinstance(m, SetProperty):
+                rec = self._instances.get(m.instance)
+                if rec is None:
+                    raise CatalogError("unknown-resource", f"no instance {m.instance}")
+                decl = self.schema.property_decl(m.instance.resource_type, m.property_name)
+                if decl is None:
+                    raise CatalogError("schema-violation",
+                                       f"property {m.property_name!r} is not declared for "
+                                       f"{m.instance.resource_type!r}")
+                if not decl.allows(m.value):
+                    raise CatalogError("schema-violation",
+                                       f"{m.value!r} is outside the domain of {m.property_name!r}")
+                old = rec.properties[m.property_name]
+                rec.properties[m.property_name] = m.value
+                self._bump_properties(m.instance.resource_type)
+                token.log.append(("prop", m.instance, m.property_name, old))
+            else:
+                raise CatalogError("unit-error", f"unknown mutation {m!r}")
         except CatalogError:
             token.aborted = True
             raise
-        token.log.append(self._apply(m))
 
     def savepoint(self, token: UnitToken) -> int:
-        self._require_active(token)
+        if token is not self._unit:
+            _dead_token()
         return len(token.log)
 
     def supply_cut_types(self, token: UnitToken, mark: int) -> set[str]:
         """Resource types whose supply the mutations applied after `mark`
         may have cut: a pool that now holds less than it did at `mark`, an
         instance moved to taken, or a property change. A restock, or a
-        promise tag moving between available and promised, cuts nothing."""
-        self._require_active(token)
+        promise tag moving between available and promised, cuts nothing,
+        and neither does a unit that logged nothing after `mark`."""
+        if token is not self._unit:
+            _dead_token()
         cut: set[str] = set()
+        if len(token.log) == mark:
+            return cut
         pools_at_mark: dict[str, int] = {}
         # backwards, so a pool's first entry after `mark`, which holds its
         # value at `mark`, is the one left in pools_at_mark
@@ -258,84 +313,29 @@ class ResourceCatalog:
 
     def rollback_to(self, token: UnitToken, mark: int) -> None:
         """Undo everything applied after `mark`; clears an aborted flag."""
-        self._require_active(token)
+        if token is not self._unit:
+            _dead_token()
         while len(token.log) > mark:
             self._undo(token.log.pop())
         token.aborted = False
 
     def commit_unit(self, token: UnitToken) -> None:
-        self._require_active(token)
+        if token is not self._unit:
+            _dead_token()
         if token.aborted:
             raise CatalogError("unit-error", "unit is aborted and cannot commit")
-        token.log.clear()
-        token.active = False
         self._unit = None
 
     def rollback_unit(self, token: UnitToken) -> None:
-        if not token.active:
-            return  # already finalized; rollback is idempotent
+        """Undo the whole unit. A token that is no longer live is a no-op,
+        so rolling back is idempotent."""
+        if token is not self._unit:
+            return
         while token.log:
             self._undo(token.log.pop())
-        token.active = False
-        token.aborted = False
         self._unit = None
 
-    def _require_active(self, token: UnitToken) -> None:
-        if token is not self._unit or not token.active:
-            raise CatalogError("unit-error", "token does not name the active unit")
-
     # --- mutation mechanics ---
-
-    def _validate_mutation(self, m: Mutation) -> None:
-        if isinstance(m, DecrementPool):
-            if m.resource_type not in self._pools:
-                raise CatalogError("unknown-resource",
-                                   f"{m.resource_type!r} is not a pool-backed resource type")
-            if self._pools[m.resource_type] - m.amount < 0:
-                raise CatalogError("pool-underflow",
-                                   f"{m.resource_type!r}: cannot remove {m.amount} of "
-                                   f"{self._pools[m.resource_type]}")
-        elif isinstance(m, SetInstanceStatus):
-            rec = self._instances.get(m.instance)
-            if rec is None:
-                raise CatalogError("unknown-resource", f"no instance {m.instance}")
-            if m.status not in INSTANCE_STATUSES:
-                raise CatalogError("illegal-status-transition", f"unknown status {m.status!r}")
-            if (rec.status, m.status) not in LEGAL_TRANSITIONS:
-                raise CatalogError("illegal-status-transition",
-                                   f"{m.instance}: {rec.status} -> {m.status} is not allowed")
-        elif isinstance(m, SetProperty):
-            rec = self._instances.get(m.instance)
-            if rec is None:
-                raise CatalogError("unknown-resource", f"no instance {m.instance}")
-            decl = self.schema.property_decl(m.instance.resource_type, m.property_name)
-            if decl is None:
-                raise CatalogError("schema-violation",
-                                   f"property {m.property_name!r} is not declared for "
-                                   f"{m.instance.resource_type!r}")
-            if not decl.allows(m.value):
-                raise CatalogError("schema-violation",
-                                   f"{m.value!r} is outside the domain of {m.property_name!r}")
-        else:
-            raise CatalogError("unit-error", f"unknown mutation {m!r}")
-
-    def _apply(self, m: Mutation) -> tuple:
-        if isinstance(m, DecrementPool):
-            old = self._pools[m.resource_type]
-            self._pools[m.resource_type] = old - m.amount
-            return ("pool", m.resource_type, old)
-        if isinstance(m, SetInstanceStatus):
-            rec = self._instances[m.instance]
-            old = rec.status
-            rec.status = m.status
-            if STATUS_TAKEN in (old, m.status):
-                self._note_taken_move(m.instance)
-            return ("status", m.instance, old)
-        rec = self._instances[m.instance]
-        old = rec.properties[m.property_name]
-        rec.properties[m.property_name] = m.value
-        self._bump_properties(m.instance.resource_type)
-        return ("prop", m.instance, m.property_name, old)
 
     def _undo(self, entry: tuple) -> None:
         kind = entry[0]
@@ -389,7 +389,8 @@ class ResourceCatalog:
         were committed, so the request raises `unit-error`.
         """
         if token is not None:
-            self._require_active(token)
+            if token is not self._unit:
+                _dead_token()
         elif self._unit is not None:
             raise CatalogError("unit-error", "a unit is open; pass its token to read its state")
         return self._live

@@ -110,6 +110,7 @@ live, so it is read under the same serialization.
 from __future__ import annotations
 
 import heapq
+import json
 from dataclasses import dataclass
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -632,22 +633,39 @@ class PromiseEngine:
         for pid in released_ids:
             assert pid not in self.active, \
                 "released ids must be marked before the post-action check"
-        return self._feasible({rt: {} for rt, st in self._types.items()
-                               if st.demands and (types is None or rt in types)}, view)
+        states = self._types
+        return self._feasible({rt: {} for rt in (states if types is None else types)
+                               if states[rt].demands}, view)
 
-    def dump(self) -> dict:
-        """Diagnostic promise-table dump: the active records in issue
-        order, deterministic field order, and the counters."""
-        rows = []
-        for rec in sorted(self.active.values(), key=lambda rec: rec.issue):
-            rows.append({
+    def dump(self, after: int = 0, page_bytes: Optional[int] = None) -> dict:
+        """Diagnostic promise-table dump: the active records issued after
+        `p-{after}` (all of them by default) in issue order, deterministic
+        field order, and the counters.
+
+        With `page_bytes`, rows are listed while their JSON text stays
+        within that many bytes, and always at least one; when rows remain,
+        `next` is the issue number of the last row listed, the `after` of
+        the following page."""
+        rows: list = []
+        doc = {"promises": rows, "counters": dict(self.counters)}
+        size, last = 0, after
+        for rec in sorted((rec for rec in self.active.values() if rec.issue > after),
+                          key=lambda rec: rec.issue):
+            row = {
                 "promise-identifier": rec.id,
                 "status": PROMISE_ACTIVE,
                 "granted-at": rec.granted_at,
                 "expires-at": rec.expires_at,
                 "predicates": [predicate_to_wire(p) for p in rec.predicates],
-            })
-        return {"promises": rows, "counters": dict(self.counters)}
+            }
+            if page_bytes is not None:
+                size += len(json.dumps(row, separators=(",", ":"))) + 1
+                if size > page_bytes and rows:
+                    doc["next"] = last
+                    break
+            rows.append(row)
+            last = rec.issue
+        return doc
 
     # --- feasibility by type ---
 

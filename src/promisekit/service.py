@@ -52,6 +52,7 @@ from .protocol import (
     ActionMsg,
     ConnectionClosed,
     Envelope,
+    EnvironmentMsg,
     InvariantViolation,
     MalformedMessage,
     PromisePart,
@@ -72,6 +73,10 @@ ACTION_NO_OP = "no-op"
 ACTION_TABLE_DUMP = "promise-table-dump"
 
 PIPELINE_STAGES = ("sweep", "requests", "action", "post-check", "commit")
+
+# the rows of one promise-table-dump page, in bytes of JSON text: half a
+# frame, which leaves the rest of the reply ample room
+DUMP_PAGE_BYTES = MAX_FRAME_BODY // 2
 
 
 class ActionFailure(Exception):
@@ -183,31 +188,41 @@ class PromiseManager:
             return encode(Envelope(error="internal-failure"))
 
     def _handle_locked(self, envelope: Envelope) -> Envelope:
-        requests = envelope.promise_part.requests if envelope.promise_part else ()
-        if not requests and envelope.action is None:
-            return _encoded(Envelope(error="nothing-to-process"))
+        requests = envelope.promise_part.requests if envelope.promise_part is not None else ()
+        action = envelope.action
+        if not requests and action is None:
+            return _failure("nothing-to-process")
         now = self.clock.now()
+        hook = self.fault_hook  # read once: with none installed, a stage costs one test
 
         unit = self.catalog.begin_unit()
         table_before = self.engine.snapshot()
         counters_before = self.counters.copy(), self.engine.counters.copy()
         try:
-            self._stage("sweep")
+            if hook is not None:
+                hook("sweep")
             self.engine.expire_sweep(now, unit)
 
-            self._stage("requests")
-            responses = tuple(self._process_request(r, now, unit) for r in requests)
+            if hook is not None:
+                hook("requests")
+            part = None
+            if requests:
+                responses = []
+                for r in requests:
+                    responses.append(self._process_request(r, now, unit))
+                part = PromisePart((), tuple(responses))
 
-            action_result = None
-            if envelope.action is not None:
-                action_result = self._run_action(envelope, unit)
-            part = PromisePart(responses=responses) if responses else None
-            reply = _encoded(Envelope(promise_part=part, action=action_result))
+            answer = None
+            if action is not None:
+                answer = self._run_action(action, envelope.environment, unit, hook)
+            reply = Envelope(part, None, answer)
+            reply.encoded = encode(reply)
             size = len(reply.encoded)
             if size > MAX_FRAME_BODY:
                 raise InvariantViolation(f"reply of {size} bytes exceeds {MAX_FRAME_BODY}")
 
-            self._stage("commit")
+            if hook is not None:
+                hook("commit")
             self.catalog.commit_unit(unit)
             self.engine.commit()
         except Exception:
@@ -217,7 +232,7 @@ class PromiseManager:
             self.counters.update(counters_before[0])
             self.engine.counters.update(counters_before[1])
             self.counters["internal-failures"] += 1
-            return _encoded(Envelope(error="internal-failure"))
+            return _failure("internal-failure")
 
         if self.self_check:
             self._run_self_check(now)
@@ -245,35 +260,36 @@ class PromiseManager:
         assert outcome is not None  # wire requests always carry predicates
         return PromiseResponseMsg(outcome.id, RESULT_ACCEPTED, duration, req.request_id)
 
-    def _run_action(self, envelope: Envelope, unit) -> ActionMsg:
-        self._stage("action")
-        action = envelope.action
+    def _run_action(self, action: ActionMsg, env: Optional[EnvironmentMsg], unit,
+                    hook: Optional[Callable[[str], None]]) -> ActionMsg:
+        if hook is not None:
+            hook("action")
         name = action.action_name
         handler = self._handlers.get(name)
         if handler is None:
             return ActionMsg(name, {"reason": "no handler registered"}, ACTION_UNKNOWN_ACTION)
 
-        env = envelope.environment
-        env_ids = env.promise_ids if env else ()
-        for pid in env_ids:
-            if pid not in self.engine.active:
-                status = ACTION_UNKNOWN_PROMISE_ID if self.engine.status(pid) is None \
-                    else ACTION_PROMISE_EXPIRED
-                return ActionMsg(name, {"promise-identifier": pid}, status)
+        release_ids = ()
+        if env is not None:
+            for pid in env.promise_ids:
+                if pid not in self.engine.active:
+                    status = ACTION_UNKNOWN_PROMISE_ID if self.engine.status(pid) is None \
+                        else ACTION_PROMISE_EXPIRED
+                    return ActionMsg(name, {"promise-identifier": pid}, status)
+            release_ids = [pid for pid, opt in zip(env.promise_ids, env.release_options)
+                           if opt == OPTION_RELEASE_AFTER_SUCCESS]
 
         mark = self.catalog.savepoint(unit)
         table_mark = self.engine.snapshot()
         releases = self.engine.counters["releases"]  # the one engine counter an action moves
-        release_ids = [pid for pid, opt in zip(env_ids, env.release_options)
-                       if opt == OPTION_RELEASE_AFTER_SUCCESS] if env else []
         try:
             payload = handler(action.payload, unit, self.catalog)
             if release_ids:
                 self.engine.release(release_ids, unit)
-            self._stage("post-check")
+            if hook is not None:
+                hook("post-check")
             # feasibility falls only where supply falls
-            cut = self.catalog.supply_cut_types(unit, mark) \
-                if self.catalog.savepoint(unit) > mark else ()
+            cut = self.catalog.supply_cut_types(unit, mark)
             if not cut or self.engine.post_action_check(
                     release_ids, self.catalog.snapshot_availability(unit), cut):
                 return ActionMsg(name, payload, ACTION_SUCCEEDED)
@@ -289,14 +305,19 @@ class PromiseManager:
         self.engine.counters["releases"] = releases
         return ActionMsg(name, {"reason": reason}, status)
 
-    def _stage(self, stage: str) -> None:
-        if self.fault_hook is not None:
-            self.fault_hook(stage)
-
     # --- diagnostics ---
 
     def _dump_handler(self, payload, unit, catalog) -> dict:
-        doc = self.engine.dump()
+        """One page of the promise table. The payload is an optional cursor,
+        `{"after": N}`, and a page with rows left after it names the next
+        cursor's N in `next`."""
+        after = 0
+        if payload is not None:
+            after = payload.get("after", 0) \
+                if type(payload) is dict and payload.keys() <= {"after"} else None
+            if type(after) is not int or after < 0:
+                raise ActionFailure('the cursor must be {"after": N}, N a non-negative integer')
+        doc = self.engine.dump(after, DUMP_PAGE_BYTES)
         doc["service-counters"] = dict(self.counters)
         doc["catalog-digest"] = catalog.state_digest()
         return doc
@@ -317,8 +338,9 @@ class PromiseManager:
             log.error("self-check failed: %s", problems)
 
 
-def _encoded(reply: Envelope) -> Envelope:
-    """`reply` with its body, which `handle_bytes` sends as it stands."""
+def _failure(code: str) -> Envelope:
+    """An error reply with its body, which `handle_bytes` sends as it stands."""
+    reply = Envelope(error=code)
     reply.encoded = encode(reply)
     return reply
 

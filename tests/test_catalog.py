@@ -200,6 +200,30 @@ def test_finished_token_is_dead(widget_catalog):
     widget_catalog.rollback_unit(unit)  # idempotent no-op
 
 
+@pytest.mark.parametrize("finish", ["commit_unit", "rollback_unit"])
+def test_a_stale_token_is_refused_while_a_later_unit_is_open(hotel_catalog, finish):
+    cat = hotel_catalog
+    stale = cat.begin_unit()
+    getattr(cat, finish)(stale)
+    unit = cat.begin_unit()
+    cat.apply_mutation(unit, SetInstanceStatus(ROOM_512, "taken"))
+    room_610 = InstanceId("room", "610")
+    for use in (lambda: cat.apply_mutation(stale, SetInstanceStatus(room_610, "taken")),
+                lambda: cat.savepoint(stale),
+                lambda: cat.rollback_to(stale, 0),
+                lambda: cat.supply_cut_types(stale, 0),
+                lambda: cat.commit_unit(stale),
+                lambda: cat.snapshot_availability(stale)):
+        with pytest.raises(CatalogError) as info:
+            use()
+        assert info.value.code == "unit-error"
+    cat.rollback_unit(stale)  # a no-op: the open unit keeps its mutation
+    assert cat.instance(ROOM_512).status == "taken"
+    assert cat.instance(room_610).status == "available"
+    cat.commit_unit(unit)  # the refusals did not abort the open unit
+    assert cat.instance(ROOM_512).status == "taken"
+
+
 def test_savepoint_rollback_to(widget_catalog):
     unit = widget_catalog.begin_unit()
     widget_catalog.apply_mutation(unit, DecrementPool("pink-widget", 2))

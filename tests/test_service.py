@@ -455,6 +455,56 @@ def test_the_table_dump_survives_a_long_history():
         == [(pid, "active") for pid in live] == [("p-10001", "active"), ("p-10002", "active")]
 
 
+def test_a_large_table_dumps_in_pages_that_each_fit_a_frame():
+    mgr = widget_manager(10_000)
+    eng = mgr.engine
+    for _ in range(10_000):
+        eng.grant([Quantity("pink-widget", 1)], 30, 0)
+    listed, cursor, pages = [], None, 0
+    while True:
+        body = mgr.handle_bytes(encode(Envelope(action=ActionMsg("promise-table-dump", cursor))))
+        reply = decode(body)
+        assert reply.action.status == "succeeded" and len(body) <= MAX_FRAME_BODY
+        page = reply.action.payload
+        listed += [row["promise-identifier"] for row in page["promises"]]
+        pages += 1
+        if "next" not in page:
+            break
+        assert page["next"] == int(listed[-1][2:])
+        cursor = {"after": page["next"]}
+    assert pages > 1
+    assert listed == [f"p-{n}" for n in range(1, 10_001)]
+
+
+@pytest.mark.parametrize("cursor", [
+    {"after": -1}, {"after": "3"}, {"after": True}, {"after": 1.5}, {"after": None},
+    {"before": 3}, {"after": 3, "limit": 2}, [3], "3", 3,
+], ids=["negative", "string", "bool", "fraction", "null", "other-member", "extra-member",
+        "list", "string-payload", "number-payload"])
+def test_a_malformed_dump_cursor_fails(cursor):
+    mgr = widget_manager(10)
+    first_response(mgr.handle(grant_envelope(1)))
+    before = mgr.state_digest()
+    reply = mgr.handle(Envelope(action=ActionMsg("promise-table-dump", cursor)))
+    assert reply.action.status == "failed"
+    assert mgr.state_digest() == before and mgr.counters["internal-failures"] == 0
+
+
+def test_a_dump_cursor_lists_the_promises_issued_after_it():
+    mgr = widget_manager(10)
+    for rid in ("r-1", "r-2", "r-3"):
+        first_response(mgr.handle(grant_envelope(1, rid=rid)))
+
+    def listed(cursor):
+        page = mgr.handle(Envelope(action=ActionMsg("promise-table-dump", cursor))).action.payload
+        assert "next" not in page
+        return [row["promise-identifier"] for row in page["promises"]]
+
+    assert listed(None) == listed({}) == listed({"after": 0}) == ["p-1", "p-2", "p-3"]
+    assert listed({"after": 2}) == ["p-3"]
+    assert listed({"after": 3}) == listed({"after": 10 ** 30}) == []
+
+
 def test_retired_and_malformed_ids_in_an_environment():
     mgr = widget_manager(20)
     released, expired = (first_response(mgr.handle(grant_envelope(1, rid=rid, duration=5)))
@@ -562,6 +612,26 @@ def test_fault_at_each_stage_restores_the_exact_state(stage):
     assert mgr.counters["internal-failures"] == 1
     # the pipeline still works afterwards
     assert first_response(mgr.handle(grant_envelope(1, rid="after"))).result == "accepted"
+
+
+@pytest.mark.parametrize("envelope, stages", [
+    (Envelope(promise_part=PromisePart(requests=(
+        make_request("r-s", [Quantity("pink-widget", 1)], 30),)),
+        action=ActionMsg("purchase-stock", {"resource-type": "pink-widget", "amount": 1})),
+     ["sweep", "requests", "action", "post-check", "commit"]),
+    (Envelope(action=ActionMsg("restock", {"resource-type": "pink-widget", "amount": 1})),
+     ["sweep", "requests", "action", "post-check", "commit"]),
+    (grant_envelope(1, rid="r-s"), ["sweep", "requests", "commit"]),
+], ids=["grant-and-cutting-action", "action-that-cuts-nothing", "grant-only"])
+def test_the_hook_sees_each_stage_once_in_order(envelope, stages):
+    mgr = widget_manager(10)
+    first_response(mgr.handle(grant_envelope(2)))
+    seen = []
+    mgr.fault_hook = seen.append
+    reply = mgr.handle(envelope)
+    mgr.fault_hook = None
+    assert reply.error is None
+    assert seen == stages
 
 
 def test_fault_rollback_restores_expired_records_for_resweep():
