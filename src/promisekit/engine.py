@@ -407,7 +407,6 @@ class PromiseEngine:
         for rt in catalog.schema.types:
             st = self._types[rt] = build_feasibility_problem(rt, {}, view)
             st.eligible_at = catalog.property_version(rt)
-        self.counters = {"grants": 0, "rejections": 0, "releases": 0, "expiries": 0}
 
     # --- queries ---
 
@@ -557,7 +556,6 @@ class PromiseEngine:
             raise ValueError("duration must be positive")
         demands = _merge(predicates)
         if not self._feasible(demands, self._view(unit)):
-            self.counters["rejections"] += 1
             return Rejection()
         return self._insert(tuple(predicates), duration, now, unit, demands)
 
@@ -596,7 +594,6 @@ class PromiseEngine:
         wanted = _wanted(demands, leaving)
         # releasing only removes demand: only the types the request names need deciding
         if not self._feasible({rt: wanted[rt] for rt in demands}, self._view(unit)):
-            self.counters["rejections"] += 1
             return Rejection()
         for rec in leaving:
             self._retire(rec, _RELEASED, unit)
@@ -639,15 +636,15 @@ class PromiseEngine:
 
     def dump(self, after: int = 0, page_bytes: Optional[int] = None) -> dict:
         """Diagnostic promise-table dump: the active records issued after
-        `p-{after}` (all of them by default) in issue order, deterministic
-        field order, and the counters.
+        `p-{after}` (all of them by default) in issue order, with
+        deterministic field order.
 
         With `page_bytes`, rows are listed while their JSON text stays
         within that many bytes, and always at least one; when rows remain,
         `next` is the issue number of the last row listed, the `after` of
         the following page."""
         rows: list = []
-        doc = {"promises": rows, "counters": dict(self.counters)}
+        doc = {"promises": rows}
         size, last = 0, after
         for rec in sorted((rec for rec in self.active.values() if rec.issue > after),
                           key=lambda rec: rec.issue):
@@ -771,7 +768,6 @@ class PromiseEngine:
                 inst = self.catalog.instance(p.instance)
                 if inst is not None and inst.status == STATUS_AVAILABLE:
                     self._set_status(p.instance, STATUS_PROMISED, unit)
-        self.counters["grants"] += 1
         return rec
 
     def _admit(self, rec: PromiseRecord) -> None:
@@ -782,14 +778,13 @@ class PromiseEngine:
 
     def _retire(self, rec: PromiseRecord, status: int, unit: Optional[UnitToken]) -> None:
         """Take an active record out of the table, leaving its final status
-        byte (`_RELEASED` or `_EXPIRED`) behind, add it to the counters,
-        and clear the allocated tags of its Named instances. The caller
-        takes its demands out of the index (`_count`)."""
+        byte (`_RELEASED` or `_EXPIRED`) behind, and clear the allocated
+        tags of its Named instances. The caller takes its demands out of
+        the index (`_count`)."""
         if unit is not None:
             self._journal.append((rec.id, rec))
         del self.active[rec.id]
         self._history[rec.issue - 1] = status
-        self.counters["releases" if status == _RELEASED else "expiries"] += 1
         # entries of records that left before expiring would otherwise pile up
         if len(self._expiry) > 2 * len(self.active) + 1:
             self._expiry[:] = [_expiry_entry(r) for r in self.active.values()]

@@ -174,15 +174,17 @@ def _fields(payload, *names):
     string; anything else fails the action."""
     if not isinstance(payload, dict):
         raise ActionFailure("payload must be an object")
-    try:
-        values = tuple(payload[n] for n in names)
-    except KeyError as exc:
-        raise ActionFailure(f"payload is missing {exc.args[0]!r}") from exc
-    for name, value in zip(names, values):
+    for name in names:
+        if name not in payload:
+            raise ActionFailure(f"payload is missing {name!r}")
+    values = []
+    for name in names:
+        value = payload[name]
         if name == "amount" and (type(value) is not int or value < 1):
             raise ActionFailure("amount must be a positive integer")
         if name in _NAME_FIELDS and (not isinstance(value, str) or not value):
             raise ActionFailure(f"{name} must be a non-empty string")
+        values.append(value)
     return values
 
 
@@ -260,7 +262,7 @@ class RunReport:
 def _finish_report(report: RunReport, manager: PromiseManager,
                    observed: dict[str, int]) -> RunReport:
     """Add the counters, the invariants every run ends with and the final state."""
-    report.counters = {**manager.engine.counters, **manager.counters, **observed}
+    report.counters = {**manager.counters, **observed}
     by_name: dict = {"final-feasibility": [], "pool-additivity": [], "named-exclusivity": []}
     for p in manager.engine.problems():
         # any other problem ("index", "feasibility") says the final table is unsound
@@ -272,8 +274,8 @@ def _finish_report(report: RunReport, manager: PromiseManager,
     observed_violations = observed["observed-violations"]
     report.add_invariant(
         "violation-count-consistent",
-        manager.counters["violations-rolled-back"] == observed_violations,
-        detail=f"service={manager.counters['violations-rolled-back']} observed={observed_violations}")
+        report.counters["violations-rolled-back"] == observed_violations,
+        detail=f"service={report.counters['violations-rolled-back']} observed={observed_violations}")
     report.final = {"catalog-digest": manager.catalog.state_digest(),
                     "promise-table": manager.engine.dump()["promises"]}
     return report

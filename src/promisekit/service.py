@@ -7,10 +7,9 @@ with a savepoint taken first, so:
 
   - a handler's declared failure (ActionFailure) or a post-action promise
     violation rolls back the action's effects and any provisional
-    releases, with the engine counters they moved, while grants made
-    earlier in the same envelope stand;
+    releases, while grants made earlier in the same envelope stand;
   - any unexpected exception rolls back the whole envelope, promise table
-    and counters included, leaving the exact pre-call state. A reply that
+    included, leaving the exact pre-call state. A reply that
     cannot be sent is one: the reply is part of the envelope, so it is
     encoded whole before the commit, and one that JSON cannot write, or
     that does not fit one frame, rolls the envelope back.
@@ -147,7 +146,7 @@ class PromiseManager:
         self.duration_cap = duration_cap
         self.self_check = self_check
         self.self_check_failures: list[dict] = []
-        self.counters = {"violations-rolled-back": 0, "internal-failures": 0}
+        self._answered = {"rejections": 0, "violations-rolled-back": 0, "internal-failures": 0}
         self.fault_hook: Optional[Callable[[str], None]] = None  # test instrumentation
         self._lock = threading.Lock()
         self._handlers: dict[str, Handler] = {}
@@ -158,6 +157,17 @@ class PromiseManager:
         if action_name in self._handlers:
             raise ServiceError("duplicate-handler", f"{action_name!r} is already registered")
         self._handlers[action_name] = handler
+
+    @property
+    def counters(self) -> dict[str, int]:
+        """Every counter: grants, releases and expiries read off the status of
+        every issued id, then the committed replies and whole rollbacks."""
+        history = self.engine.history()
+        answered = self._answered
+        return {"grants": len(history), "rejections": answered["rejections"],
+                "releases": history.count("r"), "expiries": history.count("e"),
+                "violations-rolled-back": answered["violations-rolled-back"],
+                "internal-failures": answered["internal-failures"]}
 
     # --- pipeline ---
 
@@ -197,7 +207,6 @@ class PromiseManager:
 
         unit = self.catalog.begin_unit()
         table_before = self.engine.snapshot()
-        counters_before = self.counters.copy(), self.engine.counters.copy()
         try:
             if hook is not None:
                 hook("sweep")
@@ -229,11 +238,16 @@ class PromiseManager:
             log.exception("pipeline failure; rolling back the whole request")
             self.catalog.rollback_unit(unit)
             self.engine.restore(table_before)
-            self.counters.update(counters_before[0])
-            self.engine.counters.update(counters_before[1])
-            self.counters["internal-failures"] += 1
+            self._answered["internal-failures"] += 1
             return _failure("internal-failure")
 
+        # a committed reply is counted once: a rolled-back envelope counts nothing
+        if part is not None:
+            for response in part.responses:
+                if response.result == RESULT_REJECTED:
+                    self._answered["rejections"] += 1
+        if answer is not None and answer.status == ACTION_REJECTED_BY_PROMISE_VIOLATION:
+            self._answered["violations-rolled-back"] += 1
         if self.self_check:
             self._run_self_check(now)
         return reply
@@ -251,10 +265,8 @@ class PromiseManager:
             else:
                 outcome = self.engine.grant(req.predicates, duration, now, unit)
         except (PredicateInvalid, UnknownPromiseId) as exc:
-            # the engine counts only the rejections it decides by feasibility
             log.info("request %s rejected: %s", req.request_id, exc)
-            self.engine.counters["rejections"] += 1
-            outcome = Rejection(str(exc))
+            return PromiseResponseMsg(None, RESULT_REJECTED, 0, req.request_id)
         if isinstance(outcome, Rejection):
             return PromiseResponseMsg(None, RESULT_REJECTED, 0, req.request_id)
         assert outcome is not None  # wire requests always carry predicates
@@ -281,7 +293,6 @@ class PromiseManager:
 
         mark = self.catalog.savepoint(unit)
         table_mark = self.engine.snapshot()
-        releases = self.engine.counters["releases"]  # the one engine counter an action moves
         try:
             payload = handler(action.payload, unit, self.catalog)
             if release_ids:
@@ -293,7 +304,6 @@ class PromiseManager:
             if not cut or self.engine.post_action_check(
                     release_ids, self.catalog.snapshot_availability(unit), cut):
                 return ActionMsg(name, payload, ACTION_SUCCEEDED)
-            self.counters["violations-rolled-back"] += 1
             status, reason = ACTION_REJECTED_BY_PROMISE_VIOLATION, \
                 "outcome would violate an active promise"
         except ActionFailure as exc:
@@ -302,7 +312,6 @@ class PromiseManager:
             status, reason = ACTION_FAILED, exc.code
         self.catalog.rollback_to(unit, mark)
         self.engine.restore(table_mark)
-        self.engine.counters["releases"] = releases
         return ActionMsg(name, {"reason": reason}, status)
 
     # --- diagnostics ---
@@ -318,7 +327,10 @@ class PromiseManager:
             if type(after) is not int or after < 0:
                 raise ActionFailure('the cursor must be {"after": N}, N a non-negative integer')
         doc = self.engine.dump(after, DUMP_PAGE_BYTES)
-        doc["service-counters"] = dict(self.counters)
+        counters = self.counters
+        doc["service-counters"] = {name: counters.pop(name)
+                                   for name in ("violations-rolled-back", "internal-failures")}
+        doc["counters"] = counters
         doc["catalog-digest"] = catalog.state_digest()
         return doc
 

@@ -31,7 +31,7 @@ from conftest import HOTEL_DOC, widget_doc
 PACKAGE = str(Path(promisekit.__file__).resolve().parent)
 
 # envelope kind -> the most calls it may make
-BUDGET = {"no-op": 21, "purchase": 30, "named-grant": 45, "named-release": 32}
+BUDGET = {"no-op": 21, "purchase": 27, "named-grant": 45, "named-release": 32}
 
 
 def _calls(manager, envelope):

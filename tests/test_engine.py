@@ -587,7 +587,7 @@ def test_an_id_listed_twice_is_released_and_journaled_once():
     mark = eng.snapshot()
     eng.release([rec.id, rec.id], unit)
     assert eng.snapshot() == mark + 1
-    assert eng.counters["releases"] == 1
+    assert eng.history().count("r") == 1
     cat.commit_unit(unit)
     eng.commit()
     assert eng.problems() == []
@@ -962,7 +962,7 @@ def test_dump_is_deterministic_and_ordered():
     dump = eng.dump()
     ids = [row["promise-identifier"] for row in dump["promises"]]
     assert ids == ["p-1", "p-2", "p-3"]
-    assert dump["counters"]["grants"] == 3
+    assert len(eng.history()) == 3
     unit = eng.catalog.begin_unit()
     mark = eng.snapshot()
     eng.release(["p-1"], unit)

@@ -214,7 +214,7 @@ def test_every_rejected_request_is_counted():
                mgr.handle(grant_envelope(1, rid="inactive", release=(p1,))),
                mgr.handle(Envelope(promise_part=PromisePart(requests=(invalid,))))]
     assert [first_response(r).result for r in replies] == ["rejected"] * 4
-    assert mgr.engine.counters["rejections"] == 4
+    assert mgr.counters["rejections"] == 4
 
 
 def test_handle_leaves_the_envelope_it_is_given_unchanged():
@@ -280,6 +280,21 @@ def test_promise_table_dump_action():
     assert dump["promises"][0]["predicates"] == [
         {"form": "quantity", "resource-type": "pink-widget", "amount": 5}]
     assert "catalog-digest" in dump
+
+
+def test_a_dump_page_counts_the_grants_but_not_the_rejections_of_its_own_envelope():
+    """Grants stand in the table as soon as they are made; a rejection is
+    counted once its reply commits, after the page is written."""
+    mgr = widget_manager(10)
+    requests = (make_request("r-1", [Quantity("pink-widget", 3)], 30),
+                make_request("r-2", [Quantity("pink-widget", 20)], 30))
+    reply = mgr.handle(Envelope(promise_part=PromisePart(requests=requests),
+                                action=ActionMsg("promise-table-dump")))
+    assert [r.result for r in reply.promise_part.responses] == ["accepted", "rejected"]
+    assert reply.action.payload["counters"] == {
+        "grants": 1, "rejections": 0, "releases": 0, "expiries": 0}
+    page = mgr.handle(Envelope(action=ActionMsg("promise-table-dump"))).action.payload
+    assert page["counters"] == {"grants": 1, "rejections": 1, "releases": 0, "expiries": 0}
 
 
 # --- post-action checks cover only the types the action changed ---
@@ -523,9 +538,9 @@ def test_retired_and_malformed_ids_in_an_environment():
     assert answer(released) == answer(expired) == "promise-expired"
     assert (mgr.engine.status(released), mgr.engine.status(expired)) == ("released", "expired")
 
-    before, counters = mgr.state_digest(), dict(mgr.engine.counters)
+    before, counters = mgr.state_digest(), mgr.counters
     mgr.engine.release([released, expired])
-    assert mgr.state_digest() == before and mgr.engine.counters == counters
+    assert mgr.state_digest() == before and mgr.counters == counters
     with pytest.raises(UnknownPromiseId):
         mgr.engine.release(["p-007"])
 
@@ -655,17 +670,28 @@ def _fault_at(stage):
 
 
 def test_a_whole_envelope_rollback_restores_the_counters():
-    mgr = widget_manager(2)
+    mgr = widget_manager(4)
     first_response(mgr.handle(grant_envelope(2)))
-    service_before, engine_before = dict(mgr.counters), dict(mgr.engine.counters)
+    short = first_response(mgr.handle(grant_envelope(1, rid="r-short", duration=5))).promise_id
+    swapped = first_response(mgr.handle(grant_envelope(1, rid="r-swap"))).promise_id
+    before = mgr.counters
     mgr.fault_hook = _fault_at("commit")
     # the unprotected purchase is a violation, then the commit fails
     assert mgr.handle(purchase_envelope(1)).error == "internal-failure"
     # and so is a rejected grant
     assert mgr.handle(grant_envelope(1, rid="r-2")).error == "internal-failure"
+    # and an envelope that sweeps an expiry and grants by exchange
+    mgr.clock.advance(5)
+    exchange = grant_envelope(1, rid="r-3", release=(swapped,))
+    assert mgr.handle(exchange).error == "internal-failure"
     mgr.fault_hook = None
-    assert mgr.counters == {**service_before, "internal-failures": 2}
-    assert mgr.engine.counters == engine_before
+    assert mgr.counters == {**before, "internal-failures": 3}
+    assert (mgr.engine.status(short), mgr.engine.status(swapped)) == ("active", "active")
+    # committed, the same envelope moves the counters the rollback put back
+    assert first_response(mgr.handle(exchange)).result == "accepted"
+    assert mgr.counters == {**before, "grants": before["grants"] + 1,
+                            "releases": before["releases"] + 1,
+                            "expiries": before["expiries"] + 1, "internal-failures": 3}
 
 
 def test_a_rolled_back_grant_gives_its_id_back():
@@ -760,7 +786,7 @@ def test_an_action_rolled_back_for_a_violation_restores_the_release_count():
     reply = mgr.handle(purchase_envelope(6, (p1,), ("release-after-success",)))
     assert reply.action.status == "rejected-by-promise-violation"
     assert mgr.engine.status(p1) == "active"
-    assert mgr.engine.counters["releases"] == 0
+    assert mgr.counters["releases"] == 0
     assert mgr.counters["violations-rolled-back"] == 1
 
 
@@ -839,6 +865,29 @@ def test_wire_result_matches_in_process_result(server):
             assert client.roundtrip(envelope) == twin.handle(envelope)
     finally:
         client.close()
+
+
+def test_a_dump_page_carries_every_counter_over_the_wire(server):
+    mgr, srv = server
+    _with_unwritable_cut(mgr)
+    client = WireClient(srv.address)
+    try:
+        held = first_response(client.roundtrip(grant_envelope(5))).promise_id
+        assert first_response(client.roundtrip(grant_envelope(6, rid="r-2"))).result == "rejected"
+        assert client.roundtrip(purchase_envelope(6)).action.status \
+            == "rejected-by-promise-violation"
+        first_response(client.roundtrip(grant_envelope(2, rid="r-3", duration=5)))
+        assert client.roundtrip(Envelope(action=ActionMsg("no-op"), environment=EnvironmentMsg(
+            (held,), ("release-after-success",)))).action.status == "succeeded"
+        mgr.clock.advance(5)
+        assert client.roundtrip(Envelope(action=ActionMsg("no-op"))).action.status == "succeeded"
+        assert client.roundtrip(_CUT_WITH_A_GRANT).error == "internal-failure"
+        page = client.roundtrip(Envelope(action=ActionMsg("promise-table-dump"))).action.payload
+    finally:
+        client.close()
+    assert page["promises"] == []
+    assert page["counters"] == {"grants": 2, "rejections": 1, "releases": 1, "expiries": 1}
+    assert page["service-counters"] == {"violations-rolled-back": 1, "internal-failures": 1}
 
 
 def _with_oversized_cut(mgr, length):
