@@ -37,12 +37,21 @@ accepts.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Mapping, Optional, Union
 
 from .predicates import InstanceId, Scalar, scalar_eq, scalar_key
+
+# the interpreter's own SHA-256 (`_sha2` since 3.12, `_sha256` before), so a
+# digest loads no OpenSSL; hashlib only where neither module is built
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 STATUS_AVAILABLE = "available"
 STATUS_PROMISED = "promised"
@@ -441,7 +450,7 @@ class ResourceCatalog:
 
 def digest_document(doc) -> str:
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 # --- loading ---
@@ -578,11 +587,15 @@ def _parse_scalars(pname: str, raw) -> tuple[Scalar, ...]:
 def load_catalog_text(text: str) -> ResourceCatalog:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise CatalogError("parse-error", f"not valid JSON: {exc}") from exc
     return load_catalog(doc)
 
 
 def load_catalog_file(path) -> ResourceCatalog:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_catalog_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CatalogError("parse-error", f"not UTF-8 text: {exc}") from exc
+    return load_catalog_text(text)

@@ -40,6 +40,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             report = run_script(args.script, catalog_override=args.catalog)
         elif args.command == "fuzz":
+            if args.steps < 1:
+                raise ScenarioError(f"--steps must be at least 1, not {args.steps}")
             report = fuzz(args.seed, n_steps=args.steps)
         else:
             return _serve_forever(args.config)

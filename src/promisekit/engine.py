@@ -111,7 +111,6 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .catalog import (
@@ -150,11 +149,10 @@ class UnknownPromiseId(Exception):
         self.promise_id = promise_id
 
 
-@dataclass(frozen=True)
 class Rejection:
-    """Protocol-level refusal of a grant or exchange. Not an error."""
-
-    reason: str = "unsatisfiable with current promises and availability"
+    """Protocol-level refusal of a grant or exchange. Not an error. It
+    carries nothing yet: the certified violator that decided it is meant to
+    be its first field."""
 
 
 class PromiseRecord(NamedTuple):

@@ -29,12 +29,11 @@ import json
 import logging
 import os
 import random
-import socket
 import threading
 import time
 from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .catalog import (
     STATUS_AVAILABLE,
@@ -86,6 +85,9 @@ from .service import (
     PromiseManager,
     Server,
 )
+
+if TYPE_CHECKING:
+    import socket
 
 log = logging.getLogger("promisekit")
 
@@ -363,6 +365,8 @@ def _wire(sock: socket.socket) -> Callable[[Envelope], Envelope]:
 @contextlib.contextmanager
 def _serving(manager: PromiseManager, n_clients: int):
     """Serve `manager` on a local port; yield one wire round trip per client."""
+    import socket  # only a wire run opens a connection
+
     server = Server(manager)
     try:
         with contextlib.ExitStack() as stack:
@@ -401,7 +405,7 @@ def load_script(source) -> dict:
             else:
                 script = _bundled(f"{path}.json")
                 base = None  # bundled catalogs resolve inside the package
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, nested too deep
             raise ScenarioError(f"script is not a JSON document ({path}): {exc}") from exc
         _require(isinstance(script, dict), f"{path}: a script must be a JSON object")
         script.setdefault("name", os.path.splitext(os.path.basename(path))[0])

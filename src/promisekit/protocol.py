@@ -26,13 +26,15 @@ bytes in Envelope.encoded.
 from __future__ import annotations
 
 import json
-import socket
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .predicates import Named, Predicate, Property, Quantity, predicate_from_wire, predicate_to_wire
+
+if TYPE_CHECKING:  # the framing reads and writes sockets it is given, and makes none
+    import socket
 
 RESULT_ACCEPTED = "accepted"
 RESULT_REJECTED = "rejected"

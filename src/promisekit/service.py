@@ -24,12 +24,11 @@ import json
 import logging
 import os
 import select
-import socket
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .catalog import CatalogError, ResourceCatalog, load_catalog_file
+from .catalog import CatalogError, ResourceCatalog, digest_document, load_catalog_file
 from .clock import WallClock
 from .engine import (
     PromiseEngine,
@@ -62,6 +61,9 @@ from .protocol import (
     recv_frame,
     send_frame,
 )
+
+if TYPE_CHECKING:
+    import socket
 
 log = logging.getLogger("promisekit")
 
@@ -104,7 +106,7 @@ class ServiceConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except ValueError as exc:  # bad JSON or bad UTF-8
+            except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, nested too deep
                 raise ServiceError("config-error", f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ServiceError("config-error", f"{path} must hold a JSON object")
@@ -337,8 +339,6 @@ class PromiseManager:
     def state_digest(self) -> str:
         """Hash of committed catalog state, the promise table's records and
         the status of every issued id."""
-        from .catalog import digest_document
-
         table = self.engine.dump()["promises"]
         return digest_document({"catalog": self.catalog.dump_state(), "promises": table,
                                 "history": self.engine.history()})
@@ -363,6 +363,8 @@ class Server:
     """Framed TCP endpoint in front of a PromiseManager."""
 
     def __init__(self, manager: PromiseManager, host: str = "127.0.0.1", port: int = 0):
+        import socket  # only the endpoint makes a socket
+
         self.manager = manager
         try:
             self._listener = socket.create_server((host, port))
@@ -380,7 +382,7 @@ class Server:
         while not self._stop.is_set():
             try:
                 conn, _ = self._listener.accept()
-            except socket.timeout:
+            except TimeoutError:
                 continue
             except OSError:
                 break
@@ -407,7 +409,7 @@ class Server:
                     body = recv_frame(conn)
                 except ConnectionClosed:
                     return
-                except (MalformedMessage, socket.timeout):
+                except (MalformedMessage, TimeoutError):
                     # broken framing desyncs the stream: report and drop
                     try:
                         send_frame(conn, encode(Envelope(error="malformed-message")))

@@ -36,6 +36,15 @@ SEAT_DOC = {
 }
 
 
+# a file that is not a JSON document: the json module's scanner recurses
+# once per array, so this ends in RecursionError, not in a decode error
+NESTED_TOO_DEEP = b"[" * 200_000 + b"]" * 200_000
+
+# file contents that no loader can read as JSON text
+UNREADABLE = pytest.mark.parametrize("data", [b"\xff", NESTED_TOO_DEEP],
+                                     ids=["not-utf-8", "nested-too-deep"])
+
+
 def widget_doc(count=10):
     return {"resource-types": [{"name": "pink-widget", "pool": count}]}
 

@@ -8,11 +8,12 @@ from promisekit.catalog import (
     SetInstanceStatus,
     SetProperty,
     load_catalog,
+    load_catalog_file,
     load_catalog_text,
 )
 from promisekit.predicates import InstanceId
 
-from conftest import HOTEL_DOC, widget_doc
+from conftest import HOTEL_DOC, UNREADABLE, widget_doc
 
 
 ROOM_512 = InstanceId("room", "512")
@@ -90,6 +91,15 @@ def test_bad_documents(doc, code):
 def test_load_not_json():
     with pytest.raises(CatalogError) as exc:
         load_catalog_text("{nope")
+    assert exc.value.code == "parse-error"
+
+
+@UNREADABLE
+def test_a_file_that_is_not_json_text_is_a_parse_error(tmp_path, data):
+    path = tmp_path / "catalog.json"
+    path.write_bytes(data)
+    with pytest.raises(CatalogError) as exc:
+        load_catalog_file(path)
     assert exc.value.code == "parse-error"
 
 

@@ -22,7 +22,7 @@ from promisekit.predicates import InstanceId, Named
 from promisekit.protocol import ActionMsg, Envelope
 from promisekit.service import PromiseManager, ServiceError
 
-from conftest import SEAT_DOC, widget_doc
+from conftest import NESTED_TOO_DEEP, SEAT_DOC, UNREADABLE, widget_doc
 
 
 BUNDLED = ["merchant", "hotel", "travel", "banking", "gallery"]
@@ -194,12 +194,30 @@ def test_script_duration_cap_must_be_a_positive_integer(cap):
                    "clients": [{"name": "c", "steps": []}]}), "error: seed must be an integer")
       for seed in ["x", True, 2.5]],
     ('{"name": "cut short", "clients": [', "error: script is not a JSON document"),
+    pytest.param(NESTED_TOO_DEEP.decode(), "error: script is not a JSON document",
+                 id="nested-too-deep"),
 ])
 def test_cli_reports_a_malformed_script_and_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "script.json"
     path.write_text(text)
     assert cli.main(["run", str(path)]) == 2
     assert capsys.readouterr().err.startswith(message)
+
+
+@UNREADABLE
+def test_cli_reports_an_unreadable_catalog_and_exits_2(tmp_path, capsys, data):
+    path = tmp_path / "catalog.json"
+    path.write_bytes(data)
+    assert cli.main(["run", "hotel", "--catalog", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: parse-error: ")
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_cli_refuses_a_fuzz_run_of_no_steps(capsys, steps):
+    assert cli.main(["fuzz", "--steps", steps]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "--steps" in err
+    assert out == ""
 
 
 def test_unknown_bundled_name():

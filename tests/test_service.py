@@ -40,7 +40,7 @@ from promisekit.service import (
     ServiceConfig,
 )
 
-from conftest import HOTEL_DOC, SEAT_DOC, widget_doc
+from conftest import HOTEL_DOC, NESTED_TOO_DEEP, SEAT_DOC, widget_doc
 
 
 def widget_manager(count=10, **kwargs):
@@ -1125,16 +1125,21 @@ def test_config_file_errors_are_config_errors(tmp_path, text):
 
 
 @pytest.mark.parametrize("config,catalog,error", [
-    ("not json", "", "error: config-error"),
-    ('{"catalog": "%s", "duration-cap": 0}', '{"resource-types": []}', "error: config-error"),
-    ('{"catalog": "%s"}', "not json", "error: parse-error"),
+    (b"not json", b"", "error: config-error"),
+    (b'{"catalog": "%s", "duration-cap": 0}', b'{"resource-types": []}', "error: config-error"),
+    (b'{"catalog": "%s"}', b"not json", "error: parse-error"),
+    pytest.param(b"\xff", b"", "error: config-error: ", id="config-not-utf-8"),
+    pytest.param(NESTED_TOO_DEEP, b"", "error: config-error: ", id="config-nested-too-deep"),
+    pytest.param(b'{"catalog": "%s"}', b"\xff", "error: parse-error: ", id="catalog-not-utf-8"),
+    pytest.param(b'{"catalog": "%s"}', NESTED_TOO_DEEP, "error: parse-error: ",
+                 id="catalog-nested-too-deep"),
 ])
 def test_serve_reports_a_bad_config_and_exits_2(tmp_path, monkeypatch, capsys,
                                                 config, catalog, error):
     catalog_path = tmp_path / "catalog.json"
-    catalog_path.write_text(catalog)
+    catalog_path.write_bytes(catalog)
     config_path = tmp_path / "config.json"
-    config_path.write_text(config.replace("%s", str(catalog_path)))
+    config_path.write_bytes(config.replace(b"%s", bytes(catalog_path)))
     monkeypatch.delenv("PROMISEKIT_CONFIG", raising=False)
     assert cli.main(["serve", "--config", str(config_path)]) == 2
     assert capsys.readouterr().err.startswith(error)
