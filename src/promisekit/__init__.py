@@ -32,7 +32,6 @@ from .engine import (
     build_feasibility_problem,
     check_satisfiable,
 )
-from .oracle import brute_force_satisfiable
 from .predicates import (
     FormMismatch,
     InstanceId,

@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Mapping, Optional, Union
+from typing import AbstractSet, Container, Iterable, Mapping, Optional, Union
 
-from .predicates import InstanceId, Scalar, scalar_eq, scalar_key
+from .predicates import InstanceId, Scalar, scalar_key
 
 # the interpreter's own SHA-256 (`_sha2` since 3.12, `_sha256` before), so a
 # digest loads no OpenSSL; hashlib only where neither module is built
@@ -86,16 +86,26 @@ class PropertyDecl:
     domain: Optional[tuple[Scalar, ...]] = None  # None = open domain
     order: Optional[tuple[Scalar, ...]] = None   # total order; doubles as domain
     _ranks: dict = field(init=False, repr=False, compare=False)
+    _allowed: Optional[Container] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ranks = {scalar_key(v): i for i, v in enumerate(self.order or ())}
         object.__setattr__(self, "_ranks", ranks)
+        # the allowed values, looked up by scalar key; None for an open domain
+        if self.order is not None:
+            allowed = ranks
+        elif self.domain is not None:
+            allowed = frozenset(map(scalar_key, self.domain))
+        else:
+            allowed = None
+        object.__setattr__(self, "_allowed", allowed)
 
     def allows(self, value: Scalar) -> bool:
-        allowed = self.order if self.order is not None else self.domain
-        if allowed is None:
-            return isinstance(value, (str, int, bool))
-        return any(scalar_eq(v, value) for v in allowed)
+        # a float is no scalar, even one equal to an allowed int: a catalog
+        # document cannot hold it, so `dump_state` could not be loaded back
+        if not isinstance(value, (str, int, bool)):
+            return False
+        return self._allowed is None or scalar_key(value) in self._allowed
 
     def rank(self, value: Scalar) -> int:
         """Position of `value` in the declared order, -1 if absent or unordered."""

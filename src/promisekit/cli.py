@@ -9,7 +9,6 @@ import sys
 import threading
 
 from .catalog import CatalogError
-from .harness import ScenarioError, fuzz, run_script
 from .service import ServiceConfig, ServiceError, serve
 
 
@@ -36,22 +35,24 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
 
+    if args.command == "serve":
+        return _serve_forever(args.config)
+    # only a run or a fuzz loads the driver, and through it the oracle
+    from .driver import ScenarioError, fuzz, run_script
+
     try:
         if args.command == "run":
             report = run_script(args.script, catalog_override=args.catalog)
-        elif args.command == "fuzz":
+        else:
             if args.steps < 1:
                 raise ScenarioError(f"--steps must be at least 1, not {args.steps}")
             report = fuzz(args.seed, n_steps=args.steps)
-        else:
-            return _serve_forever(args.config)
         doc = report.to_document()
         if args.report:
             with open(args.report, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=2, sort_keys=True)
     except (CatalogError, ScenarioError, ServiceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
 
     _print_summary(doc)
     return 0 if report.ok else 1
@@ -73,9 +74,16 @@ def _print_summary(doc: dict) -> None:
     print("RESULT:", "PASS" if doc["ok"] else "FAIL")
 
 
+def _error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _serve_forever(config_path) -> int:
-    config = ServiceConfig.resolve(config_path)
-    server = serve(config)
+    try:
+        server = serve(ServiceConfig.resolve(config_path))
+    except (CatalogError, ServiceError, OSError) as exc:
+        return _error(exc)
     host, port = server.address
     print(f"promise manager listening on {host}:{port}")
     stop = threading.Event()

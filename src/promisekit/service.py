@@ -25,6 +25,7 @@ import logging
 import os
 import select
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -79,6 +80,10 @@ PIPELINE_STAGES = ("sweep", "requests", "action", "post-check", "commit")
 # frame, which leaves the rest of the reply ample room
 DUMP_PAGE_BYTES = MAX_FRAME_BODY // 2
 
+# how many of a connection's latest request identifiers it remembers; a
+# duplicate of an older one is not detected, and is handled as a new request
+RECENT_REQUEST_IDS = 1024
+
 
 class ActionFailure(Exception):
     """Raised by handlers to report a business-level action failure."""
@@ -91,6 +96,24 @@ class ServiceError(Exception):
 
 
 Handler = Callable[[object, object, ResourceCatalog], object]
+
+
+class RecentRequestIds:
+    """One connection's memory of request identifiers: the latest
+    RECENT_REQUEST_IDS of them, the oldest forgotten first."""
+
+    def __init__(self):
+        self._ids: OrderedDict[str, None] = OrderedDict()  # oldest first
+
+    def admit(self, rids: list[str]) -> bool:
+        """Remember `rids` unless one of them is remembered already; whether
+        they were new."""
+        if not self._ids.keys().isdisjoint(rids):
+            return False
+        self._ids.update(dict.fromkeys(rids))
+        while len(self._ids) > RECENT_REQUEST_IDS:
+            self._ids.popitem(last=False)
+        return True
 
 
 @dataclass
@@ -177,10 +200,11 @@ class PromiseManager:
         with self._lock:
             return self._handle_locked(envelope)
 
-    def handle_bytes(self, data: bytes, seen_request_ids: Optional[set] = None) -> bytes:
+    def handle_bytes(self, data: bytes,
+                     seen_request_ids: Optional[RecentRequestIds] = None) -> bytes:
         """Decode and handle one body; the encoded reply to any body, whatever
         its bytes. `seen_request_ids` is one connection's memory of request
-        identifiers: with it, a request identifier seen before is answered
+        identifiers: with it, a request identifier it remembers is answered
         duplicate-request-identifier and the envelope is not handled."""
         try:
             envelope = decode(data)
@@ -189,9 +213,8 @@ class PromiseManager:
         try:
             if seen_request_ids is not None and envelope.promise_part is not None:
                 rids = [r.request_id for r in envelope.promise_part.requests]
-                if not seen_request_ids.isdisjoint(rids):
+                if not seen_request_ids.admit(rids):
                     return encode(Envelope(error="duplicate-request-identifier"))
-                seen_request_ids.update(rids)
             return self.handle(envelope).encoded
         except Exception:
             # the pipeline rolls back what fails inside it; this answers
@@ -392,7 +415,7 @@ class Server:
             self._threads.append(t)
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        seen_request_ids: set[str] = set()
+        seen_request_ids = RecentRequestIds()
         with conn:
             while not self._stop.is_set():
                 # poll for the frame start so shutdown stays responsive, then

@@ -8,7 +8,8 @@ import random
 from promisekit.catalog import digest_document, load_catalog
 from promisekit.clock import LogicalClock
 from promisekit.engine import PromiseEngine, Rejection, check_satisfiable
-from promisekit.harness import contention_run, register_standard_handlers, run_script
+from promisekit.driver import contention_run, run_script
+from promisekit.harness import register_standard_handlers
 from promisekit.oracle import brute_force_satisfiable, random_case
 from promisekit.predicates import InstanceId, Named, Quantity
 from promisekit.protocol import (

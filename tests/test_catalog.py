@@ -192,6 +192,49 @@ def test_set_property_respects_domain(hotel_catalog):
     assert hotel_catalog.instance(ROOM_512).properties["floor"] == 5
 
 
+@pytest.mark.parametrize("kind", ["domain", "order"])
+def test_set_property_takes_only_a_declared_scalar(kind):
+    cat = load_catalog({"resource-types": [{
+        "name": "dial", "properties": [{"name": "level", kind: [1, "high"]}],
+        "instances": [{"key": "d", "properties": {"level": 1}}]}]})
+    dial = InstanceId("dial", "d")
+    for value in (True, 1.0, 2, "1", ["high"], {"v": 1}):
+        unit = cat.begin_unit()
+        with pytest.raises(CatalogError) as exc:
+            cat.apply_mutation(unit, SetProperty(dial, "level", value))
+        assert exc.value.code == "schema-violation"
+        cat.rollback_unit(unit)
+    unit = cat.begin_unit()
+    cat.apply_mutation(unit, SetProperty(dial, "level", "high"))
+    cat.commit_unit(unit)
+    assert cat.instance(dial).properties["level"] == "high"
+
+
+def test_an_ordered_value_is_looked_up_not_scanned(monkeypatch):
+    """Loading a 2400-level chain, and setting a property on it, compare no
+    value against the order one by one (2,881,200 `scalar_eq` calls when
+    each value was scanned for)."""
+    from promisekit import catalog, predicates
+
+    calls, real = [], predicates.scalar_eq
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(predicates, "scalar_eq", counting)
+    monkeypatch.setattr(catalog, "scalar_eq", counting, raising=False)
+    levels = list(range(2400))
+    cat = load_catalog({"resource-types": [{
+        "name": "slot", "properties": [{"name": "level", "order": levels}],
+        "instances": [{"key": f"s{k}", "properties": {"level": k}} for k in levels]}]})
+    unit = cat.begin_unit()
+    cat.apply_mutation(unit, SetProperty(InstanceId("slot", "s0"), "level", 2399))
+    cat.commit_unit(unit)
+    assert len(calls) == 0
+    assert cat.instance(InstanceId("slot", "s0")).properties["level"] == 2399
+
+
 def test_one_unit_at_a_time(widget_catalog):
     unit = widget_catalog.begin_unit()
     with pytest.raises(CatalogError):

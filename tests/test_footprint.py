@@ -30,3 +30,16 @@ def test_the_digest_falls_back_to_hashlib_where_sha256_is_not_built_in():
                "blob = json.dumps(doc, sort_keys=True, separators=(',', ':')).encode('utf-8')\n"
                "print(sha256 is hashlib.sha256, digest_document(doc) == hashlib.sha256(blob).hexdigest())")
     assert out.split() == ["True", "True"]
+
+
+def test_the_standard_handlers_load_neither_the_driver_nor_the_oracle():
+    out = _run("import promisekit, promisekit.harness\n"
+               "print(sorted({'promisekit.driver', 'promisekit.oracle', 'random',\n"
+               "              'importlib.resources'} & set(sys.modules)))")
+    assert out.split() == ["[]"]
+
+
+def test_the_cli_loads_the_driver_only_to_run_or_fuzz():
+    out = _run("import promisekit.cli\n"
+               "print(sorted({'promisekit.driver', 'promisekit.oracle'} & set(sys.modules)))")
+    assert out.split() == ["[]"]

@@ -4,20 +4,21 @@ import sys
 
 import pytest
 
+import promisekit.driver as driver
 import promisekit.harness as harness
 from promisekit import cli
 from promisekit.catalog import load_catalog
 from promisekit.clock import LogicalClock
 from promisekit.engine import Problem, PromiseEngine
-from promisekit.harness import (
+from promisekit.driver import (
     RunReport,
     ScenarioError,
     contention_run,
     fuzz,
     load_script,
-    register_standard_handlers,
     run_script,
 )
+from promisekit.harness import register_standard_handlers
 from promisekit.predicates import InstanceId, Named
 from promisekit.protocol import ActionMsg, Envelope
 from promisekit.service import PromiseManager, ServiceError
@@ -262,8 +263,8 @@ def test_fault_steps_verify_exact_rollback():
          "step": {"kind": "request", "duration": 9,
                   "predicates": [{"form": "quantity", "resource-type": "bulk", "amount": 1}]}},
     ]
-    run = harness._ScriptRun(_one_client_script(harness._fuzz_catalog_doc(random.Random(0)),
-                                                steps))
+    run = driver._ScriptRun(_one_client_script(driver._fuzz_catalog_doc(random.Random(0)),
+                                               steps))
     report = run.run(in_process=True)
     assert run.failure is None and report.ok
     assert report.clients["f"][1] == "fault at commit: rolled back"
@@ -314,12 +315,12 @@ def test_minimization_shrinks_a_failing_trace(monkeypatch):
     trigger = {"kind": "action", "name": "purchase-stock",
                "payload": {"resource-type": "bulk", "amount": 1}}
     script = _one_client_script(doc, noise[:2] + [trigger] + noise[2:])
-    assert harness._step_failure(script) is not None
-    assert harness._minimize(script)["clients"][0]["steps"] == [trigger]
+    assert driver._step_failure(script) is not None
+    assert driver._minimize(script)["clients"][0]["steps"] == [trigger]
 
 
 def _plant_two_promise_limit(monkeypatch):
-    real = harness._verify_stack
+    real = driver._verify_stack
 
     def planted(manager):
         problems = real(manager)
@@ -327,7 +328,7 @@ def _plant_two_promise_limit(monkeypatch):
             problems.append("two promises are active")
         return problems
 
-    monkeypatch.setattr(harness, "_verify_stack", planted)
+    monkeypatch.setattr(driver, "_verify_stack", planted)
 
 
 def test_a_failing_fuzz_run_reports_a_minimized_counterexample(monkeypatch):
@@ -339,7 +340,7 @@ def test_a_failing_fuzz_run_reports_a_minimized_counterexample(monkeypatch):
     failing_prefix = int(failed["detail"].split(":")[0].removeprefix("step ")) + 1
     counterexample = report.to_document()["counterexample"]
     assert 0 < len(counterexample["clients"][0]["steps"]) < failing_prefix
-    failure = harness._step_failure(counterexample)
+    failure = driver._step_failure(counterexample)
     assert failure is not None and failure["problems"] == ["two promises are active"]
 
 
@@ -386,12 +387,12 @@ def test_a_pipeline_fault_fails_a_contention_run_and_every_client_finishes(monke
     assert "died" not in inv["client-failures"]["detail"]
     assert all(i["ok"] for name, i in inv.items() if name != "client-failures")
     assert report.counters["internal-failures"] == 1
-    assert sum(report.counters[k] for k in harness.OBSERVED_COUNTERS
+    assert sum(report.counters[k] for k in driver.OBSERVED_COUNTERS
                if k != "observed-violations") == 3 * 30
 
 
 def test_a_client_that_dies_fails_a_contention_run(monkeypatch):
-    _raise_once(monkeypatch, harness._Client, "request")
+    _raise_once(monkeypatch, driver._Client, "request")
     report = contention_run(n_clients=3, envelopes_each=30, seed=1)
     inv = {i["name"]: i for i in report.invariants}
     assert not report.ok
@@ -456,13 +457,13 @@ def test_a_planted_fault_reads_the_same_to_every_checker_caller():
     assert message in mgr.self_check_failures[-1]["problems"]
 
     report = RunReport("planted", 0, "logical")
-    harness._finish_report(report, mgr, {"observed-violations": 0})
+    driver._finish_report(report, mgr, {"observed-violations": 0})
     invariants = {inv["name"]: inv for inv in report.invariants}
     assert invariants["named-exclusivity"] == {
         "name": "named-exclusivity", "ok": False, "detail": message}
     assert not invariants["final-feasibility"]["ok"]
 
-    assert message in harness._verify_stack(mgr)
+    assert message in driver._verify_stack(mgr)
 
 
 # --- the paper's guarantee: `literal-guarantee` ---

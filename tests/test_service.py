@@ -10,7 +10,7 @@ from promisekit.catalog import DecrementPool, load_catalog
 from promisekit.clock import LogicalClock
 from promisekit.engine import PromiseEngine, UnknownPromiseId
 from promisekit.harness import register_standard_handlers
-from promisekit import predicates
+from promisekit import predicates, service
 from promisekit.predicates import (
     AT_LEAST_IN_ORDER,
     EQUALS,
@@ -34,6 +34,7 @@ from promisekit.protocol import (
 )
 from promisekit.service import (
     PromiseManager,
+    RecentRequestIds,
     Server,
     ServiceError,
     serve,
@@ -1078,6 +1079,41 @@ def test_duplicate_request_identifier_per_connection(server):
         assert first_response(client.roundtrip(grant_envelope(1, rid="dup"))).result == "accepted"
         reply = client.roundtrip(grant_envelope(1, rid="dup"))
         assert reply.error == "duplicate-request-identifier"
+    finally:
+        client.close()
+
+
+def test_a_duplicate_older_than_the_window_is_handled_anew(monkeypatch):
+    monkeypatch.setattr(service, "RECENT_REQUEST_IDS", 2)
+    mgr, seen = widget_manager(10), RecentRequestIds()
+
+    def ask(*rids):
+        requests = tuple(make_request(rid, [Quantity("pink-widget", 1)], 30) for rid in rids)
+        return decode(mgr.handle_bytes(encode(Envelope(promise_part=PromisePart(requests))), seen))
+
+    assert first_response(ask("a")).result == "accepted"
+    assert ask("a").error == "duplicate-request-identifier"
+    assert ask("x", "a").error == "duplicate-request-identifier"  # remembers neither
+    assert first_response(ask("b", "x")).result == "accepted"  # "a" falls out
+    assert ask("b").error == ask("x").error == "duplicate-request-identifier"
+    assert first_response(ask("a")).result == "accepted"
+    assert ask("x").error == "duplicate-request-identifier"
+    assert first_response(ask("b")).result == "accepted"
+    assert len(mgr.engine.dump()["promises"]) == 5  # a refused envelope grants nothing
+
+
+def test_the_duplicate_window_holds_over_one_connection(server, monkeypatch):
+    monkeypatch.setattr(service, "RECENT_REQUEST_IDS", 2)
+    _, srv = server
+    client = WireClient(srv.address)
+    try:
+        for rid, want in [("dup", "accepted"), ("dup", None), ("r-2", "accepted"),
+                          ("r-3", "accepted"), ("r-3", None), ("dup", "accepted")]:
+            reply = client.roundtrip(grant_envelope(1, rid=rid))
+            if want is None:
+                assert reply.error == "duplicate-request-identifier"
+            else:
+                assert first_response(reply).result == want
     finally:
         client.close()
 
