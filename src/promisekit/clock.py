@@ -1,8 +1,9 @@
 """Logical time for the promise manager.
 
 Durations and expiry instants are integer time units. The service takes
-any object with a now() returning int; tests drive a LogicalClock by hand
-while deployments map wall time onto units (seconds by default).
+any object with a now() returning int; tests drive a LogicalClock, which
+starts at 0, by hand, while a deployment's WallClock counts whole seconds
+since it was made.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import time
 
 
 class LogicalClock:
-    def __init__(self, start: int = 0):
-        self._now = start
+    def __init__(self):
+        self._now = 0
 
     def now(self) -> int:
         return self._now
@@ -25,11 +26,10 @@ class LogicalClock:
 
 
 class WallClock:
-    """Monotonic wall time quantized to integer units."""
+    """Monotonic wall time in whole seconds."""
 
-    def __init__(self, unit_seconds: float = 1.0):
-        self.unit_seconds = unit_seconds
+    def __init__(self):
         self._t0 = time.monotonic()
 
     def now(self) -> int:
-        return int((time.monotonic() - self._t0) / self.unit_seconds)
+        return int(time.monotonic() - self._t0)

@@ -265,7 +265,6 @@ def load_script(source) -> dict:
     """Load a scenario script from a path, a bundled name, or a dict."""
     if isinstance(source, dict):
         script = dict(source)
-        base = os.getcwd()
     else:
         path = str(source)
         try:

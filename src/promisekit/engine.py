@@ -15,7 +15,7 @@ amounts summed. The engine indexes the merged demands of the active
 promises by type, with a running total of their units, so a check reads
 one type's demands, not the whole active set. A request's changes to
 the index are derived once: a grant's are its predicates merged
-(`_merge`), an exchange's those with the released records' demands taken
+(`_merge`), with the demands of the records it releases on grant taken
 out (`_wanted`). Its decision lays them over the index (a pool-backed
 type is decided from the running total plus the changes), and once the
 request is granted the same changes are written into it. A record keeps
@@ -24,9 +24,9 @@ write take out of the index or put back. One writer, `_count`, updates
 the index.
 
 Checks are scoped by one invariant: the committed active set is
-feasible on every type. A grant or exchange then only has to decide the
-types its new predicates name, since releasing only removes demand, and
-a post-action check only the types whose supply the action's catalog
+feasible on every type. A grant then only has to decide the types its
+new predicates name, since releasing only removes demand, and a
+post-action check only the types whose supply the action's catalog
 mutations cut.
 
 Instance-backed types are decided by allocation. The engine keeps, per
@@ -150,9 +150,9 @@ class UnknownPromiseId(Exception):
 
 
 class Rejection:
-    """Protocol-level refusal of a grant or exchange. Not an error. It
-    carries nothing yet: the certified violator that decided it is meant to
-    be its first field."""
+    """Protocol-level refusal of a grant. Not an error. It carries nothing
+    yet: the certified violator that decided it is meant to be its first
+    field."""
 
 
 class PromiseRecord(NamedTuple):
@@ -357,8 +357,8 @@ def _merge(predicates: Iterable[Predicate],
 def _wanted(demands: dict[str, dict], leaving: Iterable[PromiseRecord]) -> dict[str, dict]:
     """The changes to the demand index of granting `demands` (as `_merge`
     gives them) while the `leaving` records are released: per type that
-    either names, demand key -> [predicate, change in amount]. A grant's
-    changes are its demands; a change may be negative, or 0."""
+    either names, demand key -> [predicate, change in amount]. With
+    nothing leaving they are the demands; a change may be negative, or 0."""
     wanted = {rt: {key: [p, n] for key, (p, n) in changes.items()}
               for rt, changes in demands.items()}
     for rec in leaving:
@@ -378,7 +378,7 @@ def _wanted(demands: dict[str, dict], leaving: Iterable[PromiseRecord]) -> dict[
 # --- the engine ---
 
 class PromiseEngine:
-    """Promise table plus grant/release/exchange/expiry over a catalog.
+    """Promise table plus grant/release/expiry over a catalog.
 
     Mutating operations take the active catalog unit token so that the
     instance-status tags they maintain roll back with the rest of the
@@ -545,17 +545,35 @@ class PromiseEngine:
     # --- operations ---
 
     def grant(self, predicates: Sequence[Predicate], duration: int, now: int,
-              unit: Optional[UnitToken] = None) -> Union[PromiseRecord, Rejection]:
+              unit: Optional[UnitToken] = None,
+              release: Sequence[str] = ()) -> Union[PromiseRecord, Rejection]:
         """All-or-nothing: insert a new active record iff the whole active
-        set plus the request is satisfiable against current availability."""
+        set plus the request is satisfiable against current availability.
+
+        The active promises that `release` names are released in the same
+        step (release-on-grant), so the decision counts their units as
+        free; an id among them that is not active raises UnknownPromiseId.
+        On rejection nothing changes and they stay in force."""
         if not predicates:
             raise ValueError("a promise needs at least one predicate")
         if duration <= 0:
             raise ValueError("duration must be positive")
-        demands = _merge(predicates)
-        if not self._feasible(demands, self._view(unit)):
+        demands = changes = decided = _merge(predicates)
+        leaving = []
+        if release:
+            for pid in dict.fromkeys(release):
+                rec = self.active.get(pid)
+                if rec is None:
+                    raise UnknownPromiseId(pid)
+                leaving.append(rec)
+            changes = _wanted(demands, leaving)
+            # releasing only removes demand: only the types the request names need deciding
+            decided = {rt: changes[rt] for rt in demands}
+        if not self._feasible(decided, self._view(unit)):
             return Rejection()
-        return self._insert(tuple(predicates), duration, now, unit, demands)
+        for rec in leaving:
+            self._retire(rec, _RELEASED, unit)
+        return self._insert(tuple(predicates), duration, now, unit, demands, changes)
 
     def release(self, ids: Sequence[str], unit: Optional[UnitToken] = None) -> None:
         """Retire active records as released; released/expired ids are a
@@ -570,35 +588,6 @@ class PromiseEngine:
         for rec in records:
             self._retire(rec, _RELEASED, unit)
             self._count(rec.demands, -1)
-
-    def exchange(self, predicates: Sequence[Predicate], duration: int,
-                 release_ids: Sequence[str], now: int,
-                 unit: Optional[UnitToken] = None
-                 ) -> Union[PromiseRecord, None, Rejection]:
-        """Atomically release `release_ids` while granting `predicates`.
-
-        On rejection nothing changes and the old promises stay in force.
-        With an empty predicate list this degenerates to a release and
-        returns None.
-        """
-        release = list(dict.fromkeys(release_ids))
-        for pid in release:
-            if pid not in self.active:
-                raise UnknownPromiseId(pid)
-        if predicates and duration <= 0:
-            raise ValueError("duration must be positive")
-        leaving = [self.active[pid] for pid in release]
-        demands = _merge(predicates)
-        wanted = _wanted(demands, leaving)
-        # releasing only removes demand: only the types the request names need deciding
-        if not self._feasible({rt: wanted[rt] for rt in demands}, self._view(unit)):
-            return Rejection()
-        for rec in leaving:
-            self._retire(rec, _RELEASED, unit)
-        if not predicates:
-            self._count(wanted, 1)
-            return None
-        return self._insert(tuple(predicates), duration, now, unit, demands, wanted)
 
     def expire_sweep(self, now: int, unit: Optional[UnitToken] = None) -> list[str]:
         """Expire every active record with expires_at <= now; returns their ids in issue order."""
@@ -746,20 +735,17 @@ class PromiseEngine:
     # --- internals ---
 
     def _insert(self, predicates: tuple[Predicate, ...], duration: int, now: int,
-                unit: Optional[UnitToken], demands: Optional[dict] = None,
-                changes: Optional[dict] = None) -> PromiseRecord:
+                unit: Optional[UnitToken], demands: dict, changes: dict) -> PromiseRecord:
         """Issue a record for `predicates`, which keeps their merged
-        `demands` (derived from them if None), and write into the demand
-        index the `changes` its decision checked: by default its demands."""
+        `demands`, and write into the demand index the `changes` its
+        decision checked (as `_wanted` gives them)."""
         self._history.append(_ACTIVE)
         issue = len(self._history)
-        if demands is None:
-            demands = _merge(predicates)
         rec = PromiseRecord(f"p-{issue}", predicates, now, now + duration, issue, demands)
         if unit is not None:
             self._journal.append((rec.id, None))
         self._admit(rec)
-        self._count(demands if changes is None else changes, 1)
+        self._count(changes, 1)
         # allocated tag: named instances get marked while the promise lives
         for p in predicates:
             if isinstance(p, Named):

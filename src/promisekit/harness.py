@@ -18,10 +18,12 @@ from .catalog import (
 from .predicates import (
     InstanceId,
     Named,
+    PredicateInvalid,
     Quantity,
     implies,
     predicate_from_wire,
     satisfies,
+    validate_predicate,
 )
 from .service import (
     ACTION_NO_OP,
@@ -67,6 +69,10 @@ def _matching(payload):
 
 def _take_matching(payload, unit, catalog: ResourceCatalog):
     pred = _matching(payload)
+    try:
+        validate_predicate(pred, catalog.schema)
+    except PredicateInvalid as exc:
+        raise ActionFailure(f"bad constraints: {exc}") from exc
     view = catalog.snapshot_availability(unit)
     for rec in view.instances_of(pred.resource_type):
         if rec.status == STATUS_AVAILABLE and satisfies(rec, pred, catalog.schema):

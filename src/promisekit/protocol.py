@@ -60,6 +60,8 @@ ACTION_STATUSES = (
 
 FRAME_MAGIC = b"PRM1"
 MAX_FRAME_BODY = 1 << 20
+# the most characters of a request-identifier, and so of a promise-correlation
+MAX_REQUEST_ID = 256
 
 
 class MalformedMessage(Exception):
@@ -220,8 +222,8 @@ def _part_json(part: PromisePart) -> str:
 
 def _request_json(r: PromiseRequestMsg, seen_rids: set) -> str:
     rid = r.request_id
-    if not rid:
-        raise ValueError("request needs a non-empty request-identifier")
+    if not 0 < len(rid) <= MAX_REQUEST_ID:
+        raise ValueError(f"request-identifier must have 1 to {MAX_REQUEST_ID} characters")
     if rid in seen_rids:
         raise ValueError(f"duplicate request-identifier {rid!r}")
     seen_rids.add(rid)
@@ -258,8 +260,8 @@ def _request_json(r: PromiseRequestMsg, seen_rids: set) -> str:
 def _response_json(r: PromiseResponseMsg) -> str:
     if type(r.granted_duration) is not int or r.granted_duration < 0:
         raise ValueError("promise-duration must be a non-negative integer")
-    if not r.correlation:
-        raise ValueError("response needs a non-empty promise-correlation")
+    if not 0 < len(r.correlation) <= MAX_REQUEST_ID:
+        raise ValueError(f"promise-correlation must have 1 to {MAX_REQUEST_ID} characters")
     if r.result == RESULT_ACCEPTED:
         if not r.promise_id:
             raise ValueError("an accepted response needs a non-empty promise-identifier")
@@ -388,8 +390,9 @@ def _request_from_doc(raw) -> PromiseRequestMsg:
     if type(raw) is not dict:
         raise ValueError("promise-request must be an object")
     rid = raw.get("request-identifier")
-    if type(rid) is not str or not rid:
-        raise ValueError("request needs a non-empty request-identifier")
+    if type(rid) is not str or not 0 < len(rid) <= MAX_REQUEST_ID:
+        raise ValueError(f"request-identifier must be a string of 1 to {MAX_REQUEST_ID} "
+                         "characters")
     duration = raw.get("promise-duration")
     if type(duration) is not int or duration < 1:
         raise ValueError("promise-duration must be a positive integer")
@@ -438,8 +441,9 @@ def _response_from_doc(raw) -> PromiseResponseMsg:
     if type(duration) is not int or duration < 0:
         raise ValueError("promise-duration must be a non-negative integer")
     correlation = raw.get("promise-correlation")
-    if type(correlation) is not str or not correlation:
-        raise ValueError("response needs a non-empty promise-correlation")
+    if type(correlation) is not str or not 0 < len(correlation) <= MAX_REQUEST_ID:
+        raise ValueError(f"promise-correlation must be a string of 1 to {MAX_REQUEST_ID} "
+                         "characters")
     result = raw.get("promise-result")
     pid = None
     if result == RESULT_ACCEPTED:

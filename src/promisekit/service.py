@@ -1,9 +1,9 @@
 """The promise manager: pipeline, action handlers, network endpoint.
 
 Every envelope is handled as one serialized unit in a fixed order: expiry
-sweep, promise requests (grant, or exchange when release-on-grant is
-present), then the action. Actions run inside the catalog's mutation unit
-with a savepoint taken first, so:
+sweep, promise requests (each one grant, which also releases the promises
+its release-on-grant names), then the action. Actions run inside the
+catalog's mutation unit with a savepoint taken first, so:
 
   - a handler's declared failure (ActionFailure) or a post-action promise
     violation rolls back the action's effects and any provisional
@@ -284,17 +284,13 @@ class PromiseManager:
         try:
             for p in req.predicates:
                 validate_predicate(p, self.catalog.schema)
-            if req.release_on_grant:
-                outcome = self.engine.exchange(req.predicates, duration,
-                                               req.release_on_grant, now, unit)
-            else:
-                outcome = self.engine.grant(req.predicates, duration, now, unit)
+            outcome = self.engine.grant(req.predicates, duration, now, unit,
+                                        req.release_on_grant)
         except (PredicateInvalid, UnknownPromiseId) as exc:
             log.info("request %s rejected: %s", req.request_id, exc)
             return PromiseResponseMsg(None, RESULT_REJECTED, 0, req.request_id)
         if isinstance(outcome, Rejection):
             return PromiseResponseMsg(None, RESULT_REJECTED, 0, req.request_id)
-        assert outcome is not None  # wire requests always carry predicates
         return PromiseResponseMsg(outcome.id, RESULT_ACCEPTED, duration, req.request_id)
 
     def _run_action(self, action: ActionMsg, env: Optional[EnvironmentMsg], unit,

@@ -100,10 +100,10 @@ def test_criterion_3_atomicity_triad():
     eng = _pool_engine(150)
     old = eng.grant([Quantity("balance", 100)], 50, 0)
     before = digest_document(eng.dump()["promises"])
-    assert isinstance(eng.exchange([Quantity("balance", 200)], 50, [old.id], 0), Rejection)
+    assert isinstance(eng.grant([Quantity("balance", 200)], 50, 0, release=[old.id]), Rejection)
     assert digest_document(eng.dump()["promises"]) == before
 
-    new = eng.exchange([Quantity("balance", 50)], 50, [old.id], 0)
+    new = eng.grant([Quantity("balance", 50)], 50, 0, release=[old.id])
     expected = [
         {"promise-identifier": "p-2", "status": "active",
          "granted-at": 0, "expires-at": 50,

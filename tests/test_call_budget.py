@@ -31,7 +31,8 @@ from conftest import HOTEL_DOC, widget_doc
 PACKAGE = str(Path(promisekit.__file__).resolve().parent)
 
 # envelope kind -> the most calls it may make
-BUDGET = {"no-op": 21, "purchase": 27, "named-grant": 45, "named-release": 32}
+BUDGET = {"no-op": 21, "purchase": 27, "named-grant": 45, "named-exchange": 57,
+          "named-release": 32}
 
 
 def _calls(manager, envelope):
@@ -52,12 +53,21 @@ def _calls(manager, envelope):
     return decode(out), calls
 
 
-def test_each_envelope_kind_stays_within_its_call_budget():
+def _manager():
     manager = PromiseManager(load_catalog({"resource-types": widget_doc()["resource-types"]
                                            + HOTEL_DOC["resource-types"]}),
                              clock=LogicalClock())
     register_standard_handlers(manager)
-    room = Named(InstanceId("room", "512"))
+    return manager
+
+
+def _grant(request_id, key, release=()):
+    return Envelope(promise_part=PromisePart(requests=(make_request(
+        request_id, [Named(InstanceId("room", key))], 30, release_on_grant=release),)))
+
+
+def test_each_envelope_kind_stays_within_its_call_budget():
+    manager = _manager()
     counts = {}
 
     reply, counts["no-op"] = _calls(manager, Envelope(action=ActionMsg("no-op")))
@@ -65,12 +75,18 @@ def test_each_envelope_kind_stays_within_its_call_budget():
     reply, counts["purchase"] = _calls(manager, Envelope(action=ActionMsg(
         "purchase-stock", {"resource-type": "pink-widget", "amount": 1})))
     assert reply.action.status == "succeeded"
-    reply, counts["named-grant"] = _calls(manager, Envelope(promise_part=PromisePart(
-        requests=(make_request("r-1", [room], 30),))))
+    reply, counts["named-grant"] = _calls(manager, _grant("r-1", "512"))
     pid = reply.promise_part.responses[0].promise_id
     assert pid is not None
     reply, counts["named-release"] = _calls(manager, Envelope(
         action=ActionMsg("no-op"), environment=EnvironmentMsg((pid,), ("release-after-success",))))
     assert reply.action.status == "succeeded" and manager.engine.status(pid) == "released"
+
+    # a grant that releases on grant, in a manager whose one record it releases
+    manager = _manager()
+    held = manager.handle(_grant("r-1", "512")).promise_part.responses[0].promise_id
+    reply, counts["named-exchange"] = _calls(manager, _grant("r-2", "610", release=(held,)))
+    assert reply.promise_part.responses[0].promise_id is not None
+    assert manager.engine.status(held) == "released"
 
     assert all(counts[kind] <= BUDGET[kind] for kind in BUDGET), counts

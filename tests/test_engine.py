@@ -419,7 +419,7 @@ def test_grant_decides_only_the_types_it_names(decisions):
     assert not isinstance(eng.grant([floor5], 30, 0), Rejection)
     assert not isinstance(eng.grant([Quantity("room", 1)], 30, 0), Rejection)
     assert eng.problems() == []  # the repaired assignment is complete
-    assert isinstance(eng.exchange([Named(InstanceId("room", "512"))], 30, [], 0), Rejection)
+    assert isinstance(eng.grant([Named(InstanceId("room", "512"))], 30, 0), Rejection)
     assert decisions == [{"seat"}, {"room"}, {"room"}, {"room"}]
 
 
@@ -449,7 +449,7 @@ def test_only_the_engines_start_builds_a_problem(monkeypatch):
     first = Property("seat", (PropertyConstraint("class", AT_LEAST_IN_ORDER, "first"),), 1)
     held = eng.grant([floor5, Quantity("bulk", 2)], 5, 0)
     assert not isinstance(eng.grant([first, Quantity("room", 1)], 30, 0), Rejection)
-    swapped = eng.exchange([Named(InstanceId("room", "610"))], 5, [held.id], 1)
+    swapped = eng.grant([Named(InstanceId("room", "610"))], 5, 1, release=[held.id])
     assert not isinstance(swapped, Rejection)
     unit = cat.begin_unit()
     cat.apply_mutation(unit, SetInstanceStatus(InstanceId("room", "512"), STATUS_TAKEN))
@@ -598,7 +598,7 @@ def test_an_id_listed_twice_is_released_and_journaled_once():
 def test_exchange_to_a_stronger_promise_is_rejected_and_old_retained():
     eng = PromiseEngine(balance_catalog(150))
     old = eng.grant([Quantity("balance", 100)], 50, 0)
-    outcome = eng.exchange([Quantity("balance", 200)], 50, [old.id], 0)
+    outcome = eng.grant([Quantity("balance", 200)], 50, 0, release=[old.id])
     assert isinstance(outcome, Rejection)
     assert eng.status(old.id) == "active"
 
@@ -606,17 +606,18 @@ def test_exchange_to_a_stronger_promise_is_rejected_and_old_retained():
 def test_exchange_to_a_weaker_promise():
     eng = PromiseEngine(balance_catalog(150))
     old = eng.grant([Quantity("balance", 100)], 50, 0)
-    new = eng.exchange([Quantity("balance", 50)], 50, [old.id], 0)
+    new = eng.grant([Quantity("balance", 50)], 50, 0, release=[old.id])
     assert not isinstance(new, Rejection) and new is not None
     assert eng.status(old.id) == "released"
     assert [r.predicates for r in eng.active_records()] == [(Quantity("balance", 50),)]
 
 
-def test_exchange_with_no_new_predicates_is_a_release():
+def test_exchange_with_no_new_predicates_is_refused():
     eng = PromiseEngine(balance_catalog(150))
     old = eng.grant([Quantity("balance", 100)], 50, 0)
-    assert eng.exchange([], 1, [old.id], 0) is None
-    assert eng.status(old.id) == "released"
+    with pytest.raises(ValueError):
+        eng.grant([], 1, 0, release=[old.id])
+    assert eng.status(old.id) == "active"
 
 
 def test_exchange_of_inactive_or_unknown_id():
@@ -624,15 +625,15 @@ def test_exchange_of_inactive_or_unknown_id():
     old = eng.grant([Quantity("balance", 100)], 50, 0)
     eng.release([old.id])
     with pytest.raises(UnknownPromiseId):
-        eng.exchange([Quantity("balance", 10)], 50, [old.id], 0)
+        eng.grant([Quantity("balance", 10)], 50, 0, release=[old.id])
     with pytest.raises(UnknownPromiseId):
-        eng.exchange([Quantity("balance", 10)], 50, ["p-404"], 0)
+        eng.grant([Quantity("balance", 10)], 50, 0, release=["p-404"])
 
 
 def test_exchange_may_reuse_capacity_it_releases():
     eng = PromiseEngine(balance_catalog(100))
     old = eng.grant([Quantity("balance", 100)], 50, 0)
-    new = eng.exchange([Quantity("balance", 100)], 50, [old.id], 5)
+    new = eng.grant([Quantity("balance", 100)], 50, 5, release=[old.id])
     assert not isinstance(new, Rejection)
     assert eng.status(old.id) == "released"
 
@@ -697,7 +698,7 @@ def test_active_index_sweep_and_journal_agree_with_the_table():
         elif op < 0.65 and held:
             eng.release([rng.choice(held)], unit)
         elif op < 0.8 and held:
-            eng.exchange([Quantity("bulk", 1)], rng.randint(1, 12), [rng.choice(held)], now, unit)
+            eng.grant([Quantity("bulk", 1)], rng.randint(1, 12), now, unit, release=[rng.choice(held)])
         else:
             now += rng.randint(0, 3)
             due = [pid for pid, r in eng.active.items() if r.expires_at <= now]
@@ -898,8 +899,8 @@ def test_table_stays_feasible_after_random_operations():
             now += rng.randint(0, 3)
             eng.expire_sweep(now)
         elif eng.active_records():
-            eng.exchange([Quantity("bulk", 1)], rng.randint(1, 10),
-                         [rng.choice(eng.active_records()).id], now)
+            eng.grant([Quantity("bulk", 1)], rng.randint(1, 10), now,
+                      release=[rng.choice(eng.active_records()).id])
         view = view_of(cat)
         preds = eng.active_predicates()
         assert check_satisfiable(preds, view)

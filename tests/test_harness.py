@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -441,6 +442,34 @@ def test_fuzz_digest_is_pinned(seed):
     assert fuzz(seed).digest[:16] == PINNED_FUZZ_DIGESTS[seed]
 
 
+# the count and SHA-256 of every reply body of fuzz seeds 0-299 and then the
+# bundled scenarios in name order, all run in process
+PINNED_REPLIES = (16262, "264537e0d9baa7f8b101dac850f44ef7306f8e06aefddef784439552ce1e1640")
+
+
+def test_every_reply_body_is_pinned(monkeypatch):
+    """Same answers, byte for byte: a change meant to keep every answer
+    keeps this pin, and one that moves a reply on purpose updates it and
+    says why in CHANGES.md."""
+    replies = []
+    real = PromiseManager.handle
+
+    def handle(self, envelope):
+        reply = real(self, envelope)
+        replies.append(reply.encoded)
+        return reply
+
+    monkeypatch.setattr(PromiseManager, "handle", handle)
+    for seed in range(300):
+        fuzz(seed)
+    for name in sorted(PINNED_SCENARIO_DIGESTS):
+        driver._ScriptRun(load_script(name)).run(in_process=True)
+    digest = hashlib.sha256()
+    for body in replies:
+        digest.update(body)
+    assert (len(replies), digest.hexdigest()) == PINNED_REPLIES
+
+
 def test_a_planted_fault_reads_the_same_to_every_checker_caller():
     """A second Named record for one instance, issued straight into the
     table past the grant's check, reaches the self-check, the report's
@@ -448,9 +477,9 @@ def test_a_planted_fault_reads_the_same_to_every_checker_caller():
     mgr = PromiseManager(load_catalog(SEAT_DOC), clock=LogicalClock(), self_check=True)
     register_standard_handlers(mgr)
     seat = Named(InstanceId("seat", "2A"))
-    mgr.engine.grant([seat], 30, 0)
+    held = mgr.engine.grant([seat], 30, 0)
     assert mgr.engine.problems() == []
-    mgr.engine._insert((seat,), 30, 0, None)
+    mgr.engine._insert((seat,), 30, 0, None, held.demands, held.demands)
     message = "instance seat/2A is named 2 times by active promises"
 
     mgr.handle(Envelope(action=ActionMsg("no-op")))

@@ -18,6 +18,7 @@ from promisekit.protocol import (
     ACTION_STATUSES,
     FRAME_MAGIC,
     MAX_FRAME_BODY,
+    MAX_REQUEST_ID,
     ActionMsg,
     ConnectionClosed,
     Envelope,
@@ -174,6 +175,14 @@ def test_request_example_round_trips():
     assert decode(encode(e)) == e
 
 
+def test_an_identifier_of_the_longest_length_round_trips():
+    rid = "r" * MAX_REQUEST_ID
+    e = Envelope(promise_part=PromisePart(
+        requests=(make_request(rid, [Quantity("w", 1)], 5),),
+        responses=(PromiseResponseMsg(None, "rejected", 0, rid),)))
+    assert decode(encode(e)) == e
+
+
 def test_piggybacked_response_next_to_a_request():
     req = make_request("r-2", [Quantity("pink-widget", 5)], 30)
     resp = PromiseResponseMsg("p-9", "accepted", 30, "r-1")
@@ -277,6 +286,7 @@ _NAMED_DESK = {"form": "named", "resource-type": "desk", "key": "d1"}
     _request_doc(bogus=1),
     _request_doc(request_identifier=""),
     _request_doc(request_identifier=7),
+    _request_doc(request_identifier="r" * (MAX_REQUEST_ID + 1)),
     {"promise": {"promise-request": _request_doc()["promise"]["promise-request"] * 2}},
     _request_doc(predicates=[]),
     _request_doc(predicates={"form": "quantity"}),
@@ -308,6 +318,7 @@ _NAMED_DESK = {"form": "named", "resource-type": "desk", "key": "d1"}
     _response_doc(promise_duration=-1),
     _response_doc(promise_duration=False),
     _response_doc(promise_correlation=""),
+    _response_doc(promise_correlation="r" * (MAX_REQUEST_ID + 1)),
     # the environment
     {"environment": {"promise-identifiers": ["p-1"],
                      "release-options": ["release-after-success"]}},  # env without action
@@ -434,6 +445,7 @@ _R1 = make_request("r1", [Quantity("w", 1)], 5)
     _response_envelope(granted_duration=True),
     _response_envelope(granted_duration=2.5),
     _response_envelope(correlation=""),
+    _response_envelope(correlation="r" * (MAX_REQUEST_ID + 1)),
     # the action
     Envelope(action=ActionMsg("")),
     Envelope(action=ActionMsg(7)),
@@ -447,6 +459,7 @@ _R1 = make_request("r1", [Quantity("w", 1)], 5)
     _request_envelope(duration=0),
     _request_envelope(duration=True),
     _request_envelope(request_id=""),
+    _request_envelope(request_id="r" * (MAX_REQUEST_ID + 1)),
     Envelope(promise_part=PromisePart(requests=(_R1, make_request("r1", [Quantity("v", 1)], 5)))),
     _request_envelope(release_on_grant=("p-1", "p-1")),
     _request_envelope(release_on_grant=("",)),

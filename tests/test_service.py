@@ -22,6 +22,7 @@ from promisekit.predicates import (
 )
 from promisekit.protocol import (
     MAX_FRAME_BODY,
+    MAX_REQUEST_ID,
     ActionMsg,
     Envelope,
     EnvironmentMsg,
@@ -388,6 +389,23 @@ def test_a_standard_handler_fails_a_payload_field_of_the_wrong_type(name, payloa
     assert reply.action.status == "failed"
     assert mgr.state_digest() == before
     assert mgr.counters["internal-failures"] == 0
+
+
+@pytest.mark.parametrize("rt,constraint", [
+    ("room", {"property": "colour", "comparator": "equals", "value": "red"}),
+    ("room", {"property": "floor", "comparator": "at-least-in-order", "value": 5}),
+    ("castle", {"property": "floor", "comparator": "equals", "value": 5}),
+], ids=["undeclared-property", "order-on-a-domain", "undeclared-type"])
+def test_take_matching_reports_a_bad_constraint_as_one(rt, constraint):
+    """A constraint the schema refuses is the caller's error, not a
+    shortage: the reason must not read as `resource-unavailable`."""
+    mgr = seats_and_rooms_manager()
+    before = mgr.state_digest()
+    reply = mgr.handle(Envelope(action=ActionMsg(
+        "take-matching", {"resource-type": rt, "constraints": [constraint]})))
+    assert reply.action.status == "failed"
+    assert reply.action.payload["reason"].startswith("bad constraints: ")
+    assert mgr.state_digest() == before
 
 
 def test_property_change_that_breaks_a_held_promise_is_rolled_back(decisions):
@@ -1022,6 +1040,20 @@ def test_malformed_body_gets_an_error_and_the_connection_survives(server):
         reply = decode(recv_frame(client.sock))
         assert reply.error == "malformed-message"
         assert first_response(client.roundtrip(grant_envelope(1))).result == "accepted"
+    finally:
+        client.close()
+
+
+def test_an_overlong_request_identifier_is_malformed_and_the_connection_survives(server):
+    _, srv = server
+    longest = "r" * MAX_REQUEST_ID
+    body = encode(grant_envelope(1, rid=longest))
+    client = WireClient(srv.address)
+    try:
+        send_frame(client.sock, body.replace(longest.encode(), longest.encode() + b"r"))
+        assert decode(recv_frame(client.sock)).error == "malformed-message"
+        response = first_response(client.roundtrip(grant_envelope(1, rid=longest)))
+        assert response.result == "accepted" and response.correlation == longest
     finally:
         client.close()
 
