@@ -21,10 +21,11 @@ Design rules:
   - The set of instances is fixed at load: mutations change statuses,
     properties and pool counts, never which instances exist. So each
     type's instances are sorted by id once, and views read them by type.
-  - For the engine's kept assignments, the catalog tells per type what
-    changed: a property version bumped by every property change and its
-    undo, and the set of instances whose status moved to or from taken,
-    which the engine drains.
+  - For the engine's kept assignments, the catalog keeps one record per
+    type of the instances that moved: a status move to or from taken, a
+    property set, and the undo of either. Each moved instance is noted
+    once, flagged if a property of it was set, and the engine drains the
+    record.
   - Reads go through one live `AvailabilityView` over the catalog's own
     pools and records, which copies nothing. While a unit is open only its
     token may ask for the view, so no caller mistakes pending mutations
@@ -39,7 +40,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import AbstractSet, Container, Iterable, Mapping, Optional, Union
+from types import MappingProxyType
+from typing import Container, Iterable, Mapping, Optional, Union
 
 from .predicates import InstanceId, Scalar, scalar_key
 
@@ -58,7 +60,7 @@ STATUS_PROMISED = "promised"
 STATUS_TAKEN = "taken"
 INSTANCE_STATUSES = (STATUS_AVAILABLE, STATUS_PROMISED, STATUS_TAKEN)
 
-_NO_MOVES: AbstractSet = frozenset()
+_NO_MOVES: Mapping = MappingProxyType({})
 
 LEGAL_TRANSITIONS = {
     (STATUS_AVAILABLE, STATUS_PROMISED),
@@ -235,8 +237,7 @@ class ResourceCatalog:
             self._instances[rec.id] = rec
         self._live = AvailabilityView(schema, self._pools, self._instances.values())
         self._unit: Optional[UnitToken] = None
-        self._property_changes: dict[str, int] = {}  # per type, bumped by every SetProperty and its undo
-        self._taken_moves: dict[str, set[InstanceId]] = {}  # per type, see `taken_moves`
+        self._moves: dict[str, dict[InstanceId, bool]] = {}  # per type, see `moves`
 
     # --- units ---
 
@@ -266,7 +267,7 @@ class ResourceCatalog:
                                        else f"{m.instance}: {old} -> {m.status} is not allowed")
                 rec.status = m.status
                 if old == STATUS_TAKEN or m.status == STATUS_TAKEN:
-                    self._note_taken_move(m.instance)
+                    self._note_move(m.instance, False)
                 token.log.append(("status", m.instance, old))
             elif isinstance(m, DecrementPool):
                 old = self._pools.get(m.resource_type)
@@ -292,7 +293,7 @@ class ResourceCatalog:
                                        f"{m.value!r} is outside the domain of {m.property_name!r}")
                 old = rec.properties[m.property_name]
                 rec.properties[m.property_name] = m.value
-                self._bump_properties(m.instance.resource_type)
+                self._note_move(m.instance, True)
                 token.log.append(("prop", m.instance, m.property_name, old))
             else:
                 raise CatalogError("unit-error", f"unknown mutation {m!r}")
@@ -363,36 +364,28 @@ class ResourceCatalog:
         elif kind == "status":
             rec = self._instances[entry[1]]
             if STATUS_TAKEN in (rec.status, entry[2]):
-                self._note_taken_move(entry[1])
+                self._note_move(entry[1], False)
             rec.status = entry[2]
         else:
             self._instances[entry[1]].properties[entry[2]] = entry[3]
-            self._bump_properties(entry[1].resource_type)
+            self._note_move(entry[1], True)
 
-    def _note_taken_move(self, iid: InstanceId) -> None:
-        moved = self._taken_moves.get(iid.resource_type)
+    def _note_move(self, iid: InstanceId, property_set: bool) -> None:
+        moved = self._moves.get(iid.resource_type)
         if moved is None:
-            moved = self._taken_moves[iid.resource_type] = set()
-        moved.add(iid)
+            moved = self._moves[iid.resource_type] = {}
+        moved[iid] = property_set or moved.get(iid, False)
 
-    def taken_moves(self, resource_type: str) -> AbstractSet[InstanceId]:
-        """The type's instances whose status moved to or from taken, by a
-        mutation or its undo, since `drain_taken_moves` last returned them.
-        At most one entry per instance, however often it moved."""
-        return self._taken_moves.get(resource_type, _NO_MOVES)
+    def moves(self, resource_type: str) -> Mapping[InstanceId, bool]:
+        """The type's instances that moved since `drain_moves` last returned
+        them: whose status moved to or from taken, or a property of which
+        was set, by a mutation or its undo. Each maps to whether a property
+        of it was set; one entry per instance, however often it moved."""
+        return self._moves.get(resource_type, _NO_MOVES)
 
-    def drain_taken_moves(self, resource_type: str) -> AbstractSet[InstanceId]:
-        """`taken_moves`, which then starts empty again."""
-        return self._taken_moves.pop(resource_type, _NO_MOVES)
-
-    def _bump_properties(self, resource_type: str) -> None:
-        self._property_changes[resource_type] = self._property_changes.get(resource_type, 0) + 1
-
-    def property_version(self, resource_type: str) -> int:
-        """A counter that changes whenever a property of the type's instances
-        is set or rolled back, so that what was derived from them can tell
-        it is stale."""
-        return self._property_changes.get(resource_type, 0)
+    def drain_moves(self, resource_type: str) -> Mapping[InstanceId, bool]:
+        """`moves`, which then starts empty again."""
+        return self._moves.pop(resource_type, _NO_MOVES)
 
     # --- views ---
 

@@ -18,10 +18,12 @@ the index are derived once: a grant's are its predicates merged
 (`_merge`), with the demands of the records it releases on grant taken
 out (`_wanted`). Its decision lays them over the index (a pool-backed
 type is decided from the running total plus the changes), and once the
-request is granted the same changes are written into it. A record keeps
-its merged demands, which a release, an expiry and an undone table
-write take out of the index or put back. One writer, `_count`, updates
-the index.
+request is granted the same changes are written into it. An action's
+post-check lays the demands of the records the action releases after
+success over the index the same way, and writes nothing: the pipeline
+releases them only once it says yes. A record keeps its merged demands,
+which a release, an expiry and an undone table write take out of the
+index or put back. One writer, `_count`, updates the index.
 
 Checks are scoped by one invariant: the committed active set is
 feasible on every type. A grant then only has to decide the types its
@@ -37,9 +39,11 @@ amount ("dirty"). A check repairs the assignment where it may have gone
 wrong since the type was last decided, so it costs what changed, not
 the units held on the type or the demands on it:
 
-  - it drops the pairs on instances that became taken. The catalog
-    records, per type, the instances whose status moved to or from
-    taken, and the check drains that record;
+  - it re-tests the pairs on instances that moved. The catalog records,
+    per type, the instances whose status moved to or from taken or a
+    property of which was set, and the check drains that record: a pair
+    on a taken instance is dropped, and so is one on an instance whose
+    new properties its demand no longer accepts;
   - it trims each demand the request changes, and each dirty demand,
     down to its amount;
   - it gives each deficit the free eligible instances it can in one
@@ -52,16 +56,16 @@ the units held on the type or the demands on it:
     exists (Berge), and the answer is infeasible.
 
 Which instances meet a demand is looked up when the demand first needs
-a unit and cached until a property of that type changes. A Property demand
-reads per-property value buckets: for `equals`, the bucket of the
+a unit and cached until a property of that type is set. A Property
+demand reads per-property value buckets: for `equals`, the bucket of the
 value; for `at-least-in-order`, the buckets of the wanted rank and
-above. A property change (the catalog's per-type `property_version`
-moves) re-checks every kept pair, as each pair's eligibility may have
-changed.
+above. A property set flushes these caches and derives each holding
+demand's eligibility again, but only the pairs on the moved instances
+are re-tested: no other instance's eligibility changed.
 
 The kept assignment is a hint that needs no journal: rolling an
 envelope back leaves at worst dirty demands, pairs that hold more than
-the restored amounts, and taken moves the next check drains.
+the restored amounts, and moves the next check drains.
 
 Every instance-backed type's kept state exists from the engine's start:
 `build_feasibility_problem` makes it as an empty assignment over the
@@ -201,7 +205,7 @@ class FeasibilityProblem:
     """
 
     __slots__ = ("demands", "total", "position", "pairs", "held", "free", "dirty",
-                 "eligible", "buckets", "eligible_at")
+                 "eligible", "buckets")
 
     def __init__(self, records: Sequence[InstanceRecord] = (), demands: Optional[dict] = None):
         # demand key -> [first predicate, merged amount]
@@ -217,7 +221,6 @@ class FeasibilityProblem:
         # membership in), computed when first needed and kept while held
         self.eligible: dict = {}
         self.buckets: dict = {}   # property name -> {scalar_key(value): positions in order}
-        self.eligible_at = -1     # the catalog property version the pairs were checked at
 
     @property
     def edges(self) -> tuple:
@@ -354,27 +357,6 @@ def _merge(predicates: Iterable[Predicate],
     return by_type
 
 
-def _wanted(demands: dict[str, dict], leaving: Iterable[PromiseRecord]) -> dict[str, dict]:
-    """The changes to the demand index of granting `demands` (as `_merge`
-    gives them) while the `leaving` records are released: per type that
-    either names, demand key -> [predicate, change in amount]. With
-    nothing leaving they are the demands; a change may be negative, or 0."""
-    wanted = {rt: {key: [p, n] for key, (p, n) in changes.items()}
-              for rt, changes in demands.items()}
-    for rec in leaving:
-        for rt, gone in rec.demands.items():
-            changes = wanted.get(rt)
-            if changes is None:
-                changes = wanted[rt] = {}
-            for key, (p, n) in gone.items():
-                slot = changes.get(key)
-                if slot is None:
-                    changes[key] = [p, -n]
-                else:
-                    slot[1] -= n
-    return wanted
-
-
 # --- the engine ---
 
 class PromiseEngine:
@@ -403,8 +385,7 @@ class PromiseEngine:
         view = catalog.snapshot_availability()
         self._types: dict[str, FeasibilityProblem] = {}
         for rt in catalog.schema.types:
-            st = self._types[rt] = build_feasibility_problem(rt, {}, view)
-            st.eligible_at = catalog.property_version(rt)
+            self._types[rt] = build_feasibility_problem(rt, {}, view)
 
     # --- queries ---
 
@@ -463,8 +444,8 @@ class PromiseEngine:
           - "index": the status bytes, the expiry heap, the demand index or
             a type's kept assignment and its bookkeeping disagree with the
             table and the catalog. A kept assignment counts as current, and
-            must then be complete, once no demand is dirty, no taken move is
-            unread and no property changed since its pairs were checked;
+            must then be complete, once no demand is dirty and no move of
+            its type is unread;
           - "feasibility": the table's predicates, decided over every type
             from an empty assignment, are not satisfiable, or the answer for
             a type does not check out against its certificate;
@@ -530,14 +511,12 @@ class PromiseEngine:
                for key in amounts.keys() | st.held.keys()):
             problems.append(f"a demand of {rt!r} that holds other than its amount is not dirty")
         # an instance whose move the next decision has yet to read may disagree
-        moved = {st.position[iid] for iid in self.catalog.taken_moves(rt)}
+        moved = {st.position[iid] for iid in self.catalog.moves(rt)}
         unused = {pos for pos, iid in enumerate(st.position)
                   if self.catalog.instance(iid).status != STATUS_TAKEN and pos not in st.pairs}
         if (st.free ^ unused) - moved:
             problems.append(f"free instances of {rt!r} disagree with the catalog")
-        current = not st.dirty and not moved \
-            and st.eligible_at == self.catalog.property_version(rt)
-        if current and not _certifies(st, view.instances_of(rt), view.schema):
+        if not st.dirty and not moved and not _certifies(st, view.instances_of(rt), view.schema):
             problems.append(f"kept assignment of {rt!r} is marked current but is "
                             "not a complete assignment")
         return problems
@@ -559,14 +538,9 @@ class PromiseEngine:
         if duration <= 0:
             raise ValueError("duration must be positive")
         demands = changes = decided = _merge(predicates)
-        leaving = []
+        leaving = ()
         if release:
-            for pid in dict.fromkeys(release):
-                rec = self.active.get(pid)
-                if rec is None:
-                    raise UnknownPromiseId(pid)
-                leaving.append(rec)
-            changes = _wanted(demands, leaving)
+            leaving, changes = self._wanted(demands, release)
             # releasing only removes demand: only the types the request names need deciding
             decided = {rt: changes[rt] for rt in demands}
         if not self._feasible(decided, self._view(unit)):
@@ -605,21 +579,20 @@ class PromiseEngine:
         expired.sort()
         return [pid for _, pid in expired]
 
-    def post_action_check(self, released_ids: Sequence[str], view: AvailabilityView,
-                          types: Optional[Collection[str]] = None) -> bool:
-        """True iff the remaining active promises survive the action's effects.
-
-        Call with the released ids already provisionally marked; a False
-        result tells the pipeline to roll the action back. `types` names
-        the resource types whose supply the action cut; None checks every
-        type.
+    def post_action_check(self, view: AvailabilityView, types: Optional[Collection[str]] = None,
+                          release: Sequence[str] = ()) -> bool:
+        """True iff the active promises, less those `release` names, survive
+        the action's effects. It writes nothing: like a grant's release-on-grant
+        it lays the released records' demands over the index, so the caller
+        releases them only after a yes. An id in `release` that is not active
+        raises UnknownPromiseId. `types` names the resource types whose
+        supply the action cut; None checks every type.
         """
-        for pid in released_ids:
-            assert pid not in self.active, \
-                "released ids must be marked before the post-action check"
+        changes = self._wanted({}, release)[1] if release else {}
         states = self._types
-        return self._feasible({rt: {} for rt in (states if types is None else types)
-                               if states[rt].demands}, view)
+        decided = states if types is None else types
+        return self._feasible({rt: changes.get(rt, {}) for rt in decided if states[rt].demands},
+                              view)
 
     def dump(self, after: int = 0, page_bytes: Optional[int] = None) -> dict:
         """Diagnostic promise-table dump: the active records issued after
@@ -650,6 +623,33 @@ class PromiseEngine:
             rows.append(row)
             last = rec.issue
         return doc
+
+    def _wanted(self, demands: dict[str, dict],
+                release: Sequence[str]) -> tuple[list[PromiseRecord], dict[str, dict]]:
+        """The active records `release` names, each once, and the changes to
+        the demand index of granting `demands` (as `_merge` gives them) while
+        those records are released: per type that either names, demand key
+        -> [predicate, change in amount]. A change may be negative, or 0. An
+        id that is not active raises UnknownPromiseId."""
+        wanted = {rt: {key: [p, n] for key, (p, n) in changes.items()}
+                  for rt, changes in demands.items()}
+        leaving = []
+        for pid in dict.fromkeys(release):
+            rec = self.active.get(pid)
+            if rec is None:
+                raise UnknownPromiseId(pid)
+            leaving.append(rec)
+            for rt, gone in rec.demands.items():
+                changes = wanted.get(rt)
+                if changes is None:
+                    changes = wanted[rt] = {}
+                for key, (p, n) in gone.items():
+                    slot = changes.get(key)
+                    if slot is None:
+                        changes[key] = [p, -n]
+                    else:
+                        slot[1] -= n
+        return leaving, wanted
 
     # --- feasibility by type ---
 
@@ -684,19 +684,16 @@ class PromiseEngine:
 
         It repairs the assignment where it may have gone wrong since the
         last decision, or since the engine's start built it empty:
-          - it drops the pairs on instances that became taken, which the
-            catalog reports (a moved property version re-checks every pair);
+          - it re-tests the pairs on the instances that moved, which the
+            catalog reports (`_read_moves`);
           - it trims each changed or dirty demand down to its amount;
           - it fills the deficits with `solve_feasibility`.
         """
         st = self._state(rt)
-        moved = self.catalog.drain_taken_moves(rt)
+        moved = self.catalog.drain_moves(rt)
         records = view.instances_of(rt)
-        version = self.catalog.property_version(rt)
-        if st.eligible_at != version:
-            self._revalidate(st, changes, records, version)
-        elif moved:
-            _read_moves(st, moved, records)
+        if moved:
+            _read_moves(st, moved, changes, records, self.catalog.schema)
         if len(st.eligible) > 2 * len(st.demands) + 64:
             # the keys of long-gone promises would pile up; a search reads the held ones
             st.eligible = {key: found for key, found in st.eligible.items() if key in st.held}
@@ -712,25 +709,6 @@ class PromiseEngine:
         for key, _ in deficits:
             _eligible(st, key, changes, records, self.catalog.schema)
         return _settle(st, changes, solve_feasibility(st, deficits) is None)
-
-    def _revalidate(self, st: FeasibilityProblem, changes: dict, records, version: int) -> None:
-        """After a property of the type changed: forget what was derived
-        from the properties and drop every pair that is no longer valid."""
-        st.eligible.clear()
-        st.buckets.clear()
-        st.eligible_at = version
-        pairs = st.pairs
-        held: dict = {}
-        for pos, key in list(pairs.items()):
-            if (key in changes or key in st.demands) and records[pos].status != STATUS_TAKEN \
-                    and pos in _eligible(st, key, changes, records, self.catalog.schema)[1]:
-                held.setdefault(key, set()).add(pos)
-            else:
-                del pairs[pos]
-                st.dirty.add(key)
-        st.held = held
-        st.free = {pos for pos, r in enumerate(records)
-                   if r.status != STATUS_TAKEN and pos not in pairs}
 
     # --- internals ---
 
@@ -761,10 +739,16 @@ class PromiseEngine:
         heapq.heappush(self._expiry, _expiry_entry(rec))
 
     def _retire(self, rec: PromiseRecord, status: int, unit: Optional[UnitToken]) -> None:
-        """Take an active record out of the table, leaving its final status
-        byte (`_RELEASED` or `_EXPIRED`) behind, and clear the allocated
-        tags of its Named instances. The caller takes its demands out of
-        the index (`_count`)."""
+        """Clear the allocated tags of an active record's Named instances,
+        then take it out of the table, leaving its final status byte
+        (`_RELEASED` or `_EXPIRED`) behind. The caller takes its demands out
+        of the index (`_count`). A tag write the catalog refuses raises
+        before the table is touched, so `restore` finds no half retirement."""
+        for p in rec.predicates:
+            if isinstance(p, Named):
+                inst = self.catalog.instance(p.instance)
+                if inst is not None and inst.status == STATUS_PROMISED:
+                    self._set_status(p.instance, STATUS_AVAILABLE, unit)
         if unit is not None:
             self._journal.append((rec.id, rec))
         del self.active[rec.id]
@@ -773,11 +757,6 @@ class PromiseEngine:
         if len(self._expiry) > 2 * len(self.active) + 1:
             self._expiry[:] = [_expiry_entry(r) for r in self.active.values()]
             heapq.heapify(self._expiry)
-        for p in rec.predicates:
-            if isinstance(p, Named):
-                inst = self.catalog.instance(p.instance)
-                if inst is not None and inst.status == STATUS_PROMISED:
-                    self._set_status(p.instance, STATUS_AVAILABLE, unit)
 
     def _count(self, changes: dict[str, dict], sign: int) -> None:
         """Add (sign 1) or take out (-1) `changes` in the demand index and
@@ -823,25 +802,35 @@ class PromiseEngine:
         return self.catalog.snapshot_availability(unit)
 
 
-def _read_moves(st: FeasibilityProblem, moved, records) -> None:
-    """Bring `free` and the pairs up to date with instances whose status
-    moved to or from taken: a pair on a taken instance is dropped and its
-    demand marked dirty; an untaken instance no demand holds is free."""
-    pairs, free, held = st.pairs, st.free, st.held
-    for iid in moved:
+def _read_moves(st: FeasibilityProblem, moved, changes: dict, records, schema) -> None:
+    """Bring `free` and the pairs up to date with the instances that moved,
+    as the catalog's `moves` gives them: a pair on a taken instance, or on
+    one whose demand no longer accepts its new properties, is dropped and
+    its demand marked dirty; an untaken instance no demand holds is free.
+    A property set forgets what was derived from the properties and derives
+    each holder's eligibility again, but re-tests only the moved instances'
+    pairs: no other instance's eligibility changed."""
+    pairs, free, held, eligible = st.pairs, st.free, st.held, st.eligible
+    if any(moved.values()):
+        eligible.clear()
+        st.buckets.clear()
+        for key in held:
+            if key in changes or key in st.demands:  # any other holder's trim drops all it holds
+                _eligible(st, key, changes, records, schema)
+    for iid, property_set in moved.items():
         pos = st.position[iid]
-        if records[pos].status != STATUS_TAKEN:
-            if pos not in pairs:
-                free.add(pos)
-            continue
-        free.discard(pos)
-        key = pairs.pop(pos, None)
+        key = pairs.get(pos)
+        taken = records[pos].status == STATUS_TAKEN
         if key is not None:
+            if not taken and (not property_set or key in eligible and pos in eligible[key][1]):
+                continue
+            del pairs[pos]
             have = held[key]
             have.discard(pos)
             if not have:
                 del held[key]
             st.dirty.add(key)
+        (free.discard if taken else free.add)(pos)
 
 
 def _trim(st: FeasibilityProblem, key, want: int, deficits: list) -> None:

@@ -73,6 +73,11 @@ def _take_matching(payload, unit, catalog: ResourceCatalog):
         validate_predicate(pred, catalog.schema)
     except PredicateInvalid as exc:
         raise ActionFailure(f"bad constraints: {exc}") from exc
+    # a value no instance can hold is the caller's error, not a shortage
+    for c in pred.constraints:
+        if not catalog.schema.property_decl(pred.resource_type, c.property_name).allows(c.value):
+            raise ActionFailure(f"bad constraints: {c.value!r} is outside the domain "
+                                f"of {c.property_name!r}")
     view = catalog.snapshot_availability(unit)
     for rec in view.instances_of(pred.resource_type):
         if rec.status == STATUS_AVAILABLE and satisfies(rec, pred, catalog.schema):

@@ -6,8 +6,9 @@ its release-on-grant names), then the action. Actions run inside the
 catalog's mutation unit with a savepoint taken first, so:
 
   - a handler's declared failure (ActionFailure) or a post-action promise
-    violation rolls back the action's effects and any provisional
-    releases, while grants made earlier in the same envelope stand;
+    violation rolls the action back to the savepoint, while grants made
+    earlier in the same envelope stand. The action's releases are written
+    only after the post-check says yes, so the table has nothing to undo;
   - any unexpected exception rolls back the whole envelope, promise table
     included, leaving the exact pre-call state. A reply that
     cannot be sent is one: the reply is part of the envelope, so it is
@@ -313,26 +314,26 @@ class PromiseManager:
                            if opt == OPTION_RELEASE_AFTER_SUCCESS]
 
         mark = self.catalog.savepoint(unit)
-        table_mark = self.engine.snapshot()
         try:
             payload = handler(action.payload, unit, self.catalog)
-            if release_ids:
-                self.engine.release(release_ids, unit)
             if hook is not None:
                 hook("post-check")
             # feasibility falls only where supply falls
             cut = self.catalog.supply_cut_types(unit, mark)
-            if not cut or self.engine.post_action_check(
-                    release_ids, self.catalog.snapshot_availability(unit), cut):
-                return ActionMsg(name, payload, ACTION_SUCCEEDED)
-            status, reason = ACTION_REJECTED_BY_PROMISE_VIOLATION, \
-                "outcome would violate an active promise"
+            kept = not cut or self.engine.post_action_check(
+                self.catalog.snapshot_availability(unit), cut, release_ids)
         except ActionFailure as exc:
             status, reason = ACTION_FAILED, str(exc)
         except CatalogError as exc:
             status, reason = ACTION_FAILED, exc.code
+        else:
+            if kept:  # the table's one write; a failure in it rolls the whole envelope back
+                if release_ids:
+                    self.engine.release(release_ids, unit)
+                return ActionMsg(name, payload, ACTION_SUCCEEDED)
+            status, reason = ACTION_REJECTED_BY_PROMISE_VIOLATION, \
+                "outcome would violate an active promise"
         self.catalog.rollback_to(unit, mark)
-        self.engine.restore(table_mark)
         return ActionMsg(name, {"reason": reason}, status)
 
     # --- diagnostics ---

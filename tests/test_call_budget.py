@@ -14,7 +14,7 @@ import promisekit
 from promisekit.catalog import load_catalog
 from promisekit.clock import LogicalClock
 from promisekit.harness import register_standard_handlers
-from promisekit.predicates import InstanceId, Named
+from promisekit.predicates import InstanceId, Named, Quantity
 from promisekit.protocol import (
     ActionMsg,
     Envelope,
@@ -31,8 +31,8 @@ from conftest import HOTEL_DOC, widget_doc
 PACKAGE = str(Path(promisekit.__file__).resolve().parent)
 
 # envelope kind -> the most calls it may make
-BUDGET = {"no-op": 21, "purchase": 27, "named-grant": 45, "named-exchange": 57,
-          "named-release": 32}
+BUDGET = {"no-op": 20, "purchase": 26, "named-grant": 44, "named-exchange": 55,
+          "named-release": 31, "violated-release": 35}
 
 
 def _calls(manager, envelope):
@@ -88,5 +88,17 @@ def test_each_envelope_kind_stays_within_its_call_budget():
     reply, counts["named-exchange"] = _calls(manager, _grant("r-2", "610", release=(held,)))
     assert reply.promise_part.responses[0].promise_id is not None
     assert manager.engine.status(held) == "released"
+
+    # a purchase under a promise it would release after success, which
+    # the post-check refuses: the other promise needs the widgets it takes
+    manager = _manager()
+    held = [manager.handle(Envelope(promise_part=PromisePart(requests=(make_request(
+        f"r-{n}", [Quantity("pink-widget", 5)], 30),)))).promise_part.responses[0].promise_id
+        for n in (1, 2)]
+    reply, counts["violated-release"] = _calls(manager, Envelope(
+        action=ActionMsg("purchase-stock", {"resource-type": "pink-widget", "amount": 6}),
+        environment=EnvironmentMsg((held[0],), ("release-after-success",))))
+    assert reply.action.status == "rejected-by-promise-violation"
+    assert manager.engine.status(held[0]) == "active"
 
     assert all(counts[kind] <= BUDGET[kind] for kind in BUDGET), counts

@@ -312,6 +312,27 @@ def test_supply_cut_types_names_the_types_whose_supply_fell_after_the_mark(mutat
     assert cat.supply_cut_types(unit, mark) == cut
 
 
+def test_each_moved_instance_is_noted_once_and_a_property_set_is_flagged(hotel_catalog):
+    room_610 = InstanceId("room", "610")
+    unit = hotel_catalog.begin_unit()
+    hotel_catalog.apply_mutation(unit, SetInstanceStatus(ROOM_512, "promised"))
+    assert hotel_catalog.moves("room") == {}  # a promise tag moves no supply
+    hotel_catalog.apply_mutation(unit, SetInstanceStatus(ROOM_512, "taken"))
+    hotel_catalog.apply_mutation(unit, SetProperty(room_610, "floor", 7))
+    hotel_catalog.apply_mutation(unit, SetProperty(room_610, "view", False))
+    assert hotel_catalog.moves("room") == {ROOM_512: False, room_610: True}
+    hotel_catalog.rollback_unit(unit)  # the undos move the same two again
+    assert hotel_catalog.moves("room") == {ROOM_512: False, room_610: True}
+    assert hotel_catalog.drain_moves("room") == {ROOM_512: False, room_610: True}
+    assert hotel_catalog.moves("room") == {} and hotel_catalog.drain_moves("room") == {}
+    # a property set flags an instance whose status moved before
+    unit = hotel_catalog.begin_unit()
+    hotel_catalog.apply_mutation(unit, SetInstanceStatus(ROOM_512, "taken"))
+    hotel_catalog.apply_mutation(unit, SetProperty(ROOM_512, "floor", 7))
+    hotel_catalog.commit_unit(unit)
+    assert hotel_catalog.drain_moves("room") == {ROOM_512: True}
+
+
 def test_rollback_to_clears_abort(widget_catalog):
     unit = widget_catalog.begin_unit()
     widget_catalog.apply_mutation(unit, DecrementPool("pink-widget", 2))

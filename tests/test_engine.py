@@ -453,7 +453,7 @@ def test_only_the_engines_start_builds_a_problem(monkeypatch):
     assert not isinstance(swapped, Rejection)
     unit = cat.begin_unit()
     cat.apply_mutation(unit, SetInstanceStatus(InstanceId("room", "512"), STATUS_TAKEN))
-    assert not eng.post_action_check([], cat.snapshot_availability(unit), {"room"})
+    assert not eng.post_action_check(cat.snapshot_availability(unit), {"room"})
     cat.rollback_unit(unit)
     assert eng.expire_sweep(6) == [swapped.id]
     assert not isinstance(eng.grant([Named(InstanceId("seat", "24G"))], 30, 6), Rejection)
@@ -464,9 +464,9 @@ def test_only_the_engines_start_builds_a_problem(monkeypatch):
 @pytest.mark.parametrize("set_property", [True, False])
 def test_a_state_built_before_the_first_decision_follows_the_catalog(set_property):
     # before any promise on the type: one room taken, one moved off floor
-    # 5 (which re-checks every pair; without it the first decision reads
-    # the taken moves), and a take rolled back; grants then answer as the
-    # checker does
+    # 5 (a property set, which the first decision reads with the status
+    # moves), and a take rolled back; grants then answer as the checker
+    # does
     cat = load_catalog({"resource-types": [{
         "name": "room", "properties": [{"name": "floor", "domain": [5, 6]}],
         "instances": [{"key": f"r{i}", "properties": {"floor": 5}} for i in range(6)]}]})
@@ -828,8 +828,7 @@ def test_post_action_check_passes_when_remaining_promises_fit():
     eng.grant([Quantity("pink-widget", 5)], 30, 0)
     unit = cat.begin_unit()
     _consume(cat, 5, unit)
-    eng.release([mine.id], unit)
-    assert eng.post_action_check([mine.id], cat.snapshot_availability(unit))
+    assert eng.post_action_check(cat.snapshot_availability(unit), release=[mine.id])
     cat.commit_unit(unit)
 
 
@@ -840,10 +839,29 @@ def test_post_action_check_flags_overconsumption():
     eng.grant([Quantity("pink-widget", 5)], 30, 0)
     unit = cat.begin_unit()
     _consume(cat, 6, unit)
-    eng.release([mine.id], unit)
-    assert not eng.post_action_check([mine.id], cat.snapshot_availability(unit))
+    assert not eng.post_action_check(cat.snapshot_availability(unit), release=[mine.id])
     cat.rollback_unit(unit)
     assert cat.quantity_on_hand("pink-widget") == 10
+
+
+def test_post_action_check_writes_nothing_and_refuses_an_id_not_active():
+    cat = load_catalog(widget_doc(11))
+    eng = PromiseEngine(cat)
+    mine = eng.grant([Quantity("pink-widget", 5)], 30, 0)
+    eng.grant([Quantity("pink-widget", 5)], 30, 0)
+    gone = eng.grant([Quantity("pink-widget", 1)], 30, 0)
+    eng.release([gone.id])
+    unit = cat.begin_unit()
+    _consume(cat, 6, unit)
+    view = cat.snapshot_availability(unit)
+    for pid in ("p-404", gone.id):  # never issued, and released already
+        with pytest.raises(UnknownPromiseId):
+            eng.post_action_check(view, release=[mine.id, pid])
+    assert not eng.post_action_check(view)
+    assert eng.post_action_check(view, release=[mine.id, mine.id])
+    assert eng.status(mine.id) == "active" and eng.history() == "aar"
+    cat.rollback_unit(unit)
+    assert eng.problems() == []
 
 
 def test_actions_touching_nothing_promised_stay_ok():
@@ -853,7 +871,7 @@ def test_actions_touching_nothing_promised_stay_ok():
     eng.grant([Quantity("pink-widget", 10)], 30, 0)
     unit = cat.begin_unit()
     cat.apply_mutation(unit, DecrementPool("blue-widget", 4))
-    assert eng.post_action_check([], cat.snapshot_availability(unit))
+    assert eng.post_action_check(cat.snapshot_availability(unit))
     cat.commit_unit(unit)
 
 

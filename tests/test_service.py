@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from promisekit import cli
-from promisekit.catalog import DecrementPool, load_catalog
+from promisekit.catalog import CatalogError, DecrementPool, load_catalog
 from promisekit.clock import LogicalClock
 from promisekit.engine import PromiseEngine, UnknownPromiseId
 from promisekit.harness import register_standard_handlers
@@ -351,9 +351,9 @@ def test_only_an_action_that_cuts_supply_is_post_checked(monkeypatch):
     checked = []
     real = PromiseEngine.post_action_check
 
-    def spy(self, released_ids, view, types=None):
+    def spy(self, view, types=None, release=()):
         checked.append(set(types))
-        return real(self, released_ids, view, types)
+        return real(self, view, types, release)
 
     monkeypatch.setattr(PromiseEngine, "post_action_check", spy)
     restock = Envelope(action=ActionMsg("restock", {"resource-type": "pink-widget", "amount": 3}))
@@ -395,7 +395,10 @@ def test_a_standard_handler_fails_a_payload_field_of_the_wrong_type(name, payloa
     ("room", {"property": "colour", "comparator": "equals", "value": "red"}),
     ("room", {"property": "floor", "comparator": "at-least-in-order", "value": 5}),
     ("castle", {"property": "floor", "comparator": "equals", "value": 5}),
-], ids=["undeclared-property", "order-on-a-domain", "undeclared-type"])
+    ("room", {"property": "floor", "comparator": "equals", "value": 99}),
+    ("room", {"property": "view", "comparator": "equals", "value": 1}),
+], ids=["undeclared-property", "order-on-a-domain", "undeclared-type",
+        "value-outside-the-domain", "int-on-a-bool-domain"])
 def test_take_matching_reports_a_bad_constraint_as_one(rt, constraint):
     """A constraint the schema refuses is the caller's error, not a
     shortage: the reason must not read as `resource-unavailable`."""
@@ -807,6 +810,44 @@ def test_an_action_rolled_back_for_a_violation_restores_the_release_count():
     assert mgr.engine.status(p1) == "active"
     assert mgr.counters["releases"] == 0
     assert mgr.counters["violations-rolled-back"] == 1
+
+
+def test_an_action_rolled_back_for_a_violation_leaves_the_table_as_it_was():
+    # the post-check decides without the released promise and writes
+    # nothing, so the rollback has no record to put back in the table
+    mgr = widget_manager(10)
+    p1 = first_response(mgr.handle(grant_envelope(5))).promise_id
+    first_response(mgr.handle(grant_envelope(5, rid="r-2")))
+    expiry, history, before = list(mgr.engine._expiry), mgr.engine.history(), mgr.state_digest()
+    reply = mgr.handle(purchase_envelope(6, (p1,), ("release-after-success",)))
+    assert reply.action.status == "rejected-by-promise-violation"
+    assert mgr.engine._expiry == expiry and len(expiry) == 2
+    assert mgr.engine.history() == history
+    assert mgr.state_digest() == before
+    assert mgr.engine.problems() == []
+
+
+def test_a_release_that_fails_after_the_post_check_rolls_the_whole_envelope_back():
+    # the handler swallows a refused mutation, which leaves its unit
+    # aborted, so the release written after the post-check cannot clear
+    # the promise tag of room 512: nothing of the envelope may stand
+    mgr = seats_and_rooms_manager()
+    pid = hold(mgr, Named(InstanceId("room", "512")), "r-1")
+
+    def swallowing(payload, unit, catalog):
+        try:
+            catalog.apply_mutation(unit, DecrementPool("pink-widget", 99))
+        except CatalogError:
+            pass
+        return {}
+
+    mgr.register_handler("swallowing", swallowing)
+    before = mgr.state_digest()
+    reply = mgr.handle(Envelope(action=ActionMsg("swallowing"), environment=EnvironmentMsg(
+        (pid,), ("release-after-success",))))
+    assert reply.error == "internal-failure"
+    assert mgr.engine.status(pid) == "active" and mgr.state_digest() == before
+    assert mgr.engine.problems() == []
 
 
 def test_handle_bytes_answers_undecodable_bytes_as_malformed():

@@ -287,13 +287,13 @@ class WarmEqualsCold(RuleBasedStateMachine):
         assert eng.problems() == []
         assert self.mgr.self_check_failures == []
         # decided on copies of the per-type state the check writes and of
-        # the catalog whose record of taken moves it reads, so that the
+        # the catalog whose record of moves it reads, so that the
         # hints the rules left, stale ones included, reach the next rule's
         # own checks unrepaired
         probe = copy.copy(eng)
         probe._types = copy.deepcopy(eng._types)
         probe.catalog = copy.deepcopy(eng.catalog)
-        assert probe.post_action_check([], probe.catalog.snapshot_availability()) \
+        assert probe.post_action_check(probe.catalog.snapshot_availability()) \
             == reference(self.active(), self.view())
 
 
