@@ -9,7 +9,6 @@ active promise.
 """
 
 from .catalog import (
-    AvailabilityView,
     CatalogError,
     CatalogSchema,
     DecrementPool,

@@ -20,16 +20,16 @@ Design rules:
     it restores recorded prior state.
   - The set of instances is fixed at load: mutations change statuses,
     properties and pool counts, never which instances exist. So each
-    type's instances are sorted by id once, and views read them by type.
+    type's instances are sorted by id once, and reads take them by type.
   - For the engine's kept assignments, the catalog keeps one record per
     type of the instances that moved: a status move to or from taken, a
     property set, and the undo of either. Each moved instance is noted
     once, flagged if a property of it was set, and the engine drains the
     record.
-  - Reads go through one live `AvailabilityView` over the catalog's own
-    pools and records, which copies nothing. While a unit is open only its
-    token may ask for the view, so no caller mistakes pending mutations
-    for committed state.
+  - The catalog is its own read view: `pools`, `instances_of` and
+    `instance` read the current state, and nothing is copied. While a unit
+    is open only its token may ask for that view (`snapshot_availability`),
+    so no caller mistakes pending mutations for committed state.
 
 Catalog documents are JSON; the exact field names are fixed in
 docs/file-formats.md and `dump_state` emits the same shape `load_catalog`
@@ -144,42 +144,6 @@ class InstanceRecord:
     status: str = STATUS_AVAILABLE
 
 
-class AvailabilityView:
-    """Availability: pool counts plus instance records, indexed by type.
-
-    The view holds the pool dict and the instance objects it is given and
-    copies neither. Built from copies it is a fixed snapshot; built over a
-    catalog's own pools and records it is live, and every read sees the
-    mutations applied so far. Callers only read through it.
-    """
-
-    def __init__(self, schema: CatalogSchema, pools: dict[str, int], instances: Iterable[InstanceRecord]):
-        self.schema = schema
-        self.pools = pools
-        by_type: dict[str, list] = {}
-        for r in sorted(instances, key=lambda r: r.id):
-            by_type.setdefault(r.id.resource_type, []).append(r)
-        self._by_type = {rt: tuple(rs) for rt, rs in by_type.items()}
-        self._by_id = {r.id: r for rs in self._by_type.values() for r in rs}
-
-    @property
-    def instances(self) -> tuple[InstanceRecord, ...]:
-        """Every instance, sorted by id."""
-        return tuple(r for rt in sorted(self._by_type) for r in self._by_type[rt])
-
-    def instance(self, iid: InstanceId) -> Optional[InstanceRecord]:
-        return self._by_id.get(iid)
-
-    def instances_of(self, resource_type: str) -> tuple[InstanceRecord, ...]:
-        """The instances of one type, sorted by id."""
-        return self._by_type.get(resource_type, ())
-
-    def quantity_on_hand(self, resource_type: str) -> int:
-        if resource_type in self.pools:
-            return self.pools[resource_type]
-        return sum(1 for r in self.instances_of(resource_type) if r.status == STATUS_AVAILABLE)
-
-
 # --- mutations ---
 
 @dataclass(slots=True)
@@ -223,19 +187,22 @@ class ResourceCatalog:
     """In-process resource manager with exact-inverse rollback.
 
     Single-writer: units are meant to be serialized by the caller; one unit
-    may be active at a time. The view is live and is read under the same
-    serialization.
+    may be active at a time. Reads see the current state and are made
+    under the same serialization.
+
+    It holds the instance records it is given and copies none of them.
     """
 
     def __init__(self, schema: CatalogSchema,
                  pools: Mapping[str, int],
                  instances: Iterable[InstanceRecord]):
         self.schema = schema
-        self._pools: dict[str, int] = dict(pools)
-        self._instances: dict[InstanceId, InstanceRecord] = {}
-        for rec in instances:
-            self._instances[rec.id] = rec
-        self._live = AvailabilityView(schema, self._pools, self._instances.values())
+        self.pools: dict[str, int] = dict(pools)
+        by_type: dict[str, list] = {}
+        for rec in sorted(instances, key=lambda r: r.id):
+            by_type.setdefault(rec.id.resource_type, []).append(rec)
+        self._by_type = {rt: tuple(rs) for rt, rs in by_type.items()}
+        self._instances = {r.id: r for rs in self._by_type.values() for r in rs}
         self._unit: Optional[UnitToken] = None
         self._moves: dict[str, dict[InstanceId, bool]] = {}  # per type, see `moves`
 
@@ -270,14 +237,14 @@ class ResourceCatalog:
                     self._note_move(m.instance, False)
                 token.log.append(("status", m.instance, old))
             elif isinstance(m, DecrementPool):
-                old = self._pools.get(m.resource_type)
+                old = self.pools.get(m.resource_type)
                 if old is None:
                     raise CatalogError("unknown-resource",
                                        f"{m.resource_type!r} is not a pool-backed resource type")
                 if old - m.amount < 0:
                     raise CatalogError("pool-underflow",
                                        f"{m.resource_type!r}: cannot remove {m.amount} of {old}")
-                self._pools[m.resource_type] = old - m.amount
+                self.pools[m.resource_type] = old - m.amount
                 token.log.append(("pool", m.resource_type, old))
             elif isinstance(m, SetProperty):
                 rec = self._instances.get(m.instance)
@@ -327,7 +294,7 @@ class ResourceCatalog:
                 # taken is final, so an instance taken now was moved there
                 cut.add(entry[1].resource_type)
         for rt, held in pools_at_mark.items():
-            if self._pools[rt] < held:
+            if self.pools[rt] < held:
                 cut.add(rt)
         return cut
 
@@ -360,7 +327,7 @@ class ResourceCatalog:
     def _undo(self, entry: tuple) -> None:
         kind = entry[0]
         if kind == "pool":
-            self._pools[entry[1]] = entry[2]
+            self.pools[entry[1]] = entry[2]
         elif kind == "status":
             rec = self._instances[entry[1]]
             if STATUS_TAKEN in (rec.status, entry[2]):
@@ -387,10 +354,10 @@ class ResourceCatalog:
         """`moves`, which then starts empty again."""
         return self._moves.pop(resource_type, _NO_MOVES)
 
-    # --- views ---
+    # --- reads ---
 
-    def snapshot_availability(self, token: Optional[UnitToken] = None) -> AvailabilityView:
-        """The live availability view.
+    def snapshot_availability(self, token: Optional[UnitToken] = None) -> ResourceCatalog:
+        """The catalog itself, which callers read availability from.
 
         It copies and sorts nothing, and it is not a snapshot: each read
         sees the mutations applied by then, so a caller that needs the state
@@ -405,13 +372,24 @@ class ResourceCatalog:
                 _dead_token()
         elif self._unit is not None:
             raise CatalogError("unit-error", "a unit is open; pass its token to read its state")
-        return self._live
+        return self
 
-    def quantity_on_hand(self, resource_type: str) -> int:
-        return self._live.quantity_on_hand(resource_type)
+    @property
+    def instances(self) -> tuple[InstanceRecord, ...]:
+        """Every instance, sorted by id."""
+        return tuple(r for rt in sorted(self._by_type) for r in self._by_type[rt])
+
+    def instances_of(self, resource_type: str) -> tuple[InstanceRecord, ...]:
+        """The instances of one type, sorted by id."""
+        return self._by_type.get(resource_type, ())
 
     def instance(self, iid: InstanceId) -> Optional[InstanceRecord]:
         return self._instances.get(iid)
+
+    def quantity_on_hand(self, resource_type: str) -> int:
+        if resource_type in self.pools:
+            return self.pools[resource_type]
+        return sum(1 for r in self.instances_of(resource_type) if r.status == STATUS_AVAILABLE)
 
     # --- persistence ---
 
@@ -426,7 +404,7 @@ class ResourceCatalog:
         for name in sorted(self.schema.types):
             decl = self.schema.types[name]
             if decl.pool_backed:
-                out.append({"name": name, "pool": self._pools[name]})
+                out.append({"name": name, "pool": self.pools[name]})
                 continue
             props = []
             for pname in sorted(decl.properties):
@@ -438,7 +416,7 @@ class ResourceCatalog:
                     entry["domain"] = list(pdecl.domain)
                 props.append(entry)
             instances = []
-            for rec in self._live.instances_of(name):
+            for rec in self.instances_of(name):
                 instances.append({
                     "key": rec.id.key,
                     "properties": {k: rec.properties[k] for k in sorted(rec.properties)},

@@ -70,9 +70,11 @@ the restored amounts, and moves the next check drains.
 Every instance-backed type's kept state exists from the engine's start:
 `build_feasibility_problem` makes it as an empty assignment over the
 type's untaken instances, so a type's first decision is one in which
-every demand is short. Every decision fills its deficits through one
-loop, `solve_feasibility`, fewest eligible first; `check_satisfiable`
-builds a problem from one type's merged demands and fills them all.
+every demand is short. A type the catalog does not declare gets no
+state: it has no supply, and a grant that names it is refused. Every
+decision fills its deficits through one loop, `solve_feasibility`,
+fewest eligible first; `check_satisfiable` builds a problem from one
+type's merged demands and fills them all.
 
 Every answer of `check_satisfiable` is checked by `_certifies`, which
 reads only the instance records and `satisfies`. A feasible answer's
@@ -107,8 +109,8 @@ history:
     clears the journal (`commit`) once the unit commits.
 
 The engine assumes external serialization (it runs inside the manager
-pipeline). `check_satisfiable` is pure; the catalog's view it reads is
-live, so it is read under the same serialization.
+pipeline). `check_satisfiable` is pure; the catalog it reads shows its
+current state, so it is read under the same serialization.
 """
 
 from __future__ import annotations
@@ -121,7 +123,6 @@ from .catalog import (
     STATUS_AVAILABLE,
     STATUS_PROMISED,
     STATUS_TAKEN,
-    AvailabilityView,
     InstanceRecord,
     ResourceCatalog,
     SetInstanceStatus,
@@ -191,7 +192,7 @@ class UncertifiedAnswer(Exception):
 
 class FeasibilityProblem:
     """One resource type's demands and an assignment of their units to the
-    type's instances, each named by its position in the view's
+    type's instances, each named by its position in the catalog's
     `instances_of`, which is fixed at load.
 
     `build_feasibility_problem` makes one with an empty assignment and
@@ -229,7 +230,7 @@ class FeasibilityProblem:
 
 
 def build_feasibility_problem(rt: str, demands: dict,
-                              view: AvailabilityView) -> FeasibilityProblem:
+                              view: ResourceCatalog) -> FeasibilityProblem:
     """What a decision of type `rt` starts from: its `demands`, merged by
     demand key (demand key -> [predicate, amount]); an empty assignment
     over its untaken instances, of which a pool has none; and each demand's
@@ -310,16 +311,13 @@ def _meets(record: InstanceRecord, p: Predicate, schema) -> bool:
     return satisfies(record, p, schema)
 
 
-def check_satisfiable(predicates: Sequence[Predicate], view: AvailabilityView,
-                      types: Optional[Collection[str]] = None) -> bool:
+def check_satisfiable(predicates: Sequence[Predicate], view: ResourceCatalog) -> bool:
     """True iff every predicate can draw its full amount from disjoint supply.
 
-    With `types`, only the predicates of those resource types are
-    decided; callers that pass it rely on the others being feasible. Each
-    instance-backed type's answer is checked against its certificate
+    Each instance-backed type's answer is checked against its certificate
     (`_certifies`); one that does not check out raises UncertifiedAnswer.
     """
-    for rt, demands in _merge(predicates, types).items():
+    for rt, demands in _merge(predicates).items():
         if rt in view.pools:
             # a pool has no instances for a Named or Property demand to draw on
             if any(key[0] != "quantity" and n for key, (_, n) in demands.items()):
@@ -338,22 +336,20 @@ def check_satisfiable(predicates: Sequence[Predicate], view: AvailabilityView,
     return True
 
 
-def _merge(predicates: Iterable[Predicate],
-           types: Optional[Collection[str]] = None) -> dict[str, dict]:
-    """Per resource type (of `types`, if given), the demands of
-    `predicates` merged by demand key: demand key -> [predicate, amount]."""
+def _merge(predicates: Iterable[Predicate]) -> dict[str, dict]:
+    """Per resource type, the demands of `predicates` merged by demand
+    key: demand key -> [predicate, amount]."""
     by_type: dict[str, dict] = {}
     for p in predicates:
         rt = p.resource_type
-        if types is None or rt in types:
-            demands = by_type.get(rt)
-            if demands is None:
-                demands = by_type[rt] = {}
-            slot = demands.get(p.key)
-            if slot is None:
-                demands[p.key] = [p, p.amount]
-            else:
-                slot[1] += p.amount
+        demands = by_type.get(rt)
+        if demands is None:
+            demands = by_type[rt] = {}
+        slot = demands.get(p.key)
+        if slot is None:
+            demands[p.key] = [p, p.amount]
+        else:
+            slot[1] += p.amount
     return by_type
 
 
@@ -368,8 +364,9 @@ class PromiseEngine:
     Only table writes made under a unit are journaled, so `snapshot` and
     `restore` roll back those alone.
 
-    Views passed in must show the catalog's current state: the kept
-    assignments and eligibility sets are checked against it.
+    A view passed in must be the engine's own catalog, as
+    `snapshot_availability` gives it: the kept assignments and eligibility
+    sets are checked against its current state.
     """
 
     def __init__(self, catalog: ResourceCatalog):
@@ -495,7 +492,7 @@ class PromiseEngine:
                              "by active promises") for iid, n in named)
         return found
 
-    def _type_problems(self, rt: str, st: FeasibilityProblem, view: AvailabilityView) -> list[str]:
+    def _type_problems(self, rt: str, st: FeasibilityProblem, view: ResourceCatalog) -> list[str]:
         problems = []
         if st.total != sum(slot[1] for slot in st.demands.values()):
             problems.append(f"running total of {rt!r} disagrees with its demands")
@@ -543,7 +540,7 @@ class PromiseEngine:
             leaving, changes = self._wanted(demands, release)
             # releasing only removes demand: only the types the request names need deciding
             decided = {rt: changes[rt] for rt in demands}
-        if not self._feasible(decided, self._view(unit)):
+        if not self._feasible(decided, self.catalog.snapshot_availability(unit)):
             return Rejection()
         for rec in leaving:
             self._retire(rec, _RELEASED, unit)
@@ -579,7 +576,7 @@ class PromiseEngine:
         expired.sort()
         return [pid for _, pid in expired]
 
-    def post_action_check(self, view: AvailabilityView, types: Optional[Collection[str]] = None,
+    def post_action_check(self, view: ResourceCatalog, types: Optional[Collection[str]] = None,
                           release: Sequence[str] = ()) -> bool:
         """True iff the active promises, less those `release` names, survive
         the action's effects. It writes nothing: like a grant's release-on-grant
@@ -653,13 +650,7 @@ class PromiseEngine:
 
     # --- feasibility by type ---
 
-    def _state(self, rt: str) -> FeasibilityProblem:
-        st = self._types.get(rt)
-        if st is None:
-            st = self._types[rt] = FeasibilityProblem()
-        return st
-
-    def _feasible(self, wanted: dict[str, dict], view: AvailabilityView) -> bool:
+    def _feasible(self, wanted: dict[str, dict], view: ResourceCatalog) -> bool:
         """True iff each type in `wanted` can meet its demands with the
         changes `wanted` (as `_wanted` gives them) makes to its demand index."""
         for rt, changes in wanted.items():
@@ -677,7 +668,7 @@ class PromiseEngine:
                 return False
         return True
 
-    def _decide(self, rt: str, changes: dict, view: AvailabilityView) -> bool:
+    def _decide(self, rt: str, changes: dict, view: ResourceCatalog) -> bool:
         """Decide one instance-backed type, with `changes` (as `_wanted`
         gives them) made to its demand index, and leave its kept assignment
         as complete as the demands allow.
@@ -689,7 +680,9 @@ class PromiseEngine:
           - it trims each changed or dirty demand down to its amount;
           - it fills the deficits with `solve_feasibility`.
         """
-        st = self._state(rt)
+        st = self._types.get(rt)
+        if st is None:
+            return False  # a type the catalog does not declare has no supply
         moved = self.catalog.drain_moves(rt)
         records = view.instances_of(rt)
         if moved:
@@ -765,7 +758,7 @@ class PromiseEngine:
         demand of a type with instances dirty or clean by whether the kept
         assignment holds its new amount. The one writer of the index."""
         for rt, deltas in changes.items():
-            st = self._types[rt]  # a decision on the type made it, if it was not declared
+            st = self._types[rt]
             index = st.demands
             for key, (p, n) in deltas.items():
                 if not n:
@@ -797,9 +790,6 @@ class PromiseEngine:
             except Exception:
                 self.catalog.rollback_unit(token)
                 raise
-
-    def _view(self, unit: Optional[UnitToken]) -> AvailabilityView:
-        return self.catalog.snapshot_availability(unit)
 
 
 def _read_moves(st: FeasibilityProblem, moved, changes: dict, records, schema) -> None:

@@ -16,10 +16,10 @@ from .catalog import (
     STATUS_AVAILABLE,
     STATUS_PROMISED,
     STATUS_TAKEN,
-    AvailabilityView,
     CatalogSchema,
     InstanceRecord,
     PropertyDecl,
+    ResourceCatalog,
     ResourceTypeDecl,
 )
 from .predicates import (
@@ -35,7 +35,7 @@ from .predicates import (
 )
 
 
-def brute_force_satisfiable(predicates: Sequence[Predicate], view: AvailabilityView) -> bool:
+def brute_force_satisfiable(predicates: Sequence[Predicate], view: ResourceCatalog) -> bool:
     """Existence of a complete assignment, found by exhaustive search."""
     pools = dict(view.pools)
     usable = [r for r in view.instances if r.status != STATUS_TAKEN]
@@ -101,8 +101,8 @@ def oracle_schema() -> CatalogSchema:
 
 
 def random_case(rng: random.Random, max_instances: int = 8,
-                max_predicates: int = 6) -> tuple[list[Predicate], AvailabilityView]:
-    """A small availability view plus a mixed-form predicate list.
+                max_predicates: int = 6) -> tuple[list[Predicate], ResourceCatalog]:
+    """A small catalog plus a mixed-form predicate list.
 
     Skewed toward near-critical cases: amounts are drawn so that roughly
     half the generated sets sit at or just past the feasibility boundary.
@@ -117,7 +117,7 @@ def random_case(rng: random.Random, max_instances: int = 8,
             rng.choice((STATUS_AVAILABLE, STATUS_AVAILABLE, STATUS_PROMISED, STATUS_TAKEN)),
         ))
     pools = {"bulk": rng.randint(0, 6)}
-    view = AvailabilityView(schema, pools, instances)
+    view = ResourceCatalog(schema, pools, instances)
 
     preds: list[Predicate] = []
     for _ in range(rng.randint(0, max_predicates)):

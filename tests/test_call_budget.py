@@ -31,7 +31,7 @@ from conftest import HOTEL_DOC, widget_doc
 PACKAGE = str(Path(promisekit.__file__).resolve().parent)
 
 # envelope kind -> the most calls it may make
-BUDGET = {"no-op": 20, "purchase": 26, "named-grant": 44, "named-exchange": 55,
+BUDGET = {"no-op": 20, "purchase": 26, "named-grant": 42, "named-exchange": 53,
           "named-release": 31, "violated-release": 35}
 
 

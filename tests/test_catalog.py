@@ -364,8 +364,10 @@ def test_snapshot_without_the_token_is_refused_while_a_unit_is_open(hotel_catalo
 
 
 def test_snapshot_outside_a_unit_is_the_live_view(widget_catalog):
-    # with no unit open the view is the live committed state, not a copy
+    # with no unit open the view is the live committed state, not a copy:
+    # the catalog itself
     view = widget_catalog.snapshot_availability()
+    assert view is widget_catalog
     unit = widget_catalog.begin_unit()
     assert widget_catalog.snapshot_availability(unit) is view
     widget_catalog.apply_mutation(unit, DecrementPool("pink-widget", 9))

@@ -11,11 +11,11 @@ from promisekit.catalog import (
     STATUS_AVAILABLE,
     STATUS_PROMISED,
     STATUS_TAKEN,
-    AvailabilityView,
     CatalogSchema,
     DecrementPool,
     InstanceRecord,
     PropertyDecl,
+    ResourceCatalog,
     ResourceTypeDecl,
     SetInstanceStatus,
     SetProperty,
@@ -360,8 +360,8 @@ def decomposition_cases(draw):
                 {"grade": draw(st.sampled_from(_GRADES)),
                  "color": draw(st.sampled_from(_COLORS))},
                 draw(st.sampled_from((STATUS_AVAILABLE, STATUS_PROMISED, STATUS_TAKEN)))))
-    view = AvailabilityView(_decomposition_schema(), {"bulk": draw(st.integers(0, 5))},
-                            instances)
+    view = ResourceCatalog(_decomposition_schema(), {"bulk": draw(st.integers(0, 5))},
+                           instances)
     keys = [r.id for r in instances] + [InstanceId("gadget", "missing")]
     predicate = st.one_of(
         st.builds(Quantity, st.sampled_from(("bulk",) + _INSTANCE_TYPES), st.integers(1, 3)),
@@ -384,7 +384,7 @@ def decomposition_cases(draw):
 def _twin_gadgets():
     twins = [InstanceRecord(InstanceId("gadget", key), {"grade": "low", "color": "red"},
                             STATUS_AVAILABLE) for key in ("g0", "g1")]
-    return AvailabilityView(_decomposition_schema(), {"bulk": 0}, twins)
+    return ResourceCatalog(_decomposition_schema(), {"bulk": 0}, twins)
 
 
 @settings(max_examples=150, deadline=None)
@@ -397,8 +397,8 @@ def test_decomposed_check_agrees_with_the_oracle(case):
     everything = ("bulk",) + _INSTANCE_TYPES
     for rt in everything:
         others = [t for t in everything if t != rt]
-        if check_satisfiable(preds, view, others):
-            assert check_satisfiable(preds, view, [rt]) == full
+        if check_satisfiable([p for p in preds if p.resource_type in others], view):
+            assert check_satisfiable([p for p in preds if p.resource_type == rt], view) == full
 
 
 def _two_type_catalog():
@@ -516,6 +516,14 @@ def test_grant_rejected_when_short_and_table_unchanged():
     before = dict(eng.active), eng.history()
     assert isinstance(eng.grant([Quantity("pink-widget", 5)], 30, 0), Rejection)
     assert (eng.active, eng.history()) == before
+
+
+def test_a_grant_on_an_undeclared_type_is_refused_and_keeps_no_state():
+    cat = load_catalog(widget_doc(3))
+    eng = PromiseEngine(cat)
+    assert isinstance(eng.grant([Quantity("ghost", 1)], 5, 0), Rejection)
+    assert set(eng._types) == set(cat.schema.types)
+    assert eng.problems() == []
 
 
 def test_multi_predicate_grant_is_all_or_nothing():
@@ -888,7 +896,7 @@ def test_pool_overcommit_helper():
     assert eng.problems() == [
         Problem("feasibility", "active set is not satisfiable"),
         Problem("pool-additivity", "pool 'balance': 100 promised, 90 on hand")]
-    eng.catalog._pools["balance"] = -1
+    eng.catalog.pools["balance"] = -1
     assert Problem("pool-additivity", "pool 'balance' holds -1") in eng.problems()
 
 
@@ -949,7 +957,7 @@ def _rerouting_cases(rng, count):
         instances = [InstanceRecord(InstanceId("gadget", f"g{i}"),
                                     {"grade": rng.choice(_GRADES), "color": rng.choice(_COLORS)},
                                     STATUS_AVAILABLE) for i in range(rng.randint(3, 7))]
-        view = AvailabilityView(_decomposition_schema(), {"bulk": 0}, instances)
+        view = ResourceCatalog(_decomposition_schema(), {"bulk": 0}, instances)
         preds = []
         for _ in range(rng.randint(2, 4)):
             constraints = [PropertyConstraint("grade", AT_LEAST_IN_ORDER, rng.choice(_GRADES))]

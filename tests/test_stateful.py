@@ -14,8 +14,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from promisekit.catalog import (
     STATUS_TAKEN,
-    AvailabilityView,
     InstanceRecord,
+    ResourceCatalog,
     SetInstanceStatus,
     SetProperty,
     load_catalog,
@@ -94,14 +94,14 @@ def changed(view, iid=None, status=None, prop=None):
         if r.id == iid and prop is not None:
             props[prop[0]] = prop[1]
         copies.append(InstanceRecord(r.id, props, status if r.id == iid and status else r.status))
-    return AvailabilityView(view.schema, dict(view.pools), copies)
+    return ResourceCatalog(view.schema, dict(view.pools), copies)
 
 
 def restocked(view, amount):
     """A copy of `view` with `amount` more bulk on hand (less if negative)."""
-    return AvailabilityView(view.schema, {**view.pools, "bulk": view.pools["bulk"] + amount},
-                            [InstanceRecord(r.id, dict(r.properties), r.status)
-                             for r in view.instances])
+    return ResourceCatalog(view.schema, {**view.pools, "bulk": view.pools["bulk"] + amount},
+                           [InstanceRecord(r.id, dict(r.properties), r.status)
+                            for r in view.instances])
 
 
 def take_then_fail(payload, unit, catalog):
