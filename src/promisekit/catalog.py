@@ -39,11 +39,11 @@ accepts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Container, Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .predicates import InstanceId, Scalar, scalar_key
+from .record import FrozenRecord, Record
 
 # the interpreter's own SHA-256 (`_sha2` since 3.12, `_sha256` before), so a
 # digest loads no OpenSSL; hashlib only where neither module is built
@@ -82,25 +82,22 @@ class CatalogError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class PropertyDecl:
-    name: str
-    domain: Optional[tuple[Scalar, ...]] = None  # None = open domain
-    order: Optional[tuple[Scalar, ...]] = None   # total order; doubles as domain
-    _ranks: dict = field(init=False, repr=False, compare=False)
-    _allowed: Optional[Container] = field(init=False, repr=False, compare=False)
+class PropertyDecl(FrozenRecord):
+    __slots__ = ("name", "domain", "order", "_ranks", "_allowed")
+    _fields = ("name", "domain", "order")
 
-    def __post_init__(self):
-        ranks = {scalar_key(v): i for i, v in enumerate(self.order or ())}
-        object.__setattr__(self, "_ranks", ranks)
+    def __init__(self, name: str, domain: Optional[tuple[Scalar, ...]] = None,
+                 order: Optional[tuple[Scalar, ...]] = None):
+        # domain None = open domain; order = total order, doubling as domain
+        ranks = {scalar_key(v): i for i, v in enumerate(order or ())}
         # the allowed values, looked up by scalar key; None for an open domain
-        if self.order is not None:
+        if order is not None:
             allowed = ranks
-        elif self.domain is not None:
-            allowed = frozenset(map(scalar_key, self.domain))
+        elif domain is not None:
+            allowed = frozenset(map(scalar_key, domain))
         else:
             allowed = None
-        object.__setattr__(self, "_allowed", allowed)
+        self._freeze(name, domain, order, ranks, allowed)
 
     def allows(self, value: Scalar) -> bool:
         # a float is no scalar, even one equal to an allowed int: a catalog
@@ -114,11 +111,12 @@ class PropertyDecl:
         return self._ranks.get(scalar_key(value), -1)
 
 
-@dataclass(frozen=True)
-class ResourceTypeDecl:
-    name: str
-    pool_backed: bool
-    properties: Mapping[str, PropertyDecl] = field(default_factory=dict)
+class ResourceTypeDecl(FrozenRecord):
+    __slots__ = ("name", "pool_backed", "properties")
+
+    def __init__(self, name: str, pool_backed: bool,
+                 properties: Optional[Mapping[str, PropertyDecl]] = None):
+        self._freeze(name, pool_backed, {} if properties is None else properties)
 
 
 class CatalogSchema:
@@ -137,32 +135,41 @@ class CatalogSchema:
         return decl.properties.get(prop)
 
 
-@dataclass
-class InstanceRecord:
-    id: InstanceId
-    properties: dict[str, Scalar]
-    status: str = STATUS_AVAILABLE
+class InstanceRecord(Record):
+    __slots__ = ("id", "properties", "status")
+
+    def __init__(self, id: InstanceId, properties: dict[str, Scalar],
+                 status: str = STATUS_AVAILABLE):
+        self.id = id
+        self.properties = properties
+        self.status = status
 
 
 # --- mutations ---
 
-@dataclass(slots=True)
-class DecrementPool:
-    resource_type: str
-    amount: int  # negative restocks
+class DecrementPool(Record):
+    __slots__ = ("resource_type", "amount")
+
+    def __init__(self, resource_type: str, amount: int):
+        self.resource_type = resource_type
+        self.amount = amount  # negative restocks
 
 
-@dataclass(slots=True)
-class SetInstanceStatus:
-    instance: InstanceId
-    status: str
+class SetInstanceStatus(Record):
+    __slots__ = ("instance", "status")
+
+    def __init__(self, instance: InstanceId, status: str):
+        self.instance = instance
+        self.status = status
 
 
-@dataclass(slots=True)
-class SetProperty:
-    instance: InstanceId
-    property_name: str
-    value: Scalar
+class SetProperty(Record):
+    __slots__ = ("instance", "property_name", "value")
+
+    def __init__(self, instance: InstanceId, property_name: str, value: Scalar):
+        self.instance = instance
+        self.property_name = property_name
+        self.value = value
 
 
 Mutation = Union[DecrementPool, SetInstanceStatus, SetProperty]

@@ -576,20 +576,20 @@ class PromiseEngine:
         expired.sort()
         return [pid for _, pid in expired]
 
-    def post_action_check(self, view: ResourceCatalog, types: Optional[Collection[str]] = None,
+    def post_action_check(self, unit: Optional[UnitToken], types: Optional[Collection[str]] = None,
                           release: Sequence[str] = ()) -> bool:
         """True iff the active promises, less those `release` names, survive
-        the action's effects. It writes nothing: like a grant's release-on-grant
-        it lays the released records' demands over the index, so the caller
-        releases them only after a yes. An id in `release` that is not active
-        raises UnknownPromiseId. `types` names the resource types whose
-        supply the action cut; None checks every type.
+        the action's effects in `unit`. It writes nothing: like a grant's
+        release-on-grant it lays the released records' demands over the index,
+        so the caller releases them only after a yes. An id in `release` that
+        is not active raises UnknownPromiseId. `types` names the resource
+        types whose supply the action cut; None checks every type.
         """
         changes = self._wanted({}, release)[1] if release else {}
         states = self._types
         decided = states if types is None else types
         return self._feasible({rt: changes.get(rt, {}) for rt in decided if states[rt].demands},
-                              view)
+                              self.catalog.snapshot_availability(unit))
 
     def dump(self, after: int = 0, page_bytes: Optional[int] = None) -> dict:
         """Diagnostic promise-table dump: the active records issued after

@@ -26,12 +26,12 @@ bytes in Envelope.encoded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Optional
 
 from .predicates import Named, Predicate, Property, Quantity, predicate_from_wire, predicate_to_wire
+from .record import Record
 
 if TYPE_CHECKING:  # the framing reads and writes sockets it is given, and makes none
     import socket
@@ -72,50 +72,68 @@ class InvariantViolation(Exception):
     """Envelope under encode() breaks a structural invariant."""
 
 
-@dataclass(slots=True)
-class PromiseRequestMsg:
-    request_id: str
-    predicates: tuple[Predicate, ...]
-    resources: tuple[tuple[str, Optional[str]], ...]
-    duration: int
-    release_on_grant: tuple[str, ...] = ()
+class PromiseRequestMsg(Record):
+    __slots__ = ("request_id", "predicates", "resources", "duration", "release_on_grant")
+
+    def __init__(self, request_id: str, predicates: tuple[Predicate, ...],
+                 resources: tuple[tuple[str, Optional[str]], ...], duration: int,
+                 release_on_grant: tuple[str, ...] = ()):
+        self.request_id = request_id
+        self.predicates = predicates
+        self.resources = resources
+        self.duration = duration
+        self.release_on_grant = release_on_grant
 
 
-@dataclass(slots=True)
-class PromiseResponseMsg:
-    promise_id: Optional[str]
-    result: str
-    granted_duration: int
-    correlation: str
+class PromiseResponseMsg(Record):
+    __slots__ = ("promise_id", "result", "granted_duration", "correlation")
+
+    def __init__(self, promise_id: Optional[str], result: str, granted_duration: int,
+                 correlation: str):
+        self.promise_id = promise_id
+        self.result = result
+        self.granted_duration = granted_duration
+        self.correlation = correlation
 
 
-@dataclass(slots=True)
-class EnvironmentMsg:
-    promise_ids: tuple[str, ...]
-    release_options: tuple[str, ...]
+class EnvironmentMsg(Record):
+    __slots__ = ("promise_ids", "release_options")
+
+    def __init__(self, promise_ids: tuple[str, ...], release_options: tuple[str, ...]):
+        self.promise_ids = promise_ids
+        self.release_options = release_options
 
 
-@dataclass(slots=True)
-class ActionMsg:
-    action_name: str
-    payload: object = None
-    status: Optional[str] = None  # set on responses only
+class ActionMsg(Record):
+    __slots__ = ("action_name", "payload", "status")
+
+    def __init__(self, action_name: str, payload: object = None, status: Optional[str] = None):
+        self.action_name = action_name
+        self.payload = payload
+        self.status = status  # set on responses only
 
 
-@dataclass(slots=True)
-class PromisePart:
-    requests: tuple[PromiseRequestMsg, ...] = ()
-    responses: tuple[PromiseResponseMsg, ...] = ()
+class PromisePart(Record):
+    __slots__ = ("requests", "responses")
+
+    def __init__(self, requests: tuple[PromiseRequestMsg, ...] = (),
+                 responses: tuple[PromiseResponseMsg, ...] = ()):
+        self.requests = requests
+        self.responses = responses
 
 
-@dataclass(slots=True)
-class Envelope:
-    promise_part: Optional[PromisePart] = None
-    environment: Optional[EnvironmentMsg] = None
-    action: Optional[ActionMsg] = None
-    error: Optional[str] = None
-    # set on a reply the manager builds: its body, encoded before the commit
-    encoded: Optional[bytes] = field(default=None, compare=False, repr=False)
+class Envelope(Record):
+    __slots__ = ("promise_part", "environment", "action", "error", "encoded")
+    _fields = __slots__[:4]  # `encoded` is neither compared nor shown
+
+    def __init__(self, promise_part: Optional[PromisePart] = None,
+                 environment: Optional[EnvironmentMsg] = None, action: Optional[ActionMsg] = None,
+                 error: Optional[str] = None, encoded: Optional[bytes] = None):
+        self.promise_part = promise_part
+        self.environment = environment
+        self.action = action
+        self.error = error
+        self.encoded = encoded  # a reply's body, which the manager encodes before the commit
 
 
 def derive_resources(predicates) -> tuple[tuple[str, Optional[str]], ...]:

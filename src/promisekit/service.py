@@ -22,12 +22,10 @@ promise iff the action result is succeeded; retain never releases.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import select
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .catalog import CatalogError, ResourceCatalog, digest_document, load_catalog_file
@@ -63,11 +61,10 @@ from .protocol import (
     recv_frame,
     send_frame,
 )
+from .record import Record
 
 if TYPE_CHECKING:
     import socket
-
-log = logging.getLogger("promisekit")
 
 CONFIG_ENV_VAR = "PROMISEKIT_CONFIG"
 
@@ -84,6 +81,11 @@ DUMP_PAGE_BYTES = MAX_FRAME_BODY // 2
 # how many of a connection's latest request identifiers it remembers; a
 # duplicate of an older one is not detected, and is handled as a new request
 RECENT_REQUEST_IDS = 1024
+
+
+def _log():  # `logging` loads when the manager first logs: only failures and refusals do
+    import logging
+    return logging.getLogger("promisekit")
 
 
 class ActionFailure(Exception):
@@ -117,13 +119,17 @@ class RecentRequestIds:
         return True
 
 
-@dataclass
-class ServiceConfig:
-    host: str = "127.0.0.1"
-    port: int = 0
-    catalog_path: Optional[str] = None
-    duration_cap: Optional[int] = None
-    self_check: bool = False
+class ServiceConfig(Record):
+    __slots__ = ("host", "port", "catalog_path", "duration_cap", "self_check")
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0,
+                 catalog_path: Optional[str] = None, duration_cap: Optional[int] = None,
+                 self_check: bool = False):
+        self.host = host
+        self.port = port
+        self.catalog_path = catalog_path
+        self.duration_cap = duration_cap
+        self.self_check = self_check
 
     @staticmethod
     def from_file(path) -> "ServiceConfig":
@@ -220,7 +226,7 @@ class PromiseManager:
         except Exception:
             # the pipeline rolls back what fails inside it; this answers
             # what fails around it, so that no body goes unanswered
-            log.exception("envelope failed outside the pipeline")
+            _log().exception("envelope failed outside the pipeline")
             return encode(Envelope(error="internal-failure"))
 
     def _handle_locked(self, envelope: Envelope) -> Envelope:
@@ -261,7 +267,7 @@ class PromiseManager:
             self.catalog.commit_unit(unit)
             self.engine.commit()
         except Exception:
-            log.exception("pipeline failure; rolling back the whole request")
+            _log().exception("pipeline failure; rolling back the whole request")
             self.catalog.rollback_unit(unit)
             self.engine.restore(table_before)
             self._answered["internal-failures"] += 1
@@ -288,7 +294,7 @@ class PromiseManager:
             outcome = self.engine.grant(req.predicates, duration, now, unit,
                                         req.release_on_grant)
         except (PredicateInvalid, UnknownPromiseId) as exc:
-            log.info("request %s rejected: %s", req.request_id, exc)
+            _log().info("request %s rejected: %s", req.request_id, exc)
             return PromiseResponseMsg(None, RESULT_REJECTED, 0, req.request_id)
         if isinstance(outcome, Rejection):
             return PromiseResponseMsg(None, RESULT_REJECTED, 0, req.request_id)
@@ -320,8 +326,7 @@ class PromiseManager:
                 hook("post-check")
             # feasibility falls only where supply falls
             cut = self.catalog.supply_cut_types(unit, mark)
-            kept = not cut or self.engine.post_action_check(
-                self.catalog.snapshot_availability(unit), cut, release_ids)
+            kept = not cut or self.engine.post_action_check(unit, cut, release_ids)
         except ActionFailure as exc:
             status, reason = ACTION_FAILED, str(exc)
         except CatalogError as exc:
@@ -367,7 +372,7 @@ class PromiseManager:
         problems = [p.message for p in self.engine.problems()]
         if problems:
             self.self_check_failures.append({"at": now, "problems": problems})
-            log.error("self-check failed: %s", problems)
+            _log().error("self-check failed: %s", problems)
 
 
 def _failure(code: str) -> Envelope:

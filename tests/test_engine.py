@@ -453,7 +453,7 @@ def test_only_the_engines_start_builds_a_problem(monkeypatch):
     assert not isinstance(swapped, Rejection)
     unit = cat.begin_unit()
     cat.apply_mutation(unit, SetInstanceStatus(InstanceId("room", "512"), STATUS_TAKEN))
-    assert not eng.post_action_check(cat.snapshot_availability(unit), {"room"})
+    assert not eng.post_action_check(unit, {"room"})
     cat.rollback_unit(unit)
     assert eng.expire_sweep(6) == [swapped.id]
     assert not isinstance(eng.grant([Named(InstanceId("seat", "24G"))], 30, 6), Rejection)
@@ -836,7 +836,7 @@ def test_post_action_check_passes_when_remaining_promises_fit():
     eng.grant([Quantity("pink-widget", 5)], 30, 0)
     unit = cat.begin_unit()
     _consume(cat, 5, unit)
-    assert eng.post_action_check(cat.snapshot_availability(unit), release=[mine.id])
+    assert eng.post_action_check(unit, release=[mine.id])
     cat.commit_unit(unit)
 
 
@@ -847,7 +847,7 @@ def test_post_action_check_flags_overconsumption():
     eng.grant([Quantity("pink-widget", 5)], 30, 0)
     unit = cat.begin_unit()
     _consume(cat, 6, unit)
-    assert not eng.post_action_check(cat.snapshot_availability(unit), release=[mine.id])
+    assert not eng.post_action_check(unit, release=[mine.id])
     cat.rollback_unit(unit)
     assert cat.quantity_on_hand("pink-widget") == 10
 
@@ -861,12 +861,11 @@ def test_post_action_check_writes_nothing_and_refuses_an_id_not_active():
     eng.release([gone.id])
     unit = cat.begin_unit()
     _consume(cat, 6, unit)
-    view = cat.snapshot_availability(unit)
     for pid in ("p-404", gone.id):  # never issued, and released already
         with pytest.raises(UnknownPromiseId):
-            eng.post_action_check(view, release=[mine.id, pid])
-    assert not eng.post_action_check(view)
-    assert eng.post_action_check(view, release=[mine.id, mine.id])
+            eng.post_action_check(unit, release=[mine.id, pid])
+    assert not eng.post_action_check(unit)
+    assert eng.post_action_check(unit, release=[mine.id, mine.id])
     assert eng.status(mine.id) == "active" and eng.history() == "aar"
     cat.rollback_unit(unit)
     assert eng.problems() == []
@@ -879,7 +878,7 @@ def test_actions_touching_nothing_promised_stay_ok():
     eng.grant([Quantity("pink-widget", 10)], 30, 0)
     unit = cat.begin_unit()
     cat.apply_mutation(unit, DecrementPool("blue-widget", 4))
-    assert eng.post_action_check(cat.snapshot_availability(unit))
+    assert eng.post_action_check(unit)
     cat.commit_unit(unit)
 
 

@@ -22,6 +22,12 @@ def test_the_manager_loads_neither_openssl_nor_the_socket_layer():
     assert out.split() == ["[]"]
 
 
+def test_the_manager_loads_neither_dataclasses_nor_logging():
+    out = _run("import promisekit, promisekit.harness\n"
+               "print(sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules)))")
+    assert out.split() == ["[]"]
+
+
 def test_the_digest_falls_back_to_hashlib_where_sha256_is_not_built_in():
     out = _run("sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
                "import hashlib, json\n"

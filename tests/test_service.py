@@ -1,4 +1,5 @@
 import copy
+import logging
 import socket
 import threading
 import tracemalloc
@@ -351,9 +352,9 @@ def test_only_an_action_that_cuts_supply_is_post_checked(monkeypatch):
     checked = []
     real = PromiseEngine.post_action_check
 
-    def spy(self, view, types=None, release=()):
+    def spy(self, unit, types=None, release=()):
         checked.append(set(types))
-        return real(self, view, types, release)
+        return real(self, unit, types, release)
 
     monkeypatch.setattr(PromiseEngine, "post_action_check", spy)
     restock = Envelope(action=ActionMsg("restock", {"resource-type": "pink-widget", "amount": 3}))
@@ -714,6 +715,23 @@ def test_a_whole_envelope_rollback_restores_the_counters():
     assert mgr.counters == {**before, "grants": before["grants"] + 1,
                             "releases": before["releases"] + 1,
                             "expiries": before["expiries"] + 1, "internal-failures": 3}
+
+
+def test_the_manager_logs_a_pipeline_failure_and_a_refused_request(caplog):
+    caplog.set_level(logging.INFO, logger="promisekit")
+    mgr = widget_manager(10)
+    mgr.fault_hook = _fault_at("commit")
+    assert mgr.handle(grant_envelope(1)).error == "internal-failure"
+    mgr.fault_hook = None
+    invalid = make_request("bad", [Quantity("no-such-type", 1)], 30)
+    assert first_response(mgr.handle(Envelope(promise_part=PromisePart(
+        requests=(invalid,))))).result == "rejected"
+    failure, refused = caplog.records
+    assert (failure.name, failure.levelno) == ("promisekit", logging.ERROR)
+    assert failure.getMessage() == "pipeline failure; rolling back the whole request"
+    assert failure.exc_info is not None and failure.exc_info[0] is _Boom
+    assert (refused.name, refused.levelno) == ("promisekit", logging.INFO)
+    assert refused.getMessage() == "request bad rejected: resource type 'no-such-type' is not declared"
 
 
 def test_a_rolled_back_grant_gives_its_id_back():

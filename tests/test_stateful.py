@@ -293,8 +293,7 @@ class WarmEqualsCold(RuleBasedStateMachine):
         probe = copy.copy(eng)
         probe._types = copy.deepcopy(eng._types)
         probe.catalog = copy.deepcopy(eng.catalog)
-        assert probe.post_action_check(probe.catalog.snapshot_availability()) \
-            == reference(self.active(), self.view())
+        assert probe.post_action_check(None) == reference(self.active(), self.view())
 
 
 # No shrink phase: each shrink step replays whole manager walks, so a
