@@ -56,6 +56,6 @@ from .protocol import (
     encode,
     make_request,
 )
-from .service import ActionFailure, PromiseManager, Server, ServiceConfig, serve
+from .service import ActionFailure, PromiseManager, ResourceUnavailable, Server, ServiceConfig, serve
 
 __version__ = "0.1.0"

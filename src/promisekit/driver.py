@@ -7,14 +7,14 @@ produces a deterministic RunReport.
 There is one step language, the scenario script's, and one driver. A
 client's steps are its script list, or are drawn one at a time from what
 the client has bound so far, as the fuzzer and the contention load do.
-Every client builds each envelope, counts its reply and checks the
-paper's guarantee (the `literal-guarantee` invariant). Under a logical
-clock the driver interleaves client steps deterministically (round-robin,
-or a seeded shuffle), so a (script, seed) pair always yields the same
-report digest, and after every step it checks the promise-table
-invariants and the engine's feasibility answer against the exhaustive
-oracle. Under a wall clock the clients free-run in threads; an error
-reply, or an exception that ends a client, fails `client-failures`.
+Every client builds each envelope and counts its reply; the manager
+counts broken guarantees (`literal-guarantee`). Under a logical clock
+the driver interleaves client steps deterministically (round-robin, or a
+seeded shuffle), so a (script, seed) pair always yields the same report
+digest, and after every step it checks the promise-table invariants and
+the engine's feasibility answer against the exhaustive oracle. Under a
+wall clock the clients free-run in threads; an error reply, or an
+exception that ends a client, fails `client-failures`.
 
 The fuzzer draws a one-client script step by step and runs it in process
 up to the first step that fails the check, then minimizes it by greedy
@@ -42,7 +42,7 @@ from .catalog import (
     load_catalog_file,
 )
 from .clock import LogicalClock, WallClock
-from .harness import KNOWN_ACTIONS, covers, register_standard_handlers
+from .harness import KNOWN_ACTIONS, register_standard_handlers
 from .oracle import brute_force_satisfiable
 from .predicates import (
     AT_LEAST_IN_ORDER,
@@ -82,7 +82,6 @@ if TYPE_CHECKING:
 
 log = logging.getLogger("promisekit")
 
-UNAVAILABLE_REASONS = ("resource-unavailable", "pool-underflow")
 OBSERVED_COUNTERS = ("observed-accepted", "observed-rejected", "observed-violations",
                      "actions-succeeded", "actions-failed")
 
@@ -170,10 +169,8 @@ class _Client:
         self.send = send
         self.run = run
         self.vars: dict[str, str] = {}
-        self.granted: dict[str, tuple] = {}  # the predicates of each promise granted
         self.outcomes: list[str] = []
         self.errors: list[str] = []  # every error reply, and the exception that ended it
-        self.broken: list[str] = []  # every action that failed under a covering promise
         self.rid = self.sent = 0
 
     def _roundtrip(self, envelope: Envelope) -> Envelope:
@@ -192,31 +189,20 @@ class _Client:
         pid = resp.promise_id if resp is not None and resp.result == RESULT_ACCEPTED else None
         with self.run.lock:
             self.run.observed["observed-rejected" if pid is None else "observed-accepted"] += 1
-        if pid is not None:
-            self.granted[pid] = tuple(predicates)
         return reply, pid
 
     def act(self, name: str, payload=None, environment=()) -> Envelope:
-        """Run an action under `environment`, pairs of (promise id, release
-        option), and record it in `broken` if it fails for lack of what an
-        environment promise released after success covers."""
+        """Run an action under `environment`, pairs of (promise id, release option)."""
         env = EnvironmentMsg(tuple(pid for pid, _ in environment),
                              tuple(option for _, option in environment)) if environment else None
         reply = self._roundtrip(Envelope(action=ActionMsg(name, payload), environment=env))
         if reply.action is not None:
-            status, body = reply.action.status, reply.action.payload
+            status = reply.action.status
             with self.run.lock:
                 self.run.observed["actions-succeeded" if status == ACTION_SUCCEEDED
                                   else "actions-failed"] += 1
                 if status == ACTION_REJECTED_BY_PROMISE_VIOLATION:
                     self.run.observed["observed-violations"] += 1
-            reason = body.get("reason") if status == ACTION_FAILED else None
-            if (status == ACTION_REJECTED_BY_PROMISE_VIOLATION or reason in UNAVAILABLE_REASONS) \
-                    and any(option == OPTION_RELEASE_AFTER_SUCCESS and covers(
-                        name, payload, self.granted.get(pid, ()), self.run.manager.catalog.schema)
-                        for pid, option in environment):
-                self.broken.append(f"{self.name}: {name} {json.dumps(payload, sort_keys=True)} "
-                                   f"under a covering promise -> {status} {reason or ''}".rstrip())
         return reply
 
     def resolve(self, ref: str) -> str:
@@ -224,6 +210,13 @@ class _Client:
         if ref[1:] not in self.vars:
             raise _Unbound(ref)
         return self.vars[ref[1:]]
+
+
+def _broken_guarantees(manager: PromiseManager, clients: list[_Client]) -> list[str]:
+    """The manager's latest broken guarantees, grouped by the client holding each promise."""
+    return [f"{c.name}: {b['action']} {json.dumps(b['payload'], sort_keys=True)} under a covering "
+            f"promise -> {b['status']}" + (f" {b['reason']}" if b["status"] == ACTION_FAILED else "")
+            for c in clients for b in manager.broken_guarantees if b["promise"] in c.vars.values()]
 
 
 def _wire(sock: socket.socket) -> Callable[[Envelope], Envelope]:
@@ -422,8 +415,8 @@ class _ScriptRun:
                                  if failures else "")
         report.add_invariant("expectations", not self.expect_failures,
                              detail="; ".join(self.expect_failures))
-        broken = [b for c in clients for b in c.broken]
-        report.add_invariant("literal-guarantee", not broken, detail="; ".join(broken[:5]))
+        report.add_invariant("literal-guarantee", not self.manager.counters["guarantees-broken"],
+                             detail="; ".join(_broken_guarantees(self.manager, clients)[:5]))
         if self.clock_mode == "logical":
             failure = self.failure
             report.add_invariant("step-invariants", failure is None, detail="" if failure is None

@@ -364,9 +364,9 @@ class PromiseEngine:
     Only table writes made under a unit are journaled, so `snapshot` and
     `restore` roll back those alone.
 
-    A view passed in must be the engine's own catalog, as
-    `snapshot_availability` gives it: the kept assignments and eligibility
-    sets are checked against its current state.
+    Every public method reads the engine's own catalog under the unit
+    token it is given; only the module functions `check_satisfiable` and
+    `build_feasibility_problem` take a view.
     """
 
     def __init__(self, catalog: ResourceCatalog):

@@ -1,5 +1,6 @@
 """The standard action set: the handlers a manager serves scenarios and
-fuzzing with, and what a promise covers for each of them.
+fuzzing with, and what each takes, registered beside it: the manager
+decides from it which promises cover the action (README, "Covers").
 
 A manager that serves the standard actions imports only this module;
 `promisekit.driver` holds the scenario driver, the wire clients and the
@@ -20,7 +21,6 @@ from .predicates import (
     Named,
     PredicateInvalid,
     Quantity,
-    implies,
     predicate_from_wire,
     satisfies,
     validate_predicate,
@@ -30,6 +30,7 @@ from .service import (
     ACTION_TABLE_DUMP,
     ActionFailure,
     PromiseManager,
+    ResourceUnavailable,
 )
 
 
@@ -54,7 +55,7 @@ def _take_named(payload, unit, catalog: ResourceCatalog):
     if rec is None:
         raise ActionFailure(f"no instance {iid}")
     if rec.status == "taken":
-        raise ActionFailure("resource-unavailable")
+        raise ResourceUnavailable("resource-unavailable")
     catalog.apply_mutation(unit, SetInstanceStatus(iid, "taken"))
     return {"key": key}
 
@@ -83,7 +84,7 @@ def _take_matching(payload, unit, catalog: ResourceCatalog):
         if rec.status == STATUS_AVAILABLE and satisfies(rec, pred, catalog.schema):
             catalog.apply_mutation(unit, SetInstanceStatus(rec.id, "taken"))
             return {"key": rec.id.key}
-    raise ActionFailure("resource-unavailable")
+    raise ResourceUnavailable("resource-unavailable")
 
 
 def _set_property(payload, unit, catalog: ResourceCatalog):
@@ -132,31 +133,18 @@ def _fields(payload, *names):
     return values
 
 
-def register_standard_handlers(manager: PromiseManager) -> None:
-    for name, fn in STANDARD_HANDLERS.items():
-        manager.register_handler(name, fn)
-
-
-KNOWN_ACTIONS = tuple(sorted(STANDARD_HANDLERS)) + (ACTION_NO_OP, ACTION_TABLE_DUMP)
-
-
-# --- what a promise covers (README.md, "Covers") ---
-
-# the predicate a promise must imply to cover each standard action; a
-# no-op is covered by any promise, and every other action by none
+# the predicate a promise must imply to cover each consuming standard
+# action (README.md, "Covers"); every other standard action is covered by none
 _TAKES = {
     "purchase-stock": lambda payload: Quantity(*_fields(payload, "resource-type", "amount")),
     "take-named": lambda payload: Named(InstanceId(*_fields(payload, "resource-type", "key"))),
     "take-matching": _matching,
-    ACTION_NO_OP: lambda payload: None,
 }
 
 
-def covers(action: str, payload, promised, schema) -> bool:
-    """Whether a promise of the predicates `promised` covers an action, if
-    it is active and the action's environment releases it after success."""
-    try:
-        need = _TAKES[action](payload)
-    except (KeyError, ActionFailure):  # an action that takes nothing a promise holds
-        return False
-    return any(need is None or implies(have, need, schema) for have in promised)
+def register_standard_handlers(manager: PromiseManager) -> None:
+    for name, fn in STANDARD_HANDLERS.items():
+        manager.register_handler(name, fn, takes=_TAKES.get(name))
+
+
+KNOWN_ACTIONS = tuple(sorted(STANDARD_HANDLERS)) + (ACTION_NO_OP, ACTION_TABLE_DUMP)

@@ -8,7 +8,9 @@ catalog's mutation unit with a savepoint taken first, so:
   - a handler's declared failure (ActionFailure) or a post-action promise
     violation rolls the action back to the savepoint, while grants made
     earlier in the same envelope stand. The action's releases are written
-    only after the post-check says yes, so the table has nothing to undo;
+    only after the post-check says yes, so the table has nothing to undo.
+    Such a violation, or a shortage, under an environment promise that
+    covers the action breaks the paper's guarantee, and is counted;
   - any unexpected exception rolls back the whole envelope, promise table
     included, leaving the exact pre-call state. A reply that
     cannot be sent is one: the reply is part of the envelope, so it is
@@ -25,7 +27,7 @@ import json
 import os
 import select
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .catalog import CatalogError, ResourceCatalog, digest_document, load_catalog_file
@@ -35,7 +37,7 @@ from .engine import (
     Rejection,
     UnknownPromiseId,
 )
-from .predicates import PredicateInvalid, validate_predicate
+from .predicates import PredicateInvalid, implies, validate_predicate
 from .protocol import (
     ACTION_FAILED,
     ACTION_PROMISE_EXPIRED,
@@ -90,6 +92,10 @@ def _log():  # `logging` loads when the manager first logs: only failures and re
 
 class ActionFailure(Exception):
     """Raised by handlers to report a business-level action failure."""
+
+
+class ResourceUnavailable(ActionFailure):
+    """Raised by handlers to report a shortage: what the action takes is not there."""
 
 
 class ServiceError(Exception):
@@ -178,28 +184,33 @@ class PromiseManager:
         self.duration_cap = duration_cap
         self.self_check = self_check
         self.self_check_failures: list[dict] = []
-        self._answered = {"rejections": 0, "violations-rolled-back": 0, "internal-failures": 0}
+        self._answered = {"rejections": 0, "violations-rolled-back": 0, "guarantees-broken": 0,
+                          "internal-failures": 0}
+        # the latest 16 broken guarantees: a fixed size bounds their memory
+        self.broken_guarantees: deque[dict] = deque(maxlen=16)
         self.fault_hook: Optional[Callable[[str], None]] = None  # test instrumentation
         self._lock = threading.Lock()
         self._handlers: dict[str, Handler] = {}
-        self.register_handler(ACTION_NO_OP, lambda payload, unit, catalog: {})
+        self._takes: dict[str, Optional[Callable]] = {}
+        self.register_handler(ACTION_NO_OP, lambda payload, unit, catalog: {},
+                              takes=lambda payload: None)
         self.register_handler(ACTION_TABLE_DUMP, self._dump_handler)
 
-    def register_handler(self, action_name: str, handler: Handler) -> None:
+    def register_handler(self, action_name: str, handler: Handler,
+                         takes: Optional[Callable] = None) -> None:
+        """`takes(payload)` is the predicate the action consumes, or None when
+        any promise covers it; without `takes`, none does (README, "Covers")."""
         if action_name in self._handlers:
             raise ServiceError("duplicate-handler", f"{action_name!r} is already registered")
-        self._handlers[action_name] = handler
+        self._handlers[action_name], self._takes[action_name] = handler, takes
 
     @property
     def counters(self) -> dict[str, int]:
         """Every counter: grants, releases and expiries read off the status of
         every issued id, then the committed replies and whole rollbacks."""
         history = self.engine.history()
-        answered = self._answered
-        return {"grants": len(history), "rejections": answered["rejections"],
-                "releases": history.count("r"), "expiries": history.count("e"),
-                "violations-rolled-back": answered["violations-rolled-back"],
-                "internal-failures": answered["internal-failures"]}
+        return {"grants": len(history), "releases": history.count("r"),
+                "expiries": history.count("e"), **self._answered}
 
     # --- pipeline ---
 
@@ -253,9 +264,9 @@ class PromiseManager:
                     responses.append(self._process_request(r, now, unit))
                 part = PromisePart((), tuple(responses))
 
-            answer = None
+            answer = covering = None
             if action is not None:
-                answer = self._run_action(action, envelope.environment, unit, hook)
+                answer, covering = self._run_action(action, envelope.environment, unit, hook)
             reply = Envelope(part, None, answer)
             reply.encoded = encode(reply)
             size = len(reply.encoded)
@@ -280,6 +291,12 @@ class PromiseManager:
                     self._answered["rejections"] += 1
         if answer is not None and answer.status == ACTION_REJECTED_BY_PROMISE_VIOLATION:
             self._answered["violations-rolled-back"] += 1
+        if covering is not None:
+            broken = {"promise": covering, "action": action.action_name, "payload": action.payload,
+                      "status": answer.status, "reason": answer.payload["reason"]}
+            self._answered["guarantees-broken"] += 1
+            self.broken_guarantees.append(broken)
+            _log().error("a covered action failed, breaking the guarantee: %s", broken)
         if self.self_check:
             self._run_self_check(now)
         return reply
@@ -301,13 +318,14 @@ class PromiseManager:
         return PromiseResponseMsg(outcome.id, RESULT_ACCEPTED, duration, req.request_id)
 
     def _run_action(self, action: ActionMsg, env: Optional[EnvironmentMsg], unit,
-                    hook: Optional[Callable[[str], None]]) -> ActionMsg:
+                    hook: Optional[Callable[[str], None]]) -> tuple[ActionMsg, Optional[str]]:
+        """The reply, and the covering promise whose guarantee the action broke, or None."""
         if hook is not None:
             hook("action")
         name = action.action_name
         handler = self._handlers.get(name)
         if handler is None:
-            return ActionMsg(name, {"reason": "no handler registered"}, ACTION_UNKNOWN_ACTION)
+            return ActionMsg(name, {"reason": "no handler registered"}, ACTION_UNKNOWN_ACTION), None
 
         release_ids = ()
         if env is not None:
@@ -315,7 +333,7 @@ class PromiseManager:
                 if pid not in self.engine.active:
                     status = ACTION_UNKNOWN_PROMISE_ID if self.engine.status(pid) is None \
                         else ACTION_PROMISE_EXPIRED
-                    return ActionMsg(name, {"promise-identifier": pid}, status)
+                    return ActionMsg(name, {"promise-identifier": pid}, status), None
             release_ids = [pid for pid, opt in zip(env.promise_ids, env.release_options)
                            if opt == OPTION_RELEASE_AFTER_SUCCESS]
 
@@ -327,19 +345,38 @@ class PromiseManager:
             # feasibility falls only where supply falls
             cut = self.catalog.supply_cut_types(unit, mark)
             kept = not cut or self.engine.post_action_check(unit, cut, release_ids)
+        except ResourceUnavailable as exc:
+            status, reason, short = ACTION_FAILED, str(exc), True
         except ActionFailure as exc:
-            status, reason = ACTION_FAILED, str(exc)
+            status, reason, short = ACTION_FAILED, str(exc), False
         except CatalogError as exc:
-            status, reason = ACTION_FAILED, exc.code
+            status, reason, short = ACTION_FAILED, exc.code, exc.code == "pool-underflow"
         else:
             if kept:  # the table's one write; a failure in it rolls the whole envelope back
                 if release_ids:
                     self.engine.release(release_ids, unit)
-                return ActionMsg(name, payload, ACTION_SUCCEEDED)
-            status, reason = ACTION_REJECTED_BY_PROMISE_VIOLATION, \
-                "outcome would violate an active promise"
+                return ActionMsg(name, payload, ACTION_SUCCEEDED), None
+            status, reason, short = ACTION_REJECTED_BY_PROMISE_VIOLATION, \
+                "outcome would violate an active promise", True
         self.catalog.rollback_to(unit, mark)
-        return ActionMsg(name, {"reason": reason}, status)
+        # a failed action releases nothing, so its covering promises are still active
+        return ActionMsg(name, {"reason": reason}, status), \
+            self._covering(name, action.payload, release_ids) if short and release_ids else None
+
+    def _covering(self, name: str, payload, release_ids) -> Optional[str]:
+        """The first of the active promises `release_ids` that covers the
+        action: one of its predicates implies what the action takes."""
+        takes = self._takes[name]
+        if takes is None:
+            return None
+        try:
+            need = takes(payload)
+        except ActionFailure:  # a payload that takes nothing a promise holds
+            return None
+        schema = self.catalog.schema
+        return next((pid for pid in release_ids if any(
+            need is None or implies(have, need, schema)
+            for have in self.engine.active[pid].predicates)), None)
 
     # --- diagnostics ---
 
@@ -356,7 +393,8 @@ class PromiseManager:
         doc = self.engine.dump(after, DUMP_PAGE_BYTES)
         counters = self.counters
         doc["service-counters"] = {name: counters.pop(name)
-                                   for name in ("violations-rolled-back", "internal-failures")}
+                                   for name in ("violations-rolled-back", "guarantees-broken",
+                                                "internal-failures")}
         doc["counters"] = counters
         doc["catalog-digest"] = catalog.state_digest()
         return doc

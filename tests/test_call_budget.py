@@ -30,7 +30,7 @@ from conftest import HOTEL_DOC, widget_doc
 
 # envelope kind -> the most calls it may make
 BUDGET = {"no-op": 24, "purchase": 31, "named-grant": 49, "named-exchange": 61,
-          "named-release": 37, "violated-release": 41}
+          "named-release": 37, "violated-release": 50}
 
 
 def _calls(manager, envelope):

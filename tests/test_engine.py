@@ -565,6 +565,22 @@ def test_release_returns_capacity():
     assert not isinstance(eng.grant([Quantity("pink-widget", 5)], 30, 0), Rejection)
 
 
+def test_the_eligibility_cache_is_trimmed_to_the_held_demands():
+    """Each Named grant caches its instance's eligible positions. Once the
+    cache holds more than twice the demands plus 64 keys, a decision drops
+    the keys no demand holds, so those of long-gone promises do not pile up."""
+    eng = PromiseEngine(load_catalog({"resource-types": [
+        {"name": "seat", "instances": [{"key": f"s{i}"} for i in range(80)]}]}))
+    for i in range(80):
+        rec = eng.grant([Named(InstanceId("seat", f"s{i}"))], 30, 0)
+        assert not isinstance(rec, Rejection)
+        eng.release([rec.id])
+    state = eng._types["seat"]
+    assert len(state.eligible) < 2 * len(state.demands) + 64
+    assert eng.problems() == []
+    assert not isinstance(eng.grant([Named(InstanceId("seat", "s0"))], 30, 0), Rejection)
+
+
 def test_release_is_idempotent():
     eng = PromiseEngine(load_catalog(widget_doc(5)))
     rec = eng.grant([Quantity("pink-widget", 1)], 30, 0)

@@ -11,7 +11,7 @@ from promisekit.catalog import CatalogError, DecrementPool, load_catalog
 from promisekit.clock import LogicalClock
 from promisekit.engine import PromiseEngine, UnknownPromiseId
 from promisekit.harness import register_standard_handlers
-from promisekit import predicates, service
+from promisekit import harness, predicates, service
 from promisekit.predicates import (
     AT_LEAST_IN_ORDER,
     EQUALS,
@@ -37,6 +37,7 @@ from promisekit.protocol import (
 from promisekit.service import (
     PromiseManager,
     RecentRequestIds,
+    ResourceUnavailable,
     Server,
     ServiceError,
     serve,
@@ -622,6 +623,127 @@ def test_self_check_reports_a_stale_active_index():
     assert mgr.self_check_failures[-1]["problems"] == ["status bytes disagree with the table"]
 
 
+# --- the paper's guarantee: the manager counts an action a covering promise did not keep ---
+
+GUARANTEE_DOC = {"resource-types": widget_doc(10)["resource-types"] + [
+    {"name": "seat", "properties": [{"name": "class", "order": ["economy", "business", "first"]}],
+     "instances": [{"key": "s1", "properties": {"class": "business"}},
+                   {"key": "s2", "properties": {"class": "first"}}]}]}
+
+PURCHASE_TWO = ActionMsg("purchase-stock", {"resource-type": "pink-widget", "amount": 2})
+
+
+def _short_manager(monkeypatch):
+    """A manager whose consuming standard handlers all fail short."""
+    def short(payload, unit, catalog):
+        raise ResourceUnavailable("resource-unavailable")
+
+    for action in ("purchase-stock", "take-named", "take-matching"):
+        monkeypatch.setitem(harness.STANDARD_HANDLERS, action, short)
+    mgr = PromiseManager(load_catalog(GUARANTEE_DOC), clock=LogicalClock())
+    register_standard_handlers(mgr)
+    return mgr
+
+
+def _hold(mgr, *predicates):
+    reply = mgr.handle(Envelope(promise_part=PromisePart(requests=(
+        make_request(f"r-{mgr.counters['grants']}", predicates, 30),))))
+    return first_response(reply).promise_id
+
+
+def _broken(pid, action, status="failed", reason="resource-unavailable"):
+    return {"promise": pid, "action": action.action_name, "payload": action.payload,
+            "status": status, "reason": reason}
+
+
+def test_a_shortage_under_a_covering_promise_is_counted_and_logged(monkeypatch, caplog):
+    mgr = _short_manager(monkeypatch)
+    other, pid = _hold(mgr, Quantity("pink-widget", 1)), _hold(mgr, Quantity("pink-widget", 3))
+    reply = mgr.handle(Envelope(action=PURCHASE_TWO, environment=EnvironmentMsg(
+        (other, pid), ("release-after-success", "release-after-success"))))
+    assert reply.action.status == "failed"
+    assert reply.action.payload == {"reason": "resource-unavailable"}
+    assert mgr.counters["guarantees-broken"] == 1
+    assert list(mgr.broken_guarantees) == [_broken(pid, PURCHASE_TWO)]
+    assert mgr.engine.status(pid) == "active"
+    assert [(r.levelname, r.getMessage().startswith("a covered action failed"))
+            for r in caplog.records] == [("ERROR", True)]
+
+
+def test_a_pool_underflow_under_a_covering_promise_is_a_shortage():
+    mgr = widget_manager(10)
+    mgr.register_handler("overdraw", lambda payload, unit, catalog: catalog.apply_mutation(
+        unit, DecrementPool("pink-widget", 11)), takes=lambda payload: Quantity("pink-widget", 1))
+    pid = _hold(mgr, Quantity("pink-widget", 1))
+    action = ActionMsg("overdraw")
+    reply = mgr.handle(Envelope(action=action, environment=EnvironmentMsg(
+        (pid,), ("release-after-success",))))
+    assert reply.action.payload == {"reason": "pool-underflow"}
+    assert list(mgr.broken_guarantees) == [_broken(pid, action, reason="pool-underflow")]
+
+
+def test_a_violation_under_a_covering_promise_is_counted():
+    """`take-matching` takes the first match, s1, which the promise of a
+    business seat needs; the first-or-better promise, which covers the
+    take, could have had s2."""
+    mgr = PromiseManager(load_catalog(GUARANTEE_DOC), clock=LogicalClock())
+    register_standard_handlers(mgr)
+    _hold(mgr, Property("seat", (PropertyConstraint("class", EQUALS, "business"),), 1))
+    pid = _hold(mgr, Property("seat", (PropertyConstraint("class", AT_LEAST_IN_ORDER,
+                                                           "business"),), 1))
+    action = ActionMsg("take-matching", {"resource-type": "seat", "constraints": [
+        {"property": "class", "comparator": AT_LEAST_IN_ORDER, "value": "business"}]})
+    reply = mgr.handle(Envelope(action=action, environment=EnvironmentMsg(
+        (pid,), ("release-after-success",))))
+    assert reply.action.status == "rejected-by-promise-violation"
+    assert mgr.counters["violations-rolled-back"] == mgr.counters["guarantees-broken"] == 1
+    assert list(mgr.broken_guarantees) == [_broken(
+        pid, action, "rejected-by-promise-violation", "outcome would violate an active promise")]
+
+
+@pytest.mark.parametrize("promised,action,option", [
+    (Quantity("pink-widget", 2), PURCHASE_TWO, "retain"),
+    (Quantity("pink-widget", 1), PURCHASE_TWO, "release-after-success"),
+    (Named(InstanceId("seat", "s1")), ActionMsg("take-named", {"resource-type": "seat",
+                                                               "key": "s2"}),
+     "release-after-success"),
+    (Quantity("pink-widget", 2), PURCHASE_TWO, None),
+], ids=["retain", "smaller-quantity", "another-instance", "not-in-the-environment"])
+def test_a_shortage_under_no_covering_promise_is_not_counted(monkeypatch, promised, action,
+                                                              option):
+    mgr = _short_manager(monkeypatch)
+    pid = _hold(mgr, promised)
+    env = EnvironmentMsg((pid,), (option,)) if option is not None else None
+    reply = mgr.handle(Envelope(action=action, environment=env))
+    assert reply.action.payload == {"reason": "resource-unavailable"}
+    assert mgr.counters["guarantees-broken"] == 0 and not mgr.broken_guarantees
+
+
+def test_a_broken_guarantee_rolled_back_whole_counts_nothing(monkeypatch):
+    mgr = _short_manager(monkeypatch)
+    pid = _hold(mgr, Quantity("pink-widget", 2))
+    before = mgr.state_digest()
+    mgr.fault_hook = _fault_at("commit")
+    reply = mgr.handle(Envelope(action=PURCHASE_TWO, environment=EnvironmentMsg(
+        (pid,), ("release-after-success",))))
+    mgr.fault_hook = None
+    assert reply.error == "internal-failure"
+    assert mgr.state_digest() == before
+    assert mgr.counters["guarantees-broken"] == 0 and not mgr.broken_guarantees
+
+
+def test_the_record_of_broken_guarantees_keeps_the_latest_16(monkeypatch):
+    mgr = _short_manager(monkeypatch)
+    pid = _hold(mgr, Quantity("pink-widget", 2))
+    env = EnvironmentMsg((pid,), ("release-after-success",))
+    for n in range(20):
+        mgr.handle(Envelope(action=ActionMsg("purchase-stock", {"resource-type": "pink-widget",
+                                                                "amount": 1 + n % 2}),
+                            environment=env))
+    assert mgr.counters["guarantees-broken"] == 20
+    assert [b["payload"]["amount"] for b in mgr.broken_guarantees] == [1, 2] * 8
+
+
 # --- injected faults roll the whole envelope back ---
 
 class _Boom(RuntimeError):
@@ -965,7 +1087,24 @@ def test_a_dump_page_carries_every_counter_over_the_wire(server):
         client.close()
     assert page["promises"] == []
     assert page["counters"] == {"grants": 2, "rejections": 1, "releases": 1, "expiries": 1}
-    assert page["service-counters"] == {"violations-rolled-back": 1, "internal-failures": 1}
+    assert page["service-counters"] == {"violations-rolled-back": 1, "guarantees-broken": 0,
+                                        "internal-failures": 1}
+
+
+def test_a_dump_page_counts_a_broken_guarantee_over_the_wire(monkeypatch):
+    mgr = _short_manager(monkeypatch)
+    srv = Server(mgr)
+    client = WireClient(srv.address)
+    try:
+        pid = first_response(client.roundtrip(grant_envelope(2))).promise_id
+        assert client.roundtrip(Envelope(action=PURCHASE_TWO, environment=EnvironmentMsg(
+            (pid,), ("release-after-success",)))).action.status == "failed"
+        page = client.roundtrip(Envelope(action=ActionMsg("promise-table-dump"))).action.payload
+    finally:
+        client.close()
+        srv.stop()
+    assert page["service-counters"] == {"violations-rolled-back": 0, "guarantees-broken": 1,
+                                        "internal-failures": 0}
 
 
 def _with_oversized_cut(mgr, length):
